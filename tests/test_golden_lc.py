@@ -1,0 +1,33 @@
+"""Golden stdout digests for the light-curve commands.
+
+`lc` and `classify` must print byte-identical CSV on the reference store
+across refactors of the light-curve engine. Each digest is the SHA-256 of a
+command's whole stdout.
+"""
+
+import hashlib
+
+import pytest
+
+from skymine import cli
+from skymine.errors import EXIT_OK
+
+GOLDEN = {
+    "lc":
+        "cd7b1c5f5da9e7dbd39feb780a227b49a4e5589bd0ab1c2fb33e6dba540d1f7f",
+    "lc --limit 20":
+        "c9bf350edfefc646d8db4c59dfb97150052b323c8b356a28025bb35cc9a9790c",
+    "lc --master 1":
+        "a67bc8d200bba5f3c8165179673687165e52791bc0349601a49c02dfd8e9947e",
+    "classify --span-days 12":
+        "18eff4fb4f4719c325fae04796f6057d7fa98c3151cf14d6077f78d21041400f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_stdout_digest(capsys, reference_store, command):
+    name, *rest = command.split()
+    code = cli.run([name, "--store", str(reference_store), *rest])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
