@@ -334,53 +334,43 @@ def neighbors_cmd(store_dir, theta, use_masters):
     click.echo(f"pairs={len(table)} distance_evaluations={evals}", err=True)
 
 
-def _lightcurves(store_dir):
+def _chains(store_dir):
     recs = store.read_all(store_dir)
     if not np.any(recs["master_id"] > 0):
         raise ValidationError("store has no master assignments; run `master` first")
-    order = np.lexsort((recs["mjd"], recs["master_id"]))
-    recs = recs[order]
-    for master_id in np.unique(recs["master_id"]):
-        chain = recs[recs["master_id"] == master_id]
-        yield int(master_id), chain
+    return timedomain.group_chains(recs)
 
 
 LC_CSV_HEADER = ("master_id,n,chi2_const,dof,mean_flux,best_frequency,"
                  "periodic_power,amplitude_fraction,classification")
 
 
-def _fit_row(master_id, chain, freq_grid):
-    lc = timedomain.LightCurve(master_id, chain["mjd"], chain["flux"],
-                               chain["flux_err"])
-    fit = timedomain.fit_lightcurve(lc, freq_grid)
+def _fit_row(lc, fit):
     bf = f"{fit.best_frequency:.6f}" if fit.best_frequency is not None else ""
-    return (f"{master_id},{len(lc)},{fit.chi2_const:.4f},{fit.dof},"
+    return (f"{lc.master_id},{len(lc)},{fit.chi2_const:.4f},{fit.dof},"
             f"{fit.mean_flux:.4f},{bf},{fit.periodic_power:.4f},"
-            f"{fit.amplitude_fraction:.4f},{fit.classification}"), lc, fit
+            f"{fit.amplitude_fraction:.4f},{fit.classification}")
 
 
 @cli.command("lc")
 @click.option("--store", "store_dir", required=True, type=click.Path(exists=True))
 @click.option("--master", "master_id", default=None, type=int)
-@click.option("--limit", default=None, type=int)
+@click.option("--limit", default=None, type=click.IntRange(min=1))
 @click.option("--fmin", default=0.01, show_default=True)
 @click.option("--fmax", default=2.0, show_default=True)
 @click.option("--steps", default=4000, show_default=True)
 def lc_cmd(store_dir, master_id, limit, fmin, fmax, steps):
     """Light-curve fits per master chain; CSV on stdout."""
-    grid = (fmin, fmax, steps)
-    click.echo(LC_CSV_HEADER)
-    emitted = 0
-    for mid, chain in _lightcurves(store_dir):
-        if master_id is not None and mid != master_id:
-            continue
-        row, _, _ = _fit_row(mid, chain, grid)
-        click.echo(row)
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            break
-    if master_id is not None and emitted == 0:
-        raise ValidationError(f"master {master_id} not found")
+    master_ids, chains = _chains(store_dir)
+    if master_id is not None:
+        pos = int(np.searchsorted(master_ids, master_id))
+        if pos == len(master_ids) or master_ids[pos] != master_id:
+            raise ValidationError(f"master {master_id} not found")
+        master_ids, chains = master_ids[pos:pos + 1], chains[pos:pos + 1]
+    lcs = [timedomain.LightCurve.from_chain(m, c)
+           for m, c in zip(master_ids[:limit], chains[:limit])]
+    fits = timedomain.fit_lightcurves(lcs, (fmin, fmax, steps))
+    click.echo("\n".join([LC_CSV_HEADER] + [_fit_row(lc, fit) for lc, fit in zip(lcs, fits)]))
 
 
 @cli.command("classify")
@@ -392,15 +382,18 @@ def lc_cmd(store_dir, master_id, limit, fmin, fmax, steps):
 @click.option("--steps", default=4000, show_default=True)
 def classify_cmd(store_dir, span_days, fmin, fmax, steps):
     """Classify every master chain; CSV master_id,classification."""
-    click.echo("master_id,n_detections,classification")
-    for mid, chain in _lightcurves(store_dir):
+    master_ids, chains = _chains(store_dir)
+    lcs = {i: timedomain.LightCurve.from_chain(master_ids[i], c)
+           for i, c in enumerate(chains) if len(c) > 1}
+    fits = dict(zip(lcs, timedomain.fit_lightcurves(list(lcs.values()),
+                                                    (fmin, fmax, steps))))
+    rows = ["master_id,n_detections,classification"]
+    for i, (mid, chain) in enumerate(zip(master_ids, chains)):
         flags_any = bool(np.any(chain["flags"] != 0))
-        if len(chain) == 1:
-            cls = timedomain.classify_chain(1, flags_any, None, None, span_days)
-        else:
-            _, lcv, fit = _fit_row(mid, chain, (fmin, fmax, steps))
-            cls = timedomain.classify_chain(len(chain), flags_any, lcv, fit, span_days)
-        click.echo(f"{mid},{len(chain)},{cls}")
+        cls = timedomain.classify_chain(len(chain), flags_any, lcs.get(i), fits.get(i),
+                                        span_days)
+        rows.append(f"{mid},{len(chain)},{cls}")
+    click.echo("\n".join(rows))
 
 
 @cli.command("trigger")
@@ -433,8 +426,8 @@ def movers_cmd(store_dir, rate_max, residual_max, min_length):
     """Link single-detection (orphan) chains into moving-object tracks."""
     recs = store.read_all(store_dir)
     masters = store.read_masters(store_dir)
-    singles = set(masters["master_id"][masters["n_detections"] == 1].tolist())
-    orphan_mask = np.array([int(m) in singles for m in recs["master_id"]])
+    singles = masters["master_id"][masters["n_detections"] == 1]
+    orphan_mask = np.isin(recs["master_id"], singles)
     tracks = timedomain.link_movers(
         recs[orphan_mask], rate_max,
         units.parse_angle_deg(residual_max) * sphere.ARCSEC_PER_DEG, min_length)

@@ -29,13 +29,23 @@ class LightCurve:
             raise ValidationError("light-curve arrays must have equal length")
         if len(self.epochs) < 1:
             raise ValidationError("light curve needs at least one point")
-        if np.any(np.diff(self.epochs) <= 0):
-            raise ValidationError("light-curve epochs must strictly increase")
+        bad = np.flatnonzero(np.diff(self.epochs) <= 0)
+        if len(bad):
+            prev, cur = self.epochs[bad[0]], self.epochs[bad[0] + 1]
+            where = (f"mjd {cur:.6f} repeats" if cur == prev
+                     else f"mjd {cur:.6f} follows {prev:.6f}")
+            raise ValidationError("light-curve epochs must strictly increase: "
+                                  f"master {self.master_id}, {where}")
         if np.any(self.flux_errs <= 0):
             raise ValidationError("flux errors must be > 0")
 
     def __len__(self):
         return len(self.epochs)
+
+    @classmethod
+    def from_chain(cls, master_id: int, chain: np.ndarray) -> "LightCurve":
+        """Light curve of one master's detection records, in `mjd` order."""
+        return cls(int(master_id), chain["mjd"], chain["flux"], chain["flux_err"])
 
 
 @dataclass
@@ -73,6 +83,68 @@ def _weighted_constant(lc: LightCurve):
     return mean, chi2
 
 
+def group_chains(recs: np.ndarray):
+    """Split detection records into per-master chains with one sort.
+
+    Returns (master_ids, chains): the distinct `master_id` values in
+    ascending order, and for each a view of its records in `mjd` order.
+    """
+    recs = recs[np.lexsort((recs["mjd"], recs["master_id"]))]
+    master_ids, starts = np.unique(recs["master_id"], return_index=True)
+    return master_ids, np.split(recs, starts[1:])
+
+
+def _trig_basis(freqs: np.ndarray, t: np.ndarray):
+    """cos, sin, cos^2, sin^2 and cos*sin of 2 pi f t, one row per trial
+    frequency; shared by every light curve observed at epochs t."""
+    omega_t = 2.0 * np.pi * freqs[:, None] * t[None, :]
+    c = np.cos(omega_t)
+    s = np.sin(omega_t)
+    return c, s, c * c, s * s, c * s
+
+
+def _periodograms(lcs: list[LightCurve], freqs: np.ndarray):
+    """Yield power and amplitude per trial frequency for light curves that
+    share one epoch vector.
+
+    The trig basis is computed once for the group. Each curve's reductions
+    use the same operands and calls as a lone curve would, so results do not
+    depend on how curves are grouped.
+    """
+    nf = len(freqs)
+    basis = None
+    for lc in lcs:
+        w = 1.0 / lc.flux_errs ** 2
+        w = w / np.sum(w)
+        t = lc.epochs
+        y = lc.fluxes
+        ybar = np.sum(w * y)
+        yy = np.sum(w * (y - ybar) ** 2)
+        if yy <= 0:
+            yield np.zeros(nf), np.zeros(nf)
+            continue
+        if basis is None:
+            basis = _trig_basis(freqs, t)
+        c, s, c2, s2, c_s = basis
+        cbar = c @ w
+        sbar = s @ w
+        yc = (c * (w * y)) @ np.ones_like(t) - ybar * cbar
+        ys = (s * (w * y)) @ np.ones_like(t) - ybar * sbar
+        cc = c2 @ w - cbar ** 2
+        ss = s2 @ w - sbar ** 2
+        cs = c_s @ w - cbar * sbar
+        d = cc * ss - cs ** 2
+        safe = np.abs(d) > 1e-15
+        # every entry is computed, but entries are independent, so the safe
+        # ones equal a computation on the safe entries alone
+        with np.errstate(all="ignore"):
+            a = np.where(safe, (yc * ss - ys * cs) / d, 0.0)
+            b = np.where(safe, (ys * cc - yc * cs) / d, 0.0)
+            power = np.where(safe, (ss * yc ** 2 + cc * ys ** 2
+                                    - 2.0 * cs * yc * ys) / (yy * d), 0.0)
+        yield np.clip(power, 0.0, 1.0), np.hypot(a, b)
+
+
 def periodogram(lc: LightCurve, freqs: np.ndarray):
     """Floating-mean single-sinusoid least-squares power on a frequency grid.
 
@@ -80,36 +152,7 @@ def periodogram(lc: LightCurve, freqs: np.ndarray):
     sinusoid at each trial frequency, in [0, 1]. Also returns the fitted
     amplitude per frequency.
     """
-    w = 1.0 / lc.flux_errs ** 2
-    w = w / np.sum(w)
-    t = lc.epochs
-    y = lc.fluxes
-    ybar = np.sum(w * y)
-    yy = np.sum(w * (y - ybar) ** 2)
-    if yy <= 0:
-        return np.zeros(len(freqs)), np.zeros(len(freqs))
-    omega_t = 2.0 * np.pi * freqs[:, None] * t[None, :]
-    c = np.cos(omega_t)
-    s = np.sin(omega_t)
-    cbar = c @ w
-    sbar = s @ w
-    yc = (c * (w * y)) @ np.ones_like(t) - ybar * cbar
-    ys = (s * (w * y)) @ np.ones_like(t) - ybar * sbar
-    cc = (c * c) @ w - cbar ** 2
-    ss = (s * s) @ w - sbar ** 2
-    cs = (c * s) @ w - cbar * sbar
-    d = cc * ss - cs ** 2
-    safe = np.abs(d) > 1e-15
-    power = np.zeros(len(freqs))
-    amp = np.zeros(len(freqs))
-    a = np.zeros(len(freqs))
-    b = np.zeros(len(freqs))
-    a[safe] = (yc[safe] * ss[safe] - ys[safe] * cs[safe]) / d[safe]
-    b[safe] = (ys[safe] * cc[safe] - yc[safe] * cs[safe]) / d[safe]
-    power[safe] = (ss[safe] * yc[safe] ** 2 + cc[safe] * ys[safe] ** 2
-                   - 2.0 * cs[safe] * yc[safe] * ys[safe]) / (yy * d[safe])
-    amp = np.hypot(a, b)
-    return np.clip(power, 0.0, 1.0), amp
+    return next(_periodograms([lc], freqs))
 
 
 def _transient_shape(lc: LightCurve, thresholds: Thresholds) -> bool:
@@ -125,20 +168,24 @@ def _transient_shape(lc: LightCurve, thresholds: Thresholds) -> bool:
                 and quiet[~sig].all())
 
 
-def fit_lightcurve(lc: LightCurve, freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000),
-                   thresholds: Thresholds = DEFAULT_THRESHOLDS) -> LightCurveFit:
-    """Weighted constant fit plus, for series of 3+ points, a floating-mean
-    sinusoid search over a uniform frequency grid."""
-    mean, chi2 = _weighted_constant(lc)
-    dof = max(len(lc) - 1, 1)
-    if len(lc) < 3:
-        cls = "static" if chi2 / dof <= thresholds.variability_chi2_dof else "variable"
-        return LightCurveFit(chi2, len(lc) - 1, mean, None, 0.0, 0.0, cls)
+def _frequency_grid(freq_grid: tuple[float, float, int]) -> np.ndarray:
     f_min, f_max, n_steps = freq_grid
     if not (0 < f_min < f_max and n_steps >= 2):
         raise ValidationError("frequency grid must satisfy 0 < f_min < f_max, n_steps >= 2")
-    freqs = np.linspace(f_min, f_max, int(n_steps))
-    power, amp = periodogram(lc, freqs)
+    return np.linspace(f_min, f_max, int(n_steps))
+
+
+def _fit(lc: LightCurve, freqs: np.ndarray | None,
+         spectrum: tuple[np.ndarray, np.ndarray] | None,
+         thresholds: Thresholds) -> LightCurveFit:
+    """Constant fit plus classification; `spectrum` is the curve's (power,
+    amplitude) on `freqs`, or None for curves too short to search."""
+    mean, chi2 = _weighted_constant(lc)
+    dof = max(len(lc) - 1, 1)
+    if spectrum is None:
+        cls = "static" if chi2 / dof <= thresholds.variability_chi2_dof else "variable"
+        return LightCurveFit(chi2, len(lc) - 1, mean, None, 0.0, 0.0, cls)
+    power, amp = spectrum
     best = int(np.argmax(power))
     best_frequency = float(freqs[best])
     periodic_power = float(power[best])
@@ -154,6 +201,36 @@ def fit_lightcurve(lc: LightCurve, freq_grid: tuple[float, float, int] = (0.01, 
         cls = "variable"
     return LightCurveFit(chi2, len(lc) - 1, mean, best_frequency, periodic_power,
                          amplitude_fraction, cls)
+
+
+def fit_lightcurves(lcs: list[LightCurve],
+                    freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000),
+                    thresholds: Thresholds = DEFAULT_THRESHOLDS) -> list[LightCurveFit]:
+    """Fit every light curve as `fit_lightcurve` would, in input order.
+
+    Curves of 3+ points are searched in groups that share an epoch vector,
+    so the trig work is done once per distinct epoch vector, not per curve.
+    """
+    fits: list[LightCurveFit | None] = [None] * len(lcs)
+    groups: dict[bytes, list[int]] = {}
+    for i, lc in enumerate(lcs):
+        if len(lc) < 3:
+            fits[i] = _fit(lc, None, None, thresholds)
+        else:
+            groups.setdefault(lc.epochs.tobytes(), []).append(i)
+    freqs = _frequency_grid(freq_grid) if groups else None
+    for members in groups.values():
+        spectra = _periodograms([lcs[i] for i in members], freqs)
+        for i, spectrum in zip(members, spectra):
+            fits[i] = _fit(lcs[i], freqs, spectrum, thresholds)
+    return fits
+
+
+def fit_lightcurve(lc: LightCurve, freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000),
+                   thresholds: Thresholds = DEFAULT_THRESHOLDS) -> LightCurveFit:
+    """Weighted constant fit plus, for series of 3+ points, a floating-mean
+    sinusoid search over a uniform frequency grid."""
+    return fit_lightcurves([lc], freq_grid, thresholds)[0]
 
 
 def classify_chain(n_detections: int, flags_any: bool, lc: LightCurve | None,

@@ -175,20 +175,11 @@ def test_lightcurve_period_and_false_variable_rate(clean_master_survey):
     fit = timedomain.fit_lightcurve(lc)
     assert 1.0 / fit.best_frequency == pytest.approx(2.5, rel=0.01)
 
-    recs = store.read_all(clean_master_survey["dir"])
-    order = np.lexsort((recs["mjd"], recs["master_id"]))
-    recs = recs[order]
-    bounds = np.searchsorted(recs["master_id"],
-                             np.unique(recs["master_id"]), side="left")
-    false_variable = 0
-    n_curves = 0
-    for lo, hi in zip(bounds, list(bounds[1:]) + [len(recs)]):
-        chain = recs[lo:hi]
-        lc = timedomain.LightCurve(int(chain["master_id"][0]), chain["mjd"],
-                                   chain["flux"], chain["flux_err"])
-        n_curves += 1
-        if timedomain.fit_lightcurve(lc).classification != "static":
-            false_variable += 1
+    master_ids, chains = timedomain.group_chains(store.read_all(clean_master_survey["dir"]))
+    fits = timedomain.fit_lightcurves(
+        [timedomain.LightCurve.from_chain(m, c) for m, c in zip(master_ids, chains)])
+    false_variable = sum(fit.classification != "static" for fit in fits)
+    n_curves = len(fits)
     assert n_curves == 1000
     assert false_variable / n_curves < 0.05
 

@@ -241,6 +241,42 @@ class TestQueries:
         assert code == EXIT_VALIDATION
 
 
+@pytest.fixture(scope="module")
+def merged_pair_store(tmp_path_factory):
+    """An isolated source plus two sources 0.3 arcsec apart, all seen in every
+    pass; a 1 arcsec master radius merges the pair into master 2, which then
+    holds two detections per epoch."""
+    out = tmp_path_factory.mktemp("cli") / "merged"
+    passes = 5
+    recs = np.zeros(3 * passes, dtype=store.DET_DTYPE)
+    recs["det_id"] = np.arange(1, 3 * passes + 1)
+    recs["pass_id"] = np.repeat(np.arange(passes), 3)
+    recs["mjd"] = 59000.0 + recs["pass_id"]
+    recs["ra"] = np.tile([10.0, 50.0, 50.0 + 0.3 / 3600.0], passes)
+    recs["dec"] = 5.0
+    recs["flux"] = np.tile([100.0, 80.0, 120.0], passes)
+    recs["flux_err"] = 1.0
+    store.ingest_detections(recs, 2, out)
+    assert cli.run(["index", "--store", str(out)]) == EXIT_OK
+    assert cli.run(["master", "--store", str(out), "--radius", "1s"]) == EXIT_OK
+    return out
+
+
+class TestRepeatedEpochs:
+    @pytest.mark.parametrize("command", ["lc", "classify"])
+    def test_rejected_before_any_output(self, capsys, merged_pair_store, command):
+        code, out, err = run(capsys, command, "--store", str(merged_pair_store))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "master 2" in err
+        assert "mjd 59000.000000 repeats" in err
+
+    def test_other_master_still_fits(self, capsys, merged_pair_store):
+        code, out, _ = run(capsys, "lc", "--store", str(merged_pair_store),
+                           "--master", "1")
+        assert code == EXIT_OK
+        assert [ln.split(",")[:2] for ln in out.splitlines()[1:]] == [["1", "5"]]
+
 class TestBench20:
     def test_all_twenty_queries_pass(self, capsys, survey_store):
         code, out, _ = run(capsys, "bench20", "--store", str(survey_store))

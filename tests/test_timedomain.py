@@ -110,6 +110,151 @@ class TestFits:
         assert flagged / 300 < 0.05
 
 
+# Per-curve reference: the periodogram and fit as computed one curve at a time
+# before light curves were fitted in shared-epoch groups.
+def oracle_periodogram(lc, freqs):
+    w = 1.0 / lc.flux_errs ** 2
+    w = w / np.sum(w)
+    t = lc.epochs
+    y = lc.fluxes
+    ybar = np.sum(w * y)
+    yy = np.sum(w * (y - ybar) ** 2)
+    if yy <= 0:
+        return np.zeros(len(freqs)), np.zeros(len(freqs))
+    omega_t = 2.0 * np.pi * freqs[:, None] * t[None, :]
+    c = np.cos(omega_t)
+    s = np.sin(omega_t)
+    cbar = c @ w
+    sbar = s @ w
+    yc = (c * (w * y)) @ np.ones_like(t) - ybar * cbar
+    ys = (s * (w * y)) @ np.ones_like(t) - ybar * sbar
+    cc = (c * c) @ w - cbar ** 2
+    ss = (s * s) @ w - sbar ** 2
+    cs = (c * s) @ w - cbar * sbar
+    d = cc * ss - cs ** 2
+    safe = np.abs(d) > 1e-15
+    power = np.zeros(len(freqs))
+    a = np.zeros(len(freqs))
+    b = np.zeros(len(freqs))
+    a[safe] = (yc[safe] * ss[safe] - ys[safe] * cs[safe]) / d[safe]
+    b[safe] = (ys[safe] * cc[safe] - yc[safe] * cs[safe]) / d[safe]
+    power[safe] = (ss[safe] * yc[safe] ** 2 + cc[safe] * ys[safe] ** 2
+                   - 2.0 * cs[safe] * yc[safe] * ys[safe]) / (yy * d[safe])
+    amp = np.hypot(a, b)
+    return np.clip(power, 0.0, 1.0), amp
+
+
+def oracle_fit(lc, freq_grid, thresholds=timedomain.DEFAULT_THRESHOLDS):
+    w = 1.0 / lc.flux_errs ** 2
+    mean = float(np.sum(w * lc.fluxes) / np.sum(w))
+    chi2 = float(np.sum(w * (lc.fluxes - mean) ** 2))
+    dof = max(len(lc) - 1, 1)
+    if len(lc) < 3:
+        cls = "static" if chi2 / dof <= thresholds.variability_chi2_dof else "variable"
+        return timedomain.LightCurveFit(chi2, len(lc) - 1, mean, None, 0.0, 0.0, cls)
+    freqs = np.linspace(freq_grid[0], freq_grid[1], int(freq_grid[2]))
+    power, amp = oracle_periodogram(lc, freqs)
+    best = int(np.argmax(power))
+    best_frequency = float(freqs[best])
+    periodic_power = float(power[best])
+    amplitude_fraction = float(amp[best] / abs(mean)) if mean != 0 else 0.0
+    if chi2 / dof <= thresholds.variability_chi2_dof:
+        cls = "static"
+    elif periodic_power > thresholds.periodic_power:
+        cls = "variable"
+    elif timedomain._transient_shape(lc, thresholds):
+        cls = "transient"
+    else:
+        cls = "variable"
+    return timedomain.LightCurveFit(chi2, len(lc) - 1, mean, best_frequency,
+                                    periodic_power, amplitude_fraction, cls)
+
+
+def equivalence_curves():
+    """Curves on shared and distinct epoch vectors, of 1, 2, 3 and many
+    points, constant ones, and ones sampled at integer days, whose design
+    matrix is near singular at integer frequencies; interleaved so that input
+    order differs from epoch-group order."""
+    rng = np.random.Generator(np.random.PCG64(77))
+    shared = np.sort(rng.uniform(0, 30, 25))
+    integer_days = np.arange(12, dtype=float)
+    curves = []
+
+    def add(t, flux=None, err=None):
+        n = len(t)
+        flux = 100 + rng.normal(0, 3.0, n) if flux is None else flux
+        err = rng.uniform(0.5, 2.0, n) if err is None else err
+        curves.append(make_lc(t, flux, err, master_id=len(curves) + 1))
+
+    for k in range(6):
+        add(shared)
+        add(integer_days)
+        add(np.sort(rng.uniform(0, 30, 4 + k)))              # distinct vector
+        add(shared + 0.5 * (k + 1))                           # distinct, same length
+        add(shared[: k % 3 + 1])                              # 1-, 2-, 3-point
+    # constant flux, with weights for which the weighted variance is exactly 0
+    add(shared[:16], np.full(16, 42.0), np.full(16, 1.0))
+    add(integer_days, np.zeros(12), rng.uniform(0.5, 2.0, 12))
+    add(shared, 100 * (1 + 0.3 * np.sin(2 * np.pi * shared / 2.7)),
+        np.full(25, 1.0))                                     # periodic
+    add(integer_days, 100 + 20 * np.sin(2 * np.pi * integer_days / 3.3),
+        np.full(12, 1.0))                                     # singular at f = 1
+    return curves
+
+
+class TestGroupedFitEquivalence:
+    GRIDS = [(0.01, 2.0, 400), (0.5, 1.5, 201), (0.999, 1.001, 101)]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_fits_equal_per_curve_oracle(self, grid):
+        curves = equivalence_curves()
+        fits = timedomain.fit_lightcurves(curves, grid)
+        assert len(fits) == len(curves)
+        for lc, fit in zip(curves, fits):
+            assert fit == oracle_fit(lc, grid), lc.master_id
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_periodogram_equals_oracle(self, grid):
+        freqs = np.linspace(grid[0], grid[1], grid[2])
+        for lc in equivalence_curves():
+            power, amp = timedomain.periodogram(lc, freqs)
+            want_power, want_amp = oracle_periodogram(lc, freqs)
+            assert np.array_equal(power, want_power)
+            assert np.array_equal(amp, want_amp)
+
+    def test_grid_covers_singular_and_constant_cases(self):
+        freqs = np.linspace(*self.GRIDS[1])
+        curves = equivalence_curves()
+        singular = curves[-1]
+        w = 1.0 / singular.flux_errs ** 2
+        w /= w.sum()
+        omega_t = 2 * np.pi * freqs[:, None] * singular.epochs[None, :]
+        c, s = np.cos(omega_t), np.sin(omega_t)
+        d = ((c * c) @ w - (c @ w) ** 2) * ((s * s) @ w - (s @ w) ** 2) \
+            - ((c * s) @ w - (c @ w) * (s @ w)) ** 2
+        assert np.any(np.abs(d) <= 1e-15) and np.any(np.abs(d) > 1e-15)
+        constant = [lc for lc in curves if len(lc) >= 3 and np.ptp(lc.fluxes) == 0]
+        assert len(constant) == 2
+        assert all(not timedomain.periodogram(lc, freqs)[0].any() for lc in constant)
+
+    def test_bad_grid_only_checked_when_searched(self):
+        short = [make_lc([0, 1], [1.0, 2.0], [1.0, 1.0])]
+        assert timedomain.fit_lightcurves(short, (2.0, 1.0, 10))[0].best_frequency is None
+        with pytest.raises(ValidationError):
+            timedomain.fit_lightcurves(short + [sinusoid_lc(2.0)], (2.0, 1.0, 10))
+
+    def test_group_chains_sorts_by_master_then_mjd(self):
+        recs = np.zeros(6, dtype=store.DET_DTYPE)
+        recs["master_id"] = [3, 1, 3, 2, 1, 3]
+        recs["mjd"] = [5.0, 2.0, 1.0, 4.0, 1.0, 3.0]
+        ids, chains = timedomain.group_chains(recs)
+        assert ids.tolist() == [1, 2, 3]
+        assert [c["mjd"].tolist() for c in chains] == [[1.0, 2.0], [4.0], [1.0, 3.0, 5.0]]
+
+    def test_repeated_epoch_names_master_and_mjd(self):
+        with pytest.raises(ValidationError, match="master 9, mjd 3.000000 repeats"):
+            make_lc([1, 3, 3], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], master_id=9)
+
 class TestClassifyChain:
     def test_single_flagged_is_defect(self):
         assert timedomain.classify_chain(1, True, None, None) == "defect"
