@@ -238,20 +238,7 @@ def gen_cmd(objects, passes, seed, cadence_days, flux_sigma, periodic_frac,
 @click.option("--out", required=True, type=click.Path())
 def ingest_cmd(input_csv, partitions, out):
     """Load a detection CSV into a partitioned binary store."""
-    text = Path(input_csv).read_text().strip().splitlines()
-    header = text[0].split(",")
-    if tuple(header) != store.FIELD_NAMES:
-        raise ValidationError(f"expected header {','.join(store.FIELD_NAMES)}")
-    records = np.zeros(len(text) - 1, dtype=store.DET_DTYPE)
-    for ordinal, line in enumerate(text[1:]):
-        vals = line.split(",")
-        if len(vals) != len(header):
-            raise ValidationError(f"record {ordinal}: wrong column count")
-        try:
-            for name, val in zip(header, vals):
-                records[ordinal][name] = float(val)
-        except ValueError as exc:
-            raise ValidationError(f"record {ordinal}: {exc}") from exc
+    records = store.records_from_csv(Path(input_csv).read_text())
     manifest = store.ingest_detections(records, partitions, out)
     click.echo(f"records={manifest.total_records} "
                f"load_rate={units.fmt_bytes(manifest.load_rate_bytes_per_s)}/s", err=True)

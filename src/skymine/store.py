@@ -8,7 +8,9 @@ make the format trivially seekable.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -101,20 +103,54 @@ class ScanStats:
     workers: int = 1
 
 
-def _manifest_path(store: Path) -> Path:
-    return Path(store) / "manifest.json"
+_MANIFEST = "manifest.json"
 
 
 def read_manifest(store) -> StoreManifest:
-    path = _manifest_path(Path(store))
+    path = Path(store) / _MANIFEST
     try:
         return StoreManifest.from_json(path.read_text())
     except FileNotFoundError as exc:
         raise StoreIOError(f"no manifest at {path}") from exc
 
 
-def write_manifest(store, manifest: StoreManifest) -> None:
-    _manifest_path(Path(store)).write_text(manifest.to_json())
+@contextlib.contextmanager
+def _rewrite(store):
+    """Replace whole files of a store together.
+
+    `put(name, data)` writes `data` to a temp file beside `name`. When the
+    block completes, each temp file is renamed over its target in the order
+    it was put, so callers put `manifest.json` last. If the block raises, the
+    temp files are removed and every file of the store is left as it was.
+    A failure among the renames themselves can still leave a mix.
+    """
+    store = Path(store)
+    staged = []
+
+    def put(name: str, data: bytes) -> None:
+        path, tmp = store / name, store / f".{name}.tmp"
+        staged.append((tmp, path))
+        try:
+            with open(tmp, "wb") as f:
+                f.write(data)
+        except OSError as exc:
+            raise StoreIOError(f"cannot write {path}: {exc}") from exc
+
+    try:
+        yield put
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, path in staged:
+        os.replace(tmp, path)
+
+
+def _put_partition(put, info: PartitionInfo, records: np.ndarray) -> None:
+    data = records.tobytes()
+    put(info.name, data)
+    info.records = len(records)
+    info.crc32 = zlib.crc32(data)
 
 
 def validate_records(records: np.ndarray) -> None:
@@ -152,22 +188,17 @@ def ingest_detections(records: np.ndarray, partition_count: int, out_dir) -> Sto
 
     order = np.argsort(records, order=["zone", "det_id"], kind="stable")
     ordered = records[order]
-    t0 = time.perf_counter()
     manifest = StoreManifest(total_records=len(records),
                              creation={"partition_count": partition_count})
-    for p in range(partition_count):
-        chunk = ordered[p::partition_count]
-        name = f"part-{p:04d}.det"
-        data = chunk.tobytes()
-        try:
-            (out / name).write_bytes(data)
-        except OSError as exc:
-            raise StoreIOError(f"cannot write {out / name}: {exc}") from exc
-        manifest.partitions.append(PartitionInfo(name=name, records=len(chunk),
-                                                 crc32=zlib.crc32(data)))
-    wall = time.perf_counter() - t0
-    manifest.load_rate_bytes_per_s = (len(records) * RECORD_SIZE / wall) if wall > 0 else 0.0
-    write_manifest(out, manifest)
+    with _rewrite(out) as put:
+        t0 = time.perf_counter()
+        for p in range(partition_count):
+            info = PartitionInfo(name=f"part-{p:04d}.det", records=0, crc32=0)
+            _put_partition(put, info, ordered[p::partition_count])
+            manifest.partitions.append(info)
+        wall = time.perf_counter() - t0
+        manifest.load_rate_bytes_per_s = (len(records) * RECORD_SIZE / wall) if wall > 0 else 0.0
+        put(_MANIFEST, manifest.to_json().encode())
     return manifest
 
 
@@ -193,13 +224,6 @@ def read_all(store, verify: bool = False) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _write_partition(store, info: PartitionInfo, records: np.ndarray) -> None:
-    data = records.tobytes()
-    (Path(store) / info.name).write_bytes(data)
-    info.records = len(records)
-    info.crc32 = zlib.crc32(data)
-
-
 def build_indexes(store, zone_height_deg: float) -> StoreManifest:
     """Populate the zone field of every record and write per-partition zone
     histograms and epoch ranges into the manifest."""
@@ -207,23 +231,24 @@ def build_indexes(store, zone_height_deg: float) -> StoreManifest:
         raise ValidationError("zone_height must be > 0")
     manifest = read_manifest(store)
     data_bytes = 0
-    for info in manifest.partitions:
-        recs = read_partition(store, info).copy()
-        if len(recs):
-            recs["zone"] = sphere.zone_of(recs["dec"], zone_height_deg)
-            zones, counts = np.unique(recs["zone"], return_counts=True)
-            info.zone_histogram = {int(z): int(c) for z, c in zip(zones, counts)}
-            info.mjd_min = float(recs["mjd"].min())
-            info.mjd_max = float(recs["mjd"].max())
-        else:
-            info.zone_histogram = {}
-            info.mjd_min = info.mjd_max = None
-        _write_partition(store, info, recs)
-        data_bytes += len(recs) * RECORD_SIZE
-    manifest.zone_height_deg = zone_height_deg
-    index_bytes = len(json.dumps([asdict(p) for p in manifest.partitions]))
-    manifest.index_overhead_fraction = index_bytes / data_bytes if data_bytes else 0.0
-    write_manifest(store, manifest)
+    with _rewrite(store) as put:
+        for info in manifest.partitions:
+            recs = read_partition(store, info).copy()
+            if len(recs):
+                recs["zone"] = sphere.zone_of(recs["dec"], zone_height_deg)
+                zones, counts = np.unique(recs["zone"], return_counts=True)
+                info.zone_histogram = {int(z): int(c) for z, c in zip(zones, counts)}
+                info.mjd_min = float(recs["mjd"].min())
+                info.mjd_max = float(recs["mjd"].max())
+            else:
+                info.zone_histogram = {}
+                info.mjd_min = info.mjd_max = None
+            _put_partition(put, info, recs)
+            data_bytes += len(recs) * RECORD_SIZE
+        manifest.zone_height_deg = zone_height_deg
+        index_bytes = len(json.dumps([asdict(p) for p in manifest.partitions]))
+        manifest.index_overhead_fraction = index_bytes / data_bytes if data_bytes else 0.0
+        put(_MANIFEST, manifest.to_json().encode())
     return manifest
 
 
@@ -344,63 +369,145 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
 
 # ---------------------------------------------------------------------------
 # master/summary cross-match
+#
+# The rule: detections in (pass_id, mjd, det_id) order either join the nearest
+# master within the match chord (the lowest master index among those within
+# 1e-9 of the nearest distance) or found a new master. A master's position is
+# the normalized sum of its member unit vectors; a new master sits at its first
+# detection. Candidates are the masters in the 27 cells around a detection,
+# with cells of edge max(chord, 1e-9) keyed by floor(v / edge) per axis.
+#
+# Each pass is matched as one batch against the master positions frozen at
+# its start. Within a pass, a detection e can change what another detection
+# d sees only by founding a master in d's 27 cells or by moving one into or
+# out of them. e founds at its own cell. e joins a master in its own 27
+# cells and pulls it along the arc toward e, so the master ends within
+# sqrt(best) + 1e-9 <= 2 * edge of e: within 3 cells of e's key, allowing
+# for floor() rounding. So e and d can interact only if their keys are
+# within 1 + 3 = 4 cells on every axis (Chebyshev distance), and only then
+# can both join one master. Detections with another detection of the pass
+# within 4 cells form the conflict set and run the rule one at a time, in
+# order, against the current state; the others are independent of each
+# other and of the conflict set.
 
-class _MasterGrid:
-    """Incremental spatial hash over master unit vectors; cell edge equals the
-    match chord so a radius query only touches the 27 neighboring cells."""
+# |v| <= 1 and edge >= 1e-9, so |key| <= 1e9 + 2 < 2^30: shifted keys fit in
+# 31 bits and two of them in one int64.
+_KEY_SHIFT = 1 << 30
+_CONFLICT_CELLS = 4
+_NO_MASTER = np.iinfo(np.int64).max
 
-    def __init__(self, chord: float):
-        self.edge = max(chord, 1e-9)
-        self.cells: dict[tuple, list] = {}
-        self.vecs: list[np.ndarray] = []
-        self.keys: list[tuple] = []
 
-    def _key(self, v: np.ndarray) -> tuple:
-        return tuple(np.floor(v / self.edge).astype(np.int64))
+def _master_state(size: int) -> dict:
+    """Columns of the masters being built, with room for `size` of them."""
+    return {
+        "sum": np.zeros((size, 3)),                # unnormalized member sum
+        "pos": np.zeros((size, 3)),                # position the matcher sees
+        "key": np.zeros((size, 3), dtype=np.int64),  # cell key of pos
+        "n": np.zeros(size, dtype=np.int64),
+        "flux_sum": np.zeros(size),
+        "flux_sq": np.zeros(size),
+        "first": np.zeros(size),
+        "last": np.zeros(size),
+    }
 
-    def add(self, v: np.ndarray) -> int:
-        idx = len(self.vecs)
-        self.vecs.append(v)
-        key = self._key(v)
-        self.keys.append(key)
-        self.cells.setdefault(key, []).append(idx)
-        return idx
 
-    def update(self, idx: int, v: np.ndarray) -> None:
-        self.vecs[idx] = v
-        key = self._key(v)
-        if key != self.keys[idx]:
-            self.cells[self.keys[idx]].remove(idx)
-            self.cells.setdefault(key, []).append(idx)
-            self.keys[idx] = key
+def _cell_keys(v: np.ndarray, edge: float) -> np.ndarray:
+    return np.floor(v / edge).astype(np.int64)
 
-    def nearest_within(self, v: np.ndarray, chord: float) -> int:
-        """Index of the nearest master within the chord radius (inclusive);
-        equidistant candidates resolve to the lowest index. -1 if none."""
-        kx, ky, kz = self._key(v)
-        cand = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    cand.extend(self.cells.get((kx + dx, ky + dy, kz + dz), ()))
-        if not cand:
-            return -1
-        cand = np.asarray(sorted(cand), dtype=np.int64)
-        pts = np.asarray([self.vecs[i] for i in cand])
-        diff = pts - v
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        best = float(np.min(d2))
-        if best > chord * chord:
-            return -1
-        # equidistant within ~1e-9 rad resolves to the lowest master index
-        ties = cand[np.sqrt(d2) <= np.sqrt(best) + 1e-9]
-        return int(ties[0])
+
+def _cell_pairs(keys: np.ndarray, query: np.ndarray):
+    """(query row, key row) for every key within 1 cell of a query on every
+    axis, i.e. the keys in the 27 cells around each query.
+
+    Keys are sorted by (x, y) column, then z. Each of the 9 neighbouring
+    columns of a query is found by `searchsorted` on the distinct columns,
+    and its z range [z-1, z+1] by `searchsorted` on codes rank(x, y) * 2^31 + z.
+    """
+    if not len(keys) or not len(query):
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    col = (keys[:, 0] + _KEY_SHIFT) << 31 | (keys[:, 1] + _KEY_SHIFT)
+    order = np.lexsort((keys[:, 2], col))
+    cols, rank = np.unique(col[order], return_inverse=True)
+    code = rank.astype(np.int64) << 31 | (keys[order, 2] + _KEY_SHIFT)
+    # queries in key order make every search below run on sorted needles
+    qorder = np.lexsort((query[:, 2], query[:, 1], query[:, 0]))
+    query = query[qorder]
+    qs, los, his = [], [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            c = (query[:, 0] + (dx + _KEY_SHIFT)) << 31 | (query[:, 1] + (dy + _KEY_SHIFT))
+            r = np.minimum(np.searchsorted(cols, c), len(cols) - 1)
+            q = np.flatnonzero(cols[r] == c)
+            z = r[q].astype(np.int64) << 31 | (query[q, 2] + _KEY_SHIFT)
+            qs.append(q)
+            los.append(np.searchsorted(code, z - 1))
+            his.append(np.searchsorted(code, z + 1, side="right"))
+    q, lo, hi = (np.concatenate(a) for a in (qs, los, his))
+    n = hi - lo
+    start = np.repeat(lo - (np.cumsum(n) - n), n)
+    return qorder[np.repeat(q, n)], order[start + np.arange(n.sum())]
+
+
+def _near_pairs(keys: np.ndarray):
+    """(later row, earlier row) for every two rows whose keys are within
+    _CONFLICT_CELLS cells on every axis. Such rows sit in the same or
+    adjacent coarse cells of 4 cells' edge."""
+    q, t = _cell_pairs(keys >> 2, keys >> 2)
+    near = (t < q) & (np.abs(keys[q] - keys[t]).max(axis=1) <= _CONFLICT_CELLS)
+    return q[near], t[near]
+
+
+def _nearest(pos: np.ndarray, v: np.ndarray, q: np.ndarray, t: np.ndarray,
+             chord: float) -> np.ndarray:
+    """The master the rule picks for each row of v among its candidate pairs
+    (q, t): the lowest index within 1e-9 of the nearest distance, or -1
+    when the nearest lies beyond the chord."""
+    diff = pos[t] - v[q]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    best = np.full(len(v), np.inf)
+    np.minimum.at(best, q, d2)
+    tie = np.sqrt(d2) <= np.sqrt(best[q]) + 1e-9
+    pick = np.full(len(v), _NO_MASTER)
+    np.minimum.at(pick, q[tie], t[tie])
+    return np.where(best <= chord * chord, pick, -1)
+
+
+def _row_norms(s: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of every row, bit for bit: a stack of 1x3 @ 3x1
+    products runs the same dot kernel as `s.dot(s)`; einsum does not."""
+    return np.sqrt(np.matmul(s[:, None, :], s[:, :, None])[:, 0, 0])
+
+
+def _found(state, ids, v, flux, mjd, edge):
+    """Start the masters `ids` at one detection each. 0.0 + flux keeps the
+    sign of a running sum that starts at 0.0 (-0.0 becomes 0.0)."""
+    state["sum"][ids] = v
+    state["pos"][ids] = v
+    state["key"][ids] = _cell_keys(v, edge)
+    state["n"][ids] = 1
+    state["flux_sum"][ids] = 0.0 + flux
+    state["flux_sq"][ids] = 0.0 + flux * flux
+    state["first"][ids] = mjd
+    state["last"][ids] = mjd
+
+
+def _join(state, ids, v, flux, mjd, edge):
+    """Add one detection to each of the distinct masters `ids`."""
+    s = state["sum"][ids] + v
+    pos = s / _row_norms(s)[:, None]
+    state["sum"][ids] = s
+    state["pos"][ids] = pos
+    state["key"][ids] = _cell_keys(pos, edge)
+    state["n"][ids] += 1
+    state["flux_sum"][ids] += flux
+    state["flux_sq"][ids] += flux * flux
+    state["first"][ids] = np.minimum(state["first"][ids], mjd)
+    state["last"][ids] = np.maximum(state["last"][ids], mjd)
 
 
 def build_master(store, match_radius_arcsec: float):
-    """Single-pass cross-match: detections in (pass, epoch) order either join
-    the nearest existing master within the match radius or found a new one.
-    Master positions are running normalized means of member unit vectors.
+    """Cross-match detections into masters, one pass at a time (the rule and
+    the batching are described above).
 
     Writes `masters.csv` into the store, assigns `master_id` on every record,
     and returns the master table as a structured array.
@@ -413,75 +520,105 @@ def build_master(store, match_radius_arcsec: float):
     unit = sphere.radec_to_unit(records["ra"], records["dec"])
     radius_rad = np.radians(match_radius_arcsec / sphere.ARCSEC_PER_DEG)
     chord = sphere.chord_for_angle(radius_rad)
+    edge = max(chord, 1e-9)
+    keys = _cell_keys(unit, edge)
+    flux = records["flux"].astype(np.float64)
+    mjd = records["mjd"]
 
-    grid = _MasterGrid(chord)
-    sums: list[np.ndarray] = []     # unnormalized member vector sums
-    counts: list[int] = []
-    flux_sum: list[float] = []
-    flux_sq: list[float] = []
-    first: list[float] = []
-    last: list[float] = []
+    state = _master_state(0)
+    n_masters = 0
     assignment = np.zeros(len(records), dtype=np.uint64)
+    bounds = np.flatnonzero(np.diff(records["pass_id"][order])) + 1
+    for rows in np.split(order, bounds):
+        if len(state["n"]) < n_masters + len(rows):
+            grown = _master_state(max(2 * len(state["n"]), n_masters + len(rows)))
+            for name, col in grown.items():
+                col[:n_masters] = state[name][:n_masters]
+            state = grown
+        v, k, pflux, pmjd = unit[rows], keys[rows], flux[rows], mjd[rows]
+        q, t = _cell_pairs(state["key"][:n_masters], k)
+        match = _nearest(state["pos"], v, q, t, chord)
+        later, earlier = _near_pairs(k)
+        conflict = np.zeros(len(rows), dtype=bool)
+        conflict[later] = conflict[earlier] = True
+        founded = (match < 0) & ~conflict
+        joined = (match >= 0) & ~conflict
 
-    for row in order:
-        v = unit[row]
-        m = grid.nearest_within(v, chord)
-        if m < 0:
-            m = grid.add(v)
-            sums.append(v.copy())
-            counts.append(0)
-            flux_sum.append(0.0)
-            flux_sq.append(0.0)
-            first.append(np.inf)
-            last.append(-np.inf)
-        else:
-            sums[m] += v
-            grid.update(m, sums[m] / np.linalg.norm(sums[m]))
-        counts[m] += 1
-        f = float(records["flux"][row])
-        flux_sum[m] += f
-        flux_sq[m] += f * f
-        mjd = float(records["mjd"][row])
-        first[m] = min(first[m], mjd)
-        last[m] = max(last[m], mjd)
-        assignment[row] = m + 1  # master_id 0 means unassigned
+        # The conflict set runs first, in order. A row's candidates are its
+        # frozen ones plus the masters its earlier conflict neighbours
+        # founded or moved (nothing else near it changed), at their current
+        # cells. A new master's index counts every master founded earlier
+        # in the pass, the batch's founders included.
+        sel = np.flatnonzero(conflict[q])
+        sel = sel[np.argsort(q[sel], kind="stable")]
+        fq, ft = q[sel], t[sel]
+        sel = np.argsort(later, kind="stable")
+        nl, ne = later[sel], earlier[sel]
+        idx = np.flatnonzero(conflict)
+        spans = zip(idx.tolist(),
+                     np.searchsorted(fq, idx).tolist(), np.searchsorted(fq, idx, "right").tolist(),
+                     np.searchsorted(nl, idx).tolist(), np.searchsorted(nl, idx, "right").tolist())
+        founded_before = np.cumsum(founded)
+        conflict_founded = np.zeros(len(rows), dtype=bool)
+        n_new = 0
+        for i, f_lo, f_hi, n_lo, n_hi in spans:
+            cand = np.concatenate((ft[f_lo:f_hi], match[ne[n_lo:n_hi]]))
+            cand = cand[(np.abs(state["key"][cand] - k[i]) <= 1).all(axis=1)]
+            one = slice(i, i + 1)
+            m = _nearest(state["pos"], v[one], np.zeros(len(cand), np.int64), cand, chord)[0]
+            if m < 0:
+                m = n_masters + founded_before[i] + n_new
+                n_new += 1
+                conflict_founded[i] = True
+                _found(state, np.array([m]), v[one], pflux[one], pmjd[one], edge)
+            else:
+                _join(state, np.array([m]), v[one], pflux[one], pmjd[one], edge)
+            match[i] = m
 
-    n_masters = len(counts)
+        ids = n_masters + np.cumsum(founded | conflict_founded) - 1
+        match[founded] = ids[founded]
+        _found(state, match[founded], v[founded], pflux[founded], pmjd[founded], edge)
+        _join(state, match[joined], v[joined], pflux[joined], pmjd[joined], edge)
+        n_masters += int(np.count_nonzero(founded)) + n_new
+        assignment[rows] = match + 1  # master_id 0 means unassigned
+
+    st = {name: col[:n_masters] for name, col in state.items()}
+    ra, dec = sphere.unit_to_radec(st["sum"] / _row_norms(st["sum"])[:, None])
+    n = st["n"].astype(np.float64)
+    mean = st["flux_sum"] / n
     masters = np.zeros(n_masters, dtype=MASTER_DTYPE)
     masters["master_id"] = np.arange(1, n_masters + 1)
-    if n_masters:
-        pos = np.asarray([s / np.linalg.norm(s) for s in sums])
-        ra, dec = sphere.unit_to_radec(pos)
-        masters["ra"] = ra
-        masters["dec"] = dec
-        n = np.asarray(counts, dtype=np.float64)
-        masters["n_detections"] = counts
-        mean = np.asarray(flux_sum) / n
-        masters["mean_flux"] = mean
-        masters["flux_variance"] = np.maximum(np.asarray(flux_sq) / n - mean ** 2, 0.0)
-        masters["first_mjd"] = first
-        masters["last_mjd"] = last
+    masters["ra"] = ra
+    masters["dec"] = dec
+    masters["n_detections"] = st["n"]
+    masters["mean_flux"] = mean
+    masters["flux_variance"] = np.maximum(st["flux_sq"] / n - mean ** 2, 0.0)
+    masters["first_mjd"] = st["first"]
+    masters["last_mjd"] = st["last"]
 
-    # write assignments back through the partitions
-    offset = 0
-    for info in manifest.partitions:
-        recs = read_partition(store, info).copy()
-        # records were concatenated in partition order, so assignment aligns
-        recs["master_id"] = assignment[offset:offset + len(recs)]
-        _write_partition(store, info, recs)
-        offset += len(recs)
-    write_manifest(store, manifest)
-    write_masters(store, masters)
+    records["master_id"] = assignment
+    with _rewrite(store) as put:
+        offset = 0
+        for info in manifest.partitions:
+            _put_partition(put, info, records[offset:offset + info.records])
+            offset += info.records
+        put("masters.csv", _masters_csv(masters))
+        put(_MANIFEST, manifest.to_json().encode())
     return masters, assignment
 
 
-def write_masters(store, masters: np.ndarray) -> None:
+def _masters_csv(masters: np.ndarray) -> bytes:
     lines = ["master_id,ra,dec,n_detections,mean_flux,flux_variance,first_mjd,last_mjd"]
     for m in masters:
         lines.append(f"{m['master_id']},{m['ra']:.9f},{m['dec']:.9f},"
                      f"{m['n_detections']},{m['mean_flux']:.6f},{m['flux_variance']:.6f},"
                      f"{m['first_mjd']:.6f},{m['last_mjd']:.6f}")
-    (Path(store) / "masters.csv").write_text("\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def write_masters(store, masters: np.ndarray) -> None:
+    with _rewrite(store) as put:
+        put("masters.csv", _masters_csv(masters))
 
 
 def read_masters(store) -> np.ndarray:
@@ -497,6 +634,50 @@ def read_masters(store) -> np.ndarray:
         masters[i] = (int(vals[0]), float(vals[1]), float(vals[2]), int(vals[3]),
                       float(vals[4]), float(vals[5]), float(vals[6]), float(vals[7]))
     return masters
+
+
+def _parses(cell: np.ndarray, dtype) -> bool:
+    try:
+        cell.astype(dtype)
+        return True
+    except (ValueError, OverflowError):
+        return False
+
+
+def _parse_column(name: str, text: np.ndarray) -> np.ndarray:
+    """One CSV column as the field's values: integers exactly, floats as
+    float64 (assigning them to the record casts them to the field's width)."""
+    dtype = DET_DTYPE[name]
+    if dtype.kind == "u":
+        parse, top = np.uint64, np.iinfo(dtype).max
+        what = f"an integer in [0, {top}]"
+    else:
+        parse, top, what = np.float64, np.inf, "a number"
+    try:
+        values = text.astype(parse)
+        bad = np.flatnonzero(values > top)
+    except (ValueError, OverflowError):
+        bad = [next(i for i in range(len(text)) if not _parses(text[i:i + 1], parse))]
+    if len(bad):
+        raise ValidationError(f"record {bad[0]}: {name} {str(text[bad[0]])!r} is not {what}")
+    return values
+
+
+def records_from_csv(text: str) -> np.ndarray:
+    """Parse detection CSV with the header `records_to_csv_lines` writes.
+    Errors name the ordinal of the first bad record."""
+    lines = text.strip().splitlines()
+    if not lines or tuple(lines[0].split(",")) != FIELD_NAMES:
+        raise ValidationError(f"expected header {','.join(FIELD_NAMES)}")
+    rows = [line.split(",") for line in lines[1:]]
+    for ordinal, vals in enumerate(rows):
+        if len(vals) != len(FIELD_NAMES):
+            raise ValidationError(f"record {ordinal}: wrong column count")
+    records = np.zeros(len(rows), dtype=DET_DTYPE)
+    table = np.array(rows, dtype=str).reshape(len(rows), len(FIELD_NAMES))
+    for j, name in enumerate(FIELD_NAMES):
+        records[name] = _parse_column(name, table[:, j])
+    return records
 
 
 def records_to_csv_lines(records: np.ndarray):

@@ -129,6 +129,70 @@ class TestLifecycle:
         assert code == EXIT_VALIDATION
 
 
+HEADER = ",".join(store.FIELD_NAMES)
+GOOD_ROW = "7,3,59003.5,10.000000001,-20.5,123.25,1.5,0,0,0"
+
+
+def ingest_rows(capsys, tmp_path, rows):
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join([HEADER, *rows]) + "\n")
+    return run(capsys, "ingest", "--input", str(path), "--partitions", "2",
+               "--out", str(tmp_path / "store"))
+
+
+class TestExactIngest:
+    def test_integers_above_2_53_round_trip(self, capsys, tmp_path):
+        ids = [2 ** 53 + 1, 2 ** 64 - 1, 2 ** 53]
+        rows = [f"{i},{k},5900{k}.0,1{k}.5,0.5,10.0,1.0,{2 ** 32 - 1},0,{i}"
+                for k, i in enumerate(ids)]
+        code, _, _ = ingest_rows(capsys, tmp_path, rows)
+        assert code == EXIT_OK
+        back = np.sort(store.read_all(tmp_path / "store"), order="det_id")
+        assert back["det_id"].tolist() == sorted(ids)
+        assert back["master_id"].tolist() == sorted(ids)
+        assert back["flags"].tolist() == [2 ** 32 - 1] * 3
+
+    def test_floats_cast_as_before(self, capsys, tmp_path):
+        code, _, _ = ingest_rows(capsys, tmp_path, [GOOD_ROW])
+        assert code == EXIT_OK
+        rec = store.read_all(tmp_path / "store")[0]
+        assert rec["ra"] == float("10.000000001")
+        assert rec["flux"] == np.float32(float("123.25"))
+        assert rec["flux_err"] == np.float32(1.5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("det_id", "1.5"), ("det_id", "-1"), ("det_id", str(2 ** 64)),
+        ("pass_id", str(2 ** 32)), ("flags", "1e3"), ("master_id", ""),
+    ])
+    def test_bad_integer_names_the_record(self, capsys, tmp_path, field, value):
+        vals = GOOD_ROW.split(",")
+        vals[store.FIELD_NAMES.index(field)] = value
+        rows = [GOOD_ROW.replace("7,", "8,", 1), ",".join(vals)]
+        code, out, err = ingest_rows(capsys, tmp_path, rows)
+        assert code == EXIT_VALIDATION
+        assert f"record 1: {field} '{value}' is not an integer" in err
+        assert not (tmp_path / "store").exists()
+
+    def test_bad_float_names_the_record(self, capsys, tmp_path):
+        rows = [GOOD_ROW, GOOD_ROW.replace("7,", "8,", 1).replace("123.25", "abc")]
+        code, _, err = ingest_rows(capsys, tmp_path, rows)
+        assert code == EXIT_VALIDATION
+        assert "record 1: flux 'abc' is not a number" in err
+
+    def test_wrong_column_count(self, capsys, tmp_path):
+        code, _, err = ingest_rows(capsys, tmp_path, [GOOD_ROW, "8,1,2"])
+        assert code == EXIT_VALIDATION
+        assert "record 1: wrong column count" in err
+
+    def test_empty_file(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        code, _, err = run(capsys, "ingest", "--input", str(path), "--out",
+                           str(tmp_path / "store"))
+        assert code == EXIT_VALIDATION
+        assert "expected header" in err
+
+
 class TestQueries:
     def test_worker_counts_agree(self, capsys, survey_store):
         _, out1, _ = run(capsys, "query", "--store", str(survey_store),

@@ -1,4 +1,7 @@
+import shutil
 import tempfile
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,3 +297,62 @@ class TestMaster:
     def test_missing_masters_table(self, small_store):
         with pytest.raises(StoreIOError, match="master"):
             store.read_masters(small_store[0])
+
+
+class _HalfWrite:
+    """A file whose write() stores the first half of the bytes, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def _files(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+class TestCrashSafeRewrites:
+    @pytest.mark.parametrize("rewrite", [
+        lambda path: store.build_indexes(path, 2.0),
+        lambda path: store.build_master(path, 2.0),
+    ], ids=["index", "master"])
+    def test_failed_second_partition_leaves_a_consistent_store(
+            self, tmp_path, monkeypatch, rewrite):
+        cfg = skygen.SurveyConfig(n_objects=60, passes=6, seed=9,
+                                  position_noise_arcsec=0.5)
+        path = tmp_path / "store"
+        skygen.write_survey(cfg, path, partition_count=4)
+        store.build_indexes(path, 1.0)
+        store.build_master(path, 1.0)
+        old = _files(path)
+        shutil.copytree(path, tmp_path / "done")
+        rewrite(tmp_path / "done")
+        new = _files(tmp_path / "done")
+        assert new["part-0001.det"] != old["part-0001.det"]
+
+        real_open = open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return _HalfWrite(f) if Path(file).name == ".part-0001.det.tmp" else f
+
+        monkeypatch.setattr(store, "open", failing_open, raising=False)
+        with pytest.raises(StoreIOError, match="part-0001.det"):
+            rewrite(path)
+        after = _files(path)
+        assert sorted(after) == sorted(old)  # no temp file left behind
+        for name, data in after.items():
+            assert data in (old[name], new[name]), name
+        for info in store.read_manifest(path).partitions:
+            data = (path / info.name).read_bytes()
+            assert len(data) == info.records * store.RECORD_SIZE
+            assert zlib.crc32(data) == info.crc32
