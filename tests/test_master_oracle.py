@@ -133,7 +133,7 @@ def reference_masters_csv(masters: np.ndarray) -> bytes:
 
 def assert_matches_oracle(out, records, radius_arcsec, partitions=3):
     """Ingest `records`, cross-match them, and compare with the oracle.
-    Returns the assignment, aligned with the stored record order."""
+    Returns the stored records and their assignment, in stored order."""
     store.ingest_detections(records, partitions, out)
     stored = store.read_all(out)
     ref_masters, ref_assignment = reference_build_master(stored, radius_arcsec)
