@@ -186,6 +186,16 @@ def test_skygen_surveys(tmp_path, seed, noise, radius):
     assert_matches_oracle(tmp_path, det, radius)
 
 
+@pytest.mark.parametrize("radius", [1e-4, 3600.0])
+def test_extreme_radii(tmp_path, radius):
+    """1e-4": the cell edge is floored at 1e-9 and keys reach 10^9. 3600":
+    cells of a degree hold many masters and most of a pass conflicts."""
+    cfg = skygen.SurveyConfig(n_objects=200, passes=6, seed=4,
+                              periodic_fraction=0.1, transient_fraction=0.05,
+                              mover_fraction=0.05, position_noise_arcsec=0.3)
+    assert_matches_oracle(tmp_path, skygen.generate_survey(cfg)[1], radius)
+
+
 @pytest.mark.parametrize("radius", [1.0, 2.0])
 @pytest.mark.parametrize("ra0,dec0,ids", [(30.0, 20.0, "shuffled"), (0.0, -10.0, "by_ra"),
                                           (45.0, 89.99, "shuffled")])
