@@ -315,9 +315,10 @@ def neighbors_cmd(store_dir, theta, use_masters):
         ids, ra, dec = recs["det_id"], recs["ra"], recs["dec"]
     table, evals = sphere.neighbors_join(
         ids, ra, dec, units.parse_angle_deg(theta) * sphere.ARCSEC_PER_DEG)
-    click.echo("id_a,id_b,separation_arcsec")
-    for row in table:
-        click.echo(f"{row['id_a']},{row['id_b']},{row['separation_arcsec']:.6f}")
+    rows = zip(table["id_a"].tolist(), table["id_b"].tolist(),
+               table["separation_arcsec"].tolist())
+    click.echo("\n".join(["id_a,id_b,separation_arcsec"]
+                         + [f"{a},{b},{sep:.6f}" for a, b, sep in rows]))
     click.echo(f"pairs={len(table)} distance_evaluations={evals}", err=True)
 
 
@@ -434,10 +435,8 @@ def movers_cmd(store_dir, rate_max, residual_max, min_length):
               help="lo,hi,n[,log]")
 @click.option("--randoms", default=2000, show_default=True)
 @click.option("--seed", required=True, type=int)
-@click.option("--mode", default="dual-tree", type=click.Choice(["dual-tree", "naive"]),
-              show_default=True)
 @click.option("--use-masters/--use-detections", default=True, show_default=True)
-def corr_cmd(store_dir, bins_deg, randoms, seed, mode, use_masters):
+def corr_cmd(store_dir, bins_deg, randoms, seed, use_masters):
     """Two-point angular correlation (Landy-Szalay) of catalog positions."""
     parts = bins_deg.split(",")
     if len(parts) not in (3, 4):
@@ -458,7 +457,7 @@ def corr_cmd(store_dir, bins_deg, randoms, seed, mode, use_masters):
     phi = rng.uniform(0, 2 * np.pi, randoms)
     rand_unit = np.stack([np.sqrt(1 - z ** 2) * np.cos(phi),
                           np.sqrt(1 - z ** 2) * np.sin(phi), z], axis=1)
-    est = mining.correlation_ls(unit, rand_unit, edges, mode=mode)
+    est = mining.correlation_ls(unit, rand_unit, edges)
     for line in est.csv_lines():
         click.echo(line)
 

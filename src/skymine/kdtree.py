@@ -1,9 +1,10 @@
 """Array-backed kd-tree over d-dimensional points.
 
-One tree serves the spherical search paths (3-d unit vectors, chord metric),
-the dual-tree pair counter, and the node-pruned EM E-step. Nodes are stored
-in flat arrays; each node covers a contiguous slice of the permuted point
-index, and carries an axis-aligned bounding box over its points.
+The tree serves the two hierarchical jobs: the dual-tree pair counter and
+the node-pruned EM E-step. (Fixed-radius point searches use the sorted cell
+keys in `sphere`.) Nodes are stored in flat arrays; each node covers a
+contiguous slice of the permuted point index, and carries an axis-aligned
+bounding box over its points.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import numpy as np
 
 
 class KdTree:
-    """Static kd-tree. Points are immutable after construction; all query
-    paths are read-only and safe for concurrent callers."""
+    """Static kd-tree. Points are immutable after construction; all
+    accessors are read-only and safe for concurrent callers."""
 
     def __init__(self, points: np.ndarray, leaf_size: int = 32):
         points = np.asarray(points, dtype=np.float64)
@@ -88,91 +89,13 @@ class KdTree:
         d = np.maximum(self.node_hi[node] - q, q - self.node_lo[node])
         return float(d @ d)
 
-    def box_dot_bounds(self, node: int, direction: np.ndarray) -> tuple[float, float]:
-        """(min, max) of direction . p over the node's bounding box."""
-        a = direction * self.node_lo[node]
-        b = direction * self.node_hi[node]
-        return float(np.minimum(a, b).sum()), float(np.maximum(a, b).sum())
-
-    def box_pair_sqdist_bounds(self, node_a: int, node_b: int) -> tuple[float, float]:
-        """(min, max) squared Euclidean distance between two nodes' boxes."""
-        gap = np.maximum(0.0, np.maximum(self.node_lo[node_a] - self.node_hi[node_b],
-                                         self.node_lo[node_b] - self.node_hi[node_a]))
-        far = np.maximum(self.node_hi[node_a] - self.node_lo[node_b],
-                         self.node_hi[node_b] - self.node_lo[node_a])
+    def box_pair_sqdist_bounds(self, node_a: int, node_b: int,
+                               other: KdTree | None = None) -> tuple[float, float]:
+        """(min, max) squared Euclidean distance between the box of `node_a`
+        and the box of `node_b` of `other` (this tree when None)."""
+        other = self if other is None else other
+        gap = np.maximum(0.0, np.maximum(self.node_lo[node_a] - other.node_hi[node_b],
+                                         other.node_lo[node_b] - self.node_hi[node_a]))
+        far = np.maximum(self.node_hi[node_a] - other.node_lo[node_b],
+                         other.node_hi[node_b] - self.node_lo[node_a])
         return float(gap @ gap), float(far @ far)
-
-    # -- queries --------------------------------------------------------------
-
-    def query_radius(self, q: np.ndarray, radius: float, counter=None) -> np.ndarray:
-        """Indices of points within Euclidean `radius` of q (inclusive).
-
-        `counter`, when given, is a one-element list incremented by the number
-        of point-point distance evaluations performed.
-        """
-        if len(self.points) == 0:
-            return np.empty(0, dtype=np.int64)
-        r2 = radius * radius
-        out = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            if self.box_min_sqdist(node, q) > r2:
-                continue
-            if self.box_max_sqdist(node, q) <= r2:
-                out.append(self.node_indices(node))
-                continue
-            if self.is_leaf(node):
-                idx = self.node_indices(node)
-                diff = self.points[idx] - q
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                if counter is not None:
-                    counter[0] += len(idx)
-                out.append(idx[d2 <= r2])
-            else:
-                stack.append(int(self.node_left[node]))
-                stack.append(int(self.node_right[node]))
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(out)
-
-    def query_nearest(self, q: np.ndarray, max_radius: float = np.inf) -> tuple[int, float]:
-        """(index, Euclidean distance) of the nearest point within max_radius,
-        or (-1, inf) if none. Ties break toward the lower index."""
-        if len(self.points) == 0:
-            return -1, np.inf
-        limit_d2 = max_radius * max_radius if np.isfinite(max_radius) else np.inf
-        best_idx = -1
-        best_d2 = np.inf
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            if self.box_min_sqdist(node, q) > min(best_d2, limit_d2):
-                continue
-            if self.is_leaf(node):
-                idx = self.node_indices(node)
-                if not len(idx):
-                    continue
-                diff = self.points[idx] - q
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                k = np.lexsort((idx, d2))[0]
-                if d2[k] <= limit_d2 and (
-                    d2[k] < best_d2
-                    or (d2[k] == best_d2 and (best_idx < 0 or idx[k] < best_idx))
-                ):
-                    best_d2 = float(d2[k])
-                    best_idx = int(idx[k])
-            else:
-                left, right = int(self.node_left[node]), int(self.node_right[node])
-                dl = self.box_min_sqdist(left, q)
-                dr = self.box_min_sqdist(right, q)
-                # visit the closer child first
-                if dl <= dr:
-                    stack.append(right)
-                    stack.append(left)
-                else:
-                    stack.append(left)
-                    stack.append(right)
-        if best_idx < 0:
-            return -1, np.inf
-        return best_idx, float(np.sqrt(best_d2))

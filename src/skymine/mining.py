@@ -1,6 +1,6 @@
-"""Statistical mining: two-point angular pair counting (naive and dual-tree,
-exactly equal by construction), the Landy-Szalay correlation estimator, and
-Gaussian-mixture EM with kd-tree node pruning for outlier scoring.
+"""Statistical mining: two-point angular pair counting (dual-tree, exact),
+the Landy-Szalay correlation estimator, and Gaussian-mixture EM with kd-tree
+node pruning for outlier scoring.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _chord2_edges(bin_edges_rad: np.ndarray) -> np.ndarray:
 
 def _bin_d2(d2: np.ndarray, edges2: np.ndarray, counts: np.ndarray) -> None:
     """Histogram squared chord distances: bins half-open [lo, hi), final bin
-    closed. Shared by every counting path so modes agree exactly."""
+    closed. Shared by every counting path so that they agree exactly."""
     k = np.searchsorted(edges2, d2, side="right") - 1
     k[d2 == edges2[-1]] = len(edges2) - 2
     valid = (k >= 0) & (k < len(edges2) - 1)
@@ -53,116 +53,36 @@ def _pairwise_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", d, d)
 
 
-def pair_count(points: np.ndarray, bin_edges_rad, mode: str = "dual-tree",
+def pair_count(points: np.ndarray, bin_edges_rad, others: np.ndarray | None = None,
                leaf_size: int = 32) -> PairCountHistogram:
-    """Count unordered point pairs per angular separation bin."""
-    points = np.asarray(points, dtype=np.float64)
-    if len(points) < 2:
-        raise ValidationError("pair counting needs at least 2 points")
-    edges2 = _chord2_edges(bin_edges_rad)
-    n = len(points)
-    counts = np.zeros(len(edges2) - 1, dtype=np.int64)
-    total = n * (n - 1) // 2
+    """Count point pairs per angular separation bin with a dual-tree walk:
+    the unordered pairs within `points`, or, given `others`, the cross pairs
+    with one point from each set.
 
-    if mode == "naive":
-        evals = 0
-        chunk = max(1, int(2e7 // n))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            d2 = _pairwise_d2(points[lo:hi], points)
-            # keep strictly-upper-triangle pairs only
-            rows, cols = np.meshgrid(np.arange(lo, hi), np.arange(n), indexing="ij")
-            keep = cols > rows
-            _bin_d2(d2[keep], edges2, counts)
-            evals += int(keep.sum())
-        return PairCountHistogram(np.asarray(bin_edges_rad, dtype=np.float64),
-                                  counts, total, evals)
-    if mode != "dual-tree":
-        raise ValidationError(f"unknown pair-count mode {mode!r}")
-
-    tree = KdTree(points, leaf_size=leaf_size)
-    evals = [0]
-
-    def bulk(node_a: int, node_b: int, dmin2: float, dmax2: float) -> bool:
-        """Assign the whole node pair to one bin when its distance interval is
-        strictly interior to that bin."""
-        k = int(np.searchsorted(edges2, dmin2, side="right")) - 1
-        if k < 0 or k >= len(edges2) - 1:
-            return False
-        if dmin2 >= edges2[k] and dmax2 < edges2[k + 1]:
-            counts[k] += tree.node_count(node_a) * tree.node_count(node_b)
-            return True
-        return False
-
-    def visit_cross(a: int, b: int) -> None:
-        dmin2, dmax2 = tree.box_pair_sqdist_bounds(a, b)
-        if dmax2 < edges2[0] or dmin2 > edges2[-1]:
-            return
-        if bulk(a, b, dmin2, dmax2):
-            return
-        a_leaf, b_leaf = tree.is_leaf(a), tree.is_leaf(b)
-        if a_leaf and b_leaf:
-            ia, ib = tree.node_indices(a), tree.node_indices(b)
-            d2 = _pairwise_d2(points[ia], points[ib]).ravel()
-            evals[0] += len(ia) * len(ib)
-            _bin_d2(d2, edges2, counts)
-            return
-        # split the wider node
-        if b_leaf or (not a_leaf and tree.node_count(a) >= tree.node_count(b)):
-            visit_cross(int(tree.node_left[a]), b)
-            visit_cross(int(tree.node_right[a]), b)
-        else:
-            visit_cross(a, int(tree.node_left[b]))
-            visit_cross(a, int(tree.node_right[b]))
-
-    def visit_self(a: int) -> None:
-        if tree.is_leaf(a):
-            idx = tree.node_indices(a)
-            if len(idx) < 2:
-                return
-            d2 = _pairwise_d2(points[idx], points[idx])
-            iu = np.triu_indices(len(idx), k=1)
-            evals[0] += len(iu[0])
-            _bin_d2(d2[iu], edges2, counts)
-            return
-        left, right = int(tree.node_left[a]), int(tree.node_right[a])
-        visit_self(left)
-        visit_self(right)
-        visit_cross(left, right)
-
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10000))
-    try:
-        visit_self(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return PairCountHistogram(np.asarray(bin_edges_rad, dtype=np.float64),
-                              counts, total, evals[0])
-
-
-def cross_pair_count(points_a: np.ndarray, points_b: np.ndarray, bin_edges_rad,
-                     leaf_size: int = 32) -> PairCountHistogram:
-    """Count cross pairs (one point from each set) per separation bin."""
-    a_pts = np.asarray(points_a, dtype=np.float64)
-    b_pts = np.asarray(points_b, dtype=np.float64)
-    if len(a_pts) == 0 or len(b_pts) == 0:
-        raise ValidationError("cross pair counting needs non-empty sets")
+    A node pair whose box distance interval lies strictly inside one bin is
+    counted whole; one outside every bin is skipped; two leaves are compared
+    point by point. The walk splits one node per call, so its recursion
+    depth is at most the sum of the two trees' depths.
+    """
+    a_pts = np.asarray(points, dtype=np.float64)
+    if others is None:
+        if len(a_pts) < 2:
+            raise ValidationError("pair counting needs at least 2 points")
+        b_pts = a_pts
+        total = len(a_pts) * (len(a_pts) - 1) // 2
+    else:
+        b_pts = np.asarray(others, dtype=np.float64)
+        if len(a_pts) == 0 or len(b_pts) == 0:
+            raise ValidationError("cross pair counting needs non-empty sets")
+        total = len(a_pts) * len(b_pts)
     edges2 = _chord2_edges(bin_edges_rad)
     counts = np.zeros(len(edges2) - 1, dtype=np.int64)
     tree_a = KdTree(a_pts, leaf_size=leaf_size)
-    tree_b = KdTree(b_pts, leaf_size=leaf_size)
+    tree_b = tree_a if others is None else KdTree(b_pts, leaf_size=leaf_size)
     evals = [0]
 
-    def bounds(na: int, nb: int):
-        gap = np.maximum(0.0, np.maximum(tree_a.node_lo[na] - tree_b.node_hi[nb],
-                                         tree_b.node_lo[nb] - tree_a.node_hi[na]))
-        far = np.maximum(tree_a.node_hi[na] - tree_b.node_lo[nb],
-                         tree_b.node_hi[nb] - tree_a.node_lo[na])
-        return float(gap @ gap), float(far @ far)
-
-    def visit(na: int, nb: int) -> None:
-        dmin2, dmax2 = bounds(na, nb)
+    def visit_cross(na: int, nb: int) -> None:
+        dmin2, dmax2 = tree_a.box_pair_sqdist_bounds(na, nb, tree_b)
         if dmax2 < edges2[0] or dmin2 > edges2[-1]:
             return
         k = int(np.searchsorted(edges2, dmin2, side="right")) - 1
@@ -176,16 +96,35 @@ def cross_pair_count(points_a: np.ndarray, points_b: np.ndarray, bin_edges_rad,
             evals[0] += len(ia) * len(ib)
             _bin_d2(d2, edges2, counts)
             return
+        # split the wider node
         if b_leaf or (not a_leaf and tree_a.node_count(na) >= tree_b.node_count(nb)):
-            visit(int(tree_a.node_left[na]), nb)
-            visit(int(tree_a.node_right[na]), nb)
+            visit_cross(int(tree_a.node_left[na]), nb)
+            visit_cross(int(tree_a.node_right[na]), nb)
         else:
-            visit(na, int(tree_b.node_left[nb]))
-            visit(na, int(tree_b.node_right[nb]))
+            visit_cross(na, int(tree_b.node_left[nb]))
+            visit_cross(na, int(tree_b.node_right[nb]))
 
-    visit(0, 0)
+    def visit_self(node: int) -> None:
+        if tree_a.is_leaf(node):
+            idx = tree_a.node_indices(node)
+            if len(idx) < 2:
+                return
+            d2 = _pairwise_d2(a_pts[idx], a_pts[idx])
+            iu = np.triu_indices(len(idx), k=1)
+            evals[0] += len(iu[0])
+            _bin_d2(d2[iu], edges2, counts)
+            return
+        left, right = int(tree_a.node_left[node]), int(tree_a.node_right[node])
+        visit_self(left)
+        visit_self(right)
+        visit_cross(left, right)
+
+    if others is None:
+        visit_self(0)
+    else:
+        visit_cross(0, 0)
     return PairCountHistogram(np.asarray(bin_edges_rad, dtype=np.float64),
-                              counts, len(a_pts) * len(b_pts), evals[0])
+                              counts, total, evals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +148,8 @@ class CorrelationEstimate:
                    f"{self.w[i]:.6f},{self.err[i]:.6f}")
 
 
-def correlation_ls(data: np.ndarray, randoms: np.ndarray, bin_edges_rad,
-                   mode: str = "dual-tree") -> CorrelationEstimate:
+def correlation_ls(data: np.ndarray, randoms: np.ndarray,
+                   bin_edges_rad) -> CorrelationEstimate:
     """Landy-Szalay w(theta) = (dd - 2 dr + rr)/rr from normalized pair
     counts. Pair totals are normalized by N^2/2 (cross by Nd*Nr) so that
     data == randoms collapses to w = 0 identically.
@@ -220,9 +159,9 @@ def correlation_ls(data: np.ndarray, randoms: np.ndarray, bin_edges_rad,
     if len(data) < 2 or len(randoms) < 2:
         raise ValidationError("correlation needs >= 2 data and >= 2 random points")
     nd, nr = len(data), len(randoms)
-    dd_h = pair_count(data, bin_edges_rad, mode=mode)
-    rr_h = pair_count(randoms, bin_edges_rad, mode=mode)
-    dr_h = cross_pair_count(data, randoms, bin_edges_rad)
+    dd_h = pair_count(data, bin_edges_rad)
+    rr_h = pair_count(randoms, bin_edges_rad)
+    dr_h = pair_count(data, bin_edges_rad, randoms)
     dd = dd_h.counts / (nd * nd / 2.0)
     rr = rr_h.counts / (nr * nr / 2.0)
     dr = dr_h.counts / float(nd * nr)

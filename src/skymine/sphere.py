@@ -1,6 +1,7 @@
 """Spherical geometry and spatial search: unit-vector coordinates, cone and
-convex-polygon regions, declination zones, a kd-tree index over 3-d unit
-vectors, and the symmetric fixed-radius neighbors join.
+convex-polygon regions, declination zones, the fixed-radius search on sorted
+cell keys that every radius query in the package uses, and the symmetric
+fixed-radius neighbors join built on it.
 
 All internal geometry lives in unit-vector space to avoid pole/RA-wrap
 singularities; angles cross the API boundary in degrees or arcseconds.
@@ -8,12 +9,11 @@ singularities; angles cross the API boundary in degrees or arcseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .kdtree import KdTree
 
 ARCSEC_PER_DEG = 3600.0
 
@@ -163,142 +163,88 @@ def zone_of(dec_deg, zone_height_deg: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spatial index
+# fixed-radius search on sorted cell keys
+#
+# Every fixed-radius question in the package (the master cross-match, the
+# neighbors join, the trigger and mover pair generation) buckets unit vectors
+# in cubic cells of a chosen edge, keyed by floor(v / edge) per axis, and
+# takes as candidates the points in the 27 cells around each query. With
+# edge >= the search chord, every point within the chord of a query is a
+# candidate; the caller applies its own exact distance cut. This is the Zones
+# design of Gray, Szalay et al. (arXiv cs/0408031), in 3-d. The cost is one
+# sort of the keys, 9 column and 18 range binary searches per query, and
+# the candidates themselves, about 27 cells' worth of points per query.
 
-@dataclass
-class SpatialIndex:
-    """Immutable-after-build index over a position catalog: kd-tree over unit
-    vectors plus a declination zone table. Safe for concurrent readers."""
+# |v| <= 1 and edge >= 1e-9, so |key| <= 1e9 + 2 < 2^30: shifted keys fit in
+# 31 bits and two of them in one int64.
+_KEY_SHIFT = 1 << 30
 
-    ids: np.ndarray
-    unit: np.ndarray
-    zone_height_deg: float = 1.0
-    leaf_size: int = 32
-    tree: KdTree = field(init=False, repr=False)
-    zones: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.unit = np.asarray(self.unit, dtype=np.float64)
-        if len(self.ids) != len(self.unit):
-            raise ValidationError("ids and positions must align")
-        self.tree = KdTree(self.unit, leaf_size=self.leaf_size)
-        _, dec = unit_to_radec(self.unit) if len(self.unit) else (None, np.empty(0))
-        self.zones = zone_of(dec, self.zone_height_deg)
+def cell_keys(v: np.ndarray, edge: float) -> np.ndarray:
+    """Integer cell key floor(v / edge) per axis of unit vectors v, (N, 3).
+    `edge` must be at least 1e-9."""
+    return np.floor(v / edge).astype(np.int64)
 
-    @classmethod
-    def from_radec(cls, ids, ra_deg, dec_deg, **kw) -> "SpatialIndex":
-        return cls(np.asarray(ids), radec_to_unit(ra_deg, dec_deg), **kw)
 
-    def region_search(self, region: Region) -> np.ndarray:
-        """Ids inside the region; kd pruning, identical to a linear scan."""
-        rows = self._region_rows(region)
-        return self.ids[rows]
+def cell_pairs(keys: np.ndarray, query: np.ndarray):
+    """(query row, key row) for every key within 1 cell of a query on every
+    axis, i.e. the keys in the 27 cells around each query.
 
-    def _region_rows(self, region: Region) -> np.ndarray:
-        if len(self.unit) == 0:
-            return np.empty(0, dtype=np.int64)
-        tree = self.tree
-        out = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            status = self._classify_node(node, region)
-            if status < 0:
-                continue
-            if status > 0:
-                out.append(tree.node_indices(node))
-                continue
-            if tree.is_leaf(node):
-                idx = tree.node_indices(node)
-                out.append(idx[region.contains(self.unit[idx])])
-            else:
-                stack.append(int(tree.node_left[node]))
-                stack.append(int(tree.node_right[node]))
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(out))
-
-    def _classify_node(self, node: int, region: Region) -> int:
-        """-1: no point can match, +1: all points match, 0: undecided."""
-        if isinstance(region, Cone):
-            lo, hi = self.tree.box_dot_bounds(node, region.center)
-            cos_r = np.cos(region.radius)
-            if hi < cos_r:
-                return -1
-            if lo >= cos_r:
-                return 1
-            return 0
-        decided_in = True
-        for normal, off in zip(region.normals, region.offsets):
-            lo, hi = self.tree.box_dot_bounds(node, normal)
-            if hi < off:
-                return -1
-            if lo < off:
-                decided_in = False
-        return 1 if decided_in else 0
-
-    def brute_force_region(self, region: Region) -> np.ndarray:
-        """Linear-scan oracle for region_search."""
-        if len(self.unit) == 0:
-            return np.empty(0, dtype=np.int64)
-        return self.ids[region.contains(self.unit)]
-
-    def dec_band(self, dec_lo: float, dec_hi: float) -> np.ndarray:
-        """Ids with dec in [dec_lo, dec_hi), resolved through the zone table."""
-        z_lo = zone_of(dec_lo, self.zone_height_deg)
-        z_hi = zone_of(min(dec_hi, 90.0), self.zone_height_deg)
-        cand = (self.zones >= z_lo) & (self.zones <= z_hi)
-        _, dec = unit_to_radec(self.unit[cand])
-        ok = (dec >= dec_lo) & (dec < dec_hi)
-        return self.ids[np.flatnonzero(cand)[ok]]
-
-    def within(self, center_unit: np.ndarray, radius_rad: float, counter=None) -> np.ndarray:
-        """Row positions (not ids) within radius of a unit vector, inclusive."""
-        return self.tree.query_radius(center_unit, chord_for_angle(radius_rad), counter=counter)
-
-    def nearest(self, center_unit: np.ndarray, max_radius_rad: float = np.pi):
-        """(row, angle_rad) of nearest indexed point within max_radius, or
-        (-1, inf). Ties break to the lower row."""
-        row, chord = self.tree.query_nearest(center_unit, chord_for_angle(max_radius_rad))
-        if row < 0:
-            return -1, np.inf
-        return row, angle_for_chord(chord)
+    Keys are sorted by (x, y) column, then z. Each of the 9 neighbouring
+    columns of a query is found by `searchsorted` on the distinct columns,
+    and its z range [z-1, z+1] by `searchsorted` on codes rank(x, y) * 2^31 + z.
+    """
+    if not len(keys) or not len(query):
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    col = (keys[:, 0] + _KEY_SHIFT) << 31 | (keys[:, 1] + _KEY_SHIFT)
+    order = np.lexsort((keys[:, 2], col))
+    cols, rank = np.unique(col[order], return_inverse=True)
+    code = rank.astype(np.int64) << 31 | (keys[order, 2] + _KEY_SHIFT)
+    # queries in key order make every search below run on sorted needles
+    qorder = np.lexsort((query[:, 2], query[:, 1], query[:, 0]))
+    query = query[qorder]
+    qs, los, his = [], [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            c = (query[:, 0] + (dx + _KEY_SHIFT)) << 31 | (query[:, 1] + (dy + _KEY_SHIFT))
+            r = np.minimum(np.searchsorted(cols, c), len(cols) - 1)
+            q = np.flatnonzero(cols[r] == c)
+            z = r[q].astype(np.int64) << 31 | (query[q, 2] + _KEY_SHIFT)
+            qs.append(q)
+            los.append(np.searchsorted(code, z - 1))
+            his.append(np.searchsorted(code, z + 1, side="right"))
+    q, lo, hi = (np.concatenate(a) for a in (qs, los, his))
+    n = hi - lo
+    start = np.repeat(lo - (np.cumsum(n) - n), n)
+    return qorder[np.repeat(q, n)], order[start + np.arange(n.sum())]
 
 
 # ---------------------------------------------------------------------------
 # neighbors join
 
-def neighbors_join(ids, ra_deg, dec_deg, theta_max_arcsec: float,
-                   index: SpatialIndex | None = None):
+def neighbors_join(ids, ra_deg, dec_deg, theta_max_arcsec: float):
     """Symmetric table of ordered pairs (a, b), a != b, separated by at most
-    theta_max (closed boundary). Duplicate positions pair at separation 0.
+    theta_max (closed boundary, in the chord metric). Duplicate positions
+    pair at separation 0. The table is sorted by (id_a, id_b).
 
     Returns (structured array [id_a, id_b, separation_arcsec],
-    distance_evaluations).
+    distance_evaluations), the second being the number of candidate pairs
+    whose distance was computed.
     """
     if theta_max_arcsec <= 0:
         raise ValidationError("theta_max must be > 0")
     ids = np.asarray(ids, dtype=np.int64)
-    if index is None:
-        index = SpatialIndex.from_radec(ids, ra_deg, dec_deg)
-    theta = np.radians(theta_max_arcsec / ARCSEC_PER_DEG)
-    counter = [0]
-    out_a, out_b, out_sep = [], [], []
-    for row in range(len(ids)):
-        hits = index.within(index.unit[row], theta, counter=counter)
-        hits = hits[hits != row]
-        if not len(hits):
-            continue
-        sep = angle_between(index.unit[row], index.unit[hits])
-        out_a.append(np.full(len(hits), ids[row], dtype=np.int64))
-        out_b.append(ids[hits])
-        out_sep.append(np.degrees(sep) * ARCSEC_PER_DEG)
-    table = np.zeros(sum(map(len, out_a)) if out_a else 0,
-                     dtype=[("id_a", "<i8"), ("id_b", "<i8"), ("separation_arcsec", "<f8")])
-    if out_a:
-        table["id_a"] = np.concatenate(out_a)
-        table["id_b"] = np.concatenate(out_b)
-        table["separation_arcsec"] = np.concatenate(out_sep)
-        table = np.sort(table, order=["id_a", "id_b"])
-    return table, counter[0]
+    unit = radec_to_unit(ra_deg, dec_deg)
+    chord = chord_for_angle(np.radians(theta_max_arcsec / ARCSEC_PER_DEG))
+    keys = cell_keys(unit, max(chord, 1e-9))
+    q, t = cell_pairs(keys, keys)
+    diff = unit[t] - unit[q]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    near = (d2 <= chord * chord) & (q != t)
+    q, t = q[near], t[near]
+    table = np.zeros(len(q), dtype=[("id_a", "<i8"), ("id_b", "<i8"),
+                                    ("separation_arcsec", "<f8")])
+    table["id_a"] = ids[q]
+    table["id_b"] = ids[t]
+    table["separation_arcsec"] = np.degrees(angle_between(unit[q], unit[t])) * ARCSEC_PER_DEG
+    return np.sort(table, order=["id_a", "id_b"]), len(d2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -265,13 +266,25 @@ _OPS = {
 }
 
 
+def _literal(name: str, text: str) -> int | float:
+    if DET_DTYPE[name].kind == "u":
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return float(text)
+
+
 class Predicate:
     """Conjunction of comparisons over detection fields, e.g.
-    'flux>10 and pass_id<=25'. 'true' and 'false' are accepted literals."""
+    'flux>10 and pass_id<=25'; 'and' is matched in any case. 'true' and
+    'false' are accepted literals. An integer literal on an integer field
+    compares exactly (det_id values above 2^53 included); every other
+    literal compares as float64."""
 
     def __init__(self, text: str):
         self.text = text.strip()
-        self.clauses: list[tuple[str, str, float]] = []
+        self.clauses: list[tuple[str, str, int | float]] = []
         self.constant: bool | None = None
         body = self.text.lower()
         if body in ("true", ""):
@@ -280,7 +293,7 @@ class Predicate:
         if body == "false":
             self.constant = False
             return
-        for term in self.text.split(" and "):
+        for term in re.split(r"\s+and\s+", self.text, flags=re.IGNORECASE):
             term = term.strip()
             for op in ("<=", ">=", "==", "!=", "<", ">"):
                 if op in term:
@@ -289,7 +302,7 @@ class Predicate:
                     if name not in FIELD_NAMES:
                         raise ValidationError(f"unknown field {name!r} in predicate")
                     try:
-                        self.clauses.append((name, op, float(value)))
+                        self.clauses.append((name, op, _literal(name, value)))
                     except ValueError as exc:
                         raise ValidationError(f"bad comparison value in {term!r}") from exc
                     break
@@ -375,7 +388,8 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
 # 1e-9 of the nearest distance) or found a new master. A master's position is
 # the normalized sum of its member unit vectors; a new master sits at its first
 # detection. Candidates are the masters in the 27 cells around a detection,
-# with cells of edge max(chord, 1e-9) keyed by floor(v / edge) per axis.
+# with cells of edge max(chord, 1e-9) keyed by floor(v / edge) per axis, found
+# by the sorted cell-key search of `sphere.cell_pairs`.
 #
 # Each pass is matched as one batch against the master positions frozen at
 # its start. Within a pass, a detection e can change what another detection
@@ -390,9 +404,6 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
 # order, against the current state; the others are independent of each
 # other and of the conflict set.
 
-# |v| <= 1 and edge >= 1e-9, so |key| <= 1e9 + 2 < 2^30: shifted keys fit in
-# 31 bits and two of them in one int64.
-_KEY_SHIFT = 1 << 30
 _CONFLICT_CELLS = 4
 _NO_MASTER = np.iinfo(np.int64).max
 
@@ -411,48 +422,11 @@ def _master_state(size: int) -> dict:
     }
 
 
-def _cell_keys(v: np.ndarray, edge: float) -> np.ndarray:
-    return np.floor(v / edge).astype(np.int64)
-
-
-def _cell_pairs(keys: np.ndarray, query: np.ndarray):
-    """(query row, key row) for every key within 1 cell of a query on every
-    axis, i.e. the keys in the 27 cells around each query.
-
-    Keys are sorted by (x, y) column, then z. Each of the 9 neighbouring
-    columns of a query is found by `searchsorted` on the distinct columns,
-    and its z range [z-1, z+1] by `searchsorted` on codes rank(x, y) * 2^31 + z.
-    """
-    if not len(keys) or not len(query):
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    col = (keys[:, 0] + _KEY_SHIFT) << 31 | (keys[:, 1] + _KEY_SHIFT)
-    order = np.lexsort((keys[:, 2], col))
-    cols, rank = np.unique(col[order], return_inverse=True)
-    code = rank.astype(np.int64) << 31 | (keys[order, 2] + _KEY_SHIFT)
-    # queries in key order make every search below run on sorted needles
-    qorder = np.lexsort((query[:, 2], query[:, 1], query[:, 0]))
-    query = query[qorder]
-    qs, los, his = [], [], []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            c = (query[:, 0] + (dx + _KEY_SHIFT)) << 31 | (query[:, 1] + (dy + _KEY_SHIFT))
-            r = np.minimum(np.searchsorted(cols, c), len(cols) - 1)
-            q = np.flatnonzero(cols[r] == c)
-            z = r[q].astype(np.int64) << 31 | (query[q, 2] + _KEY_SHIFT)
-            qs.append(q)
-            los.append(np.searchsorted(code, z - 1))
-            his.append(np.searchsorted(code, z + 1, side="right"))
-    q, lo, hi = (np.concatenate(a) for a in (qs, los, his))
-    n = hi - lo
-    start = np.repeat(lo - (np.cumsum(n) - n), n)
-    return qorder[np.repeat(q, n)], order[start + np.arange(n.sum())]
-
-
 def _near_pairs(keys: np.ndarray):
     """(later row, earlier row) for every two rows whose keys are within
     _CONFLICT_CELLS cells on every axis. Such rows sit in the same or
     adjacent coarse cells of 4 cells' edge."""
-    q, t = _cell_pairs(keys >> 2, keys >> 2)
+    q, t = sphere.cell_pairs(keys >> 2, keys >> 2)
     near = (t < q) & (np.abs(keys[q] - keys[t]).max(axis=1) <= _CONFLICT_CELLS)
     return q[near], t[near]
 
@@ -483,7 +457,7 @@ def _found(state, ids, v, flux, mjd, edge):
     sign of a running sum that starts at 0.0 (-0.0 becomes 0.0)."""
     state["sum"][ids] = v
     state["pos"][ids] = v
-    state["key"][ids] = _cell_keys(v, edge)
+    state["key"][ids] = sphere.cell_keys(v, edge)
     state["n"][ids] = 1
     state["flux_sum"][ids] = 0.0 + flux
     state["flux_sq"][ids] = 0.0 + flux * flux
@@ -497,7 +471,7 @@ def _join(state, ids, v, flux, mjd, edge):
     pos = s / _row_norms(s)[:, None]
     state["sum"][ids] = s
     state["pos"][ids] = pos
-    state["key"][ids] = _cell_keys(pos, edge)
+    state["key"][ids] = sphere.cell_keys(pos, edge)
     state["n"][ids] += 1
     state["flux_sum"][ids] += flux
     state["flux_sq"][ids] += flux * flux
@@ -521,7 +495,7 @@ def build_master(store, match_radius_arcsec: float):
     radius_rad = np.radians(match_radius_arcsec / sphere.ARCSEC_PER_DEG)
     chord = sphere.chord_for_angle(radius_rad)
     edge = max(chord, 1e-9)
-    keys = _cell_keys(unit, edge)
+    keys = sphere.cell_keys(unit, edge)
     flux = records["flux"].astype(np.float64)
     mjd = records["mjd"]
 
@@ -536,7 +510,7 @@ def build_master(store, match_radius_arcsec: float):
                 col[:n_masters] = state[name][:n_masters]
             state = grown
         v, k, pflux, pmjd = unit[rows], keys[rows], flux[rows], mjd[rows]
-        q, t = _cell_pairs(state["key"][:n_masters], k)
+        q, t = sphere.cell_pairs(state["key"][:n_masters], k)
         match = _nearest(state["pos"], v, q, t, chord)
         later, earlier = _near_pairs(k)
         conflict = np.zeros(len(rows), dtype=bool)
@@ -614,11 +588,6 @@ def _masters_csv(masters: np.ndarray) -> bytes:
                      f"{m['n_detections']},{m['mean_flux']:.6f},{m['flux_variance']:.6f},"
                      f"{m['first_mjd']:.6f},{m['last_mjd']:.6f}")
     return ("\n".join(lines) + "\n").encode()
-
-
-def write_masters(store, masters: np.ndarray) -> None:
-    with _rewrite(store) as put:
-        put("masters.csv", _masters_csv(masters))
 
 
 def read_masters(store) -> np.ndarray:

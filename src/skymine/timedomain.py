@@ -283,52 +283,58 @@ def run_trigger(stream: np.ndarray, masters: np.ndarray, match_radius_arcsec: fl
     master catalog: unmatched positions raise new-source alerts, matched
     detections with flux deviating by more than k_sigma combined errors raise
     flux-anomaly alerts. Output order is input order.
+
+    A detection's match is the master of largest dot product (the lowest
+    master index on ties); it is unmatched when that dot is below
+    cos(radius).
     """
     if match_radius_arcsec <= 0:
         raise ValidationError("match_radius must be > 0")
-    keys = np.stack([stream["mjd"], stream["zone"]], axis=1) if len(stream) else None
-    if keys is not None:
-        prev = keys[:-1]
-        nxt = keys[1:]
-        bad = (nxt[:, 0] < prev[:, 0]) | ((nxt[:, 0] == prev[:, 0]) & (nxt[:, 1] < prev[:, 1]))
-        violations = np.flatnonzero(bad)
-        if len(violations):
-            raise ValidationError(
-                f"stream not ordered by (mjd, zone) at record {violations[0] + 1}")
+    mjd, zone = stream["mjd"], stream["zone"]
+    bad = (mjd[1:] < mjd[:-1]) | ((mjd[1:] == mjd[:-1]) & (zone[1:] < zone[:-1]))
+    violations = np.flatnonzero(bad)
+    if len(violations):
+        raise ValidationError(
+            f"stream not ordered by (mjd, zone) at record {violations[0] + 1}")
 
     det_unit = sphere.radec_to_unit(stream["ra"], stream["dec"])
     master_unit = sphere.radec_to_unit(masters["ra"], masters["dec"])
-    cos_limit = np.cos(np.radians(match_radius_arcsec / ARCSEC_PER_DEG))
+    radius_rad = np.radians(match_radius_arcsec / ARCSEC_PER_DEG)
+    cos_limit = np.cos(radius_rad)
+    # Candidates must include every master whose computed dot reaches
+    # cos_limit. Rounding in the unit vectors, the dot and cos_limit moves a
+    # dot by at most about 2e-15, so such a master lies within
+    # sqrt(chord^2 + 4e-15) of the detection: beyond the chord near 2", and
+    # up to about 6e-8 away for radii whose chord is far smaller. Cells of
+    # edge max(2 chord, 1e-7) cover that distance at every radius.
+    edge = max(2.0 * sphere.chord_for_angle(radius_rad), 1e-7)
+    q, t = sphere.cell_pairs(sphere.cell_keys(master_unit, edge),
+                             sphere.cell_keys(det_unit, edge))
+    dots = np.einsum("ij,ij->i", det_unit[q], master_unit[t])
+    best = np.full(len(stream), -np.inf)
+    np.maximum.at(best, q, dots)
+    top = dots == best[q]
+    pick = np.full(len(stream), len(masters))
+    np.minimum.at(pick, q[top], t[top])
+    matched = best >= cos_limit
+
+    dev = np.zeros(len(stream))
+    m = masters[pick[matched]]
+    err = stream["flux_err"][matched].astype(np.float64)
+    combined = np.sqrt(err ** 2 + m["flux_variance"])
+    combined = np.where(combined <= 0, err, combined)
+    dev[matched] = np.abs(stream["flux"][matched] - m["mean_flux"]) / combined
 
     alerts: list[Alert] = []
-    if len(stream) == 0:
-        return alerts
-    if len(masters) == 0:
-        return [Alert("new-source", float(d["mjd"]), float(d["ra"]), float(d["dec"]),
-                      float(d["flux"]), 0.0, 0) for d in stream]
-
-    # chunked dense nearest-neighbor: master tables at desk scale fit in memory
-    chunk = max(1, int(4e6 / max(len(masters), 1)))
-    for lo in range(0, len(stream), chunk):
-        hi = min(lo + chunk, len(stream))
-        dots = det_unit[lo:hi] @ master_unit.T
-        best = np.argmax(dots, axis=1)
-        best_dot = dots[np.arange(hi - lo), best]
-        for i in range(hi - lo):
-            d = stream[lo + i]
-            if best_dot[i] < cos_limit:
-                alerts.append(Alert("new-source", float(d["mjd"]), float(d["ra"]),
-                                    float(d["dec"]), float(d["flux"]), 0.0, 0))
-                continue
-            m = masters[best[i]]
-            combined = np.sqrt(float(d["flux_err"]) ** 2 + float(m["flux_variance"]))
-            if combined <= 0:
-                combined = float(d["flux_err"])
-            dev = abs(float(d["flux"]) - float(m["mean_flux"])) / combined
-            if dev > k_sigma:
-                alerts.append(Alert("flux-anomaly", float(d["mjd"]), float(d["ra"]),
-                                    float(d["dec"]), float(d["flux"]), float(dev),
-                                    int(m["master_id"])))
+    for i in np.flatnonzero(~matched | (dev > k_sigma)):
+        d = stream[i]
+        if matched[i]:
+            alerts.append(Alert("flux-anomaly", float(d["mjd"]), float(d["ra"]),
+                                float(d["dec"]), float(d["flux"]), float(dev[i]),
+                                int(masters["master_id"][pick[i]])))
+        else:
+            alerts.append(Alert("new-source", float(d["mjd"]), float(d["ra"]),
+                                float(d["dec"]), float(d["flux"]), 0.0, 0))
     return alerts
 
 
@@ -433,41 +439,44 @@ def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
     by_pass = {int(p): np.flatnonzero(orphans["pass_id"] == p) for p in passes}
     residual_deg = residual_max_arcsec / ARCSEC_PER_DEG
 
-    # candidate pairs across adjacent passes
+    # candidate pairs across adjacent passes: a detection's search angle is
+    # rate_max times its longest time to a detection of the next pass, at
+    # most pi
+    mjd = orphans["mjd"]
     pair_rows = []
     pair_params = []
     for p_lo, p_hi in zip(passes[:-1], passes[1:]):
-        rows_hi = by_pass[int(p_hi)]
-        if not len(rows_hi):
+        rows_lo, rows_hi = by_pass[int(p_lo)], by_pass[int(p_hi)]
+        ahead = mjd[rows_hi].min() - mjd[rows_lo] > 0
+        rows_lo = rows_lo[ahead]
+        if not len(rows_lo):
             continue
-        idx = sphere.SpatialIndex(np.arange(len(rows_hi)), unit[rows_hi])
-        for row_a in by_pass[int(p_lo)]:
-            dt = None
-            hits = None
-            mjd_a = orphans["mjd"][row_a]
-            dts = orphans["mjd"][rows_hi] - mjd_a
-            dt = float(np.min(dts)) if len(dts) else 0.0
-            if dt <= 0:
+        max_sep = np.minimum(np.radians(rate_max_deg_day * (mjd[rows_hi].max() - mjd[rows_lo])),
+                             np.pi)
+        chord = sphere.chord_for_angle(max_sep)
+        edge = max(float(chord.max()), 1e-9)
+        q, t = sphere.cell_pairs(sphere.cell_keys(unit[rows_hi], edge),
+                                 sphere.cell_keys(unit[rows_lo], edge))
+        diff = unit[rows_hi[t]] - unit[rows_lo[q]]
+        near = np.einsum("ij,ij->i", diff, diff) <= chord[q] * chord[q]
+        q, t = q[near], t[near]
+        order = np.lexsort((t, q))
+        for row_a, row_b in zip(rows_lo[q[order]].tolist(), rows_hi[t[order]].tolist()):
+            dt_ab = float(mjd[row_b] - mjd[row_a])
+            if dt_ab <= 0:
                 continue
-            max_sep = np.radians(rate_max_deg_day * float(np.max(dts)))
-            hits = idx.within(unit[row_a], max_sep)
-            for h in hits:
-                row_b = int(rows_hi[h])
-                dt_ab = float(orphans["mjd"][row_b] - mjd_a)
-                if dt_ab <= 0:
-                    continue
-                sep = float(sphere.angle_between(unit[row_a], unit[row_b]))
-                rate = np.degrees(sep) / dt_ab
-                if rate > rate_max_deg_day:
-                    continue
-                # oriented great-circle normal: constant along a track,
-                # unlike the coordinate position angle
-                normal = np.cross(unit[row_a], unit[row_b])
-                nn = np.linalg.norm(normal)
-                if nn < 1e-15:
-                    continue
-                pair_rows.append((row_a, row_b))
-                pair_params.append((rate, normal / nn, dt_ab, sep))
+            sep = float(sphere.angle_between(unit[row_a], unit[row_b]))
+            rate = np.degrees(sep) / dt_ab
+            if rate > rate_max_deg_day:
+                continue
+            # oriented great-circle normal: constant along a track,
+            # unlike the coordinate position angle
+            normal = np.cross(unit[row_a], unit[row_b])
+            nn = np.linalg.norm(normal)
+            if nn < 1e-15:
+                continue
+            pair_rows.append((row_a, row_b))
+            pair_params.append((rate, normal / nn, dt_ab, sep))
     if not pair_rows:
         return []
 

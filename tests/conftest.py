@@ -7,7 +7,7 @@ terminal summary prints one PASS/FAIL line per criterion.
 import numpy as np
 import pytest
 
-from skymine import skygen, store
+from skymine import mining, skygen, store
 
 _acceptance_results: dict[str, str] = {}
 
@@ -74,3 +74,29 @@ def reference_store(tmp_path_factory):
     store.build_indexes(out, 1.0)
     store.build_master(out, 1.0)
     return out
+
+
+def _naive_pair_count(points, bin_edges_rad) -> mining.PairCountHistogram:
+    """Unordered pair counts per bin from every pairwise distance, chunked:
+    the brute-force oracle for `mining.pair_count`."""
+    points = np.asarray(points, dtype=np.float64)
+    edges2 = mining._chord2_edges(bin_edges_rad)
+    n = len(points)
+    counts = np.zeros(len(edges2) - 1, dtype=np.int64)
+    evals = 0
+    chunk = max(1, int(2e7 // n))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        d2 = mining._pairwise_d2(points[lo:hi], points)
+        # keep strictly-upper-triangle pairs only
+        rows, cols = np.meshgrid(np.arange(lo, hi), np.arange(n), indexing="ij")
+        keep = cols > rows
+        mining._bin_d2(d2[keep], edges2, counts)
+        evals += int(keep.sum())
+    return mining.PairCountHistogram(np.asarray(bin_edges_rad, dtype=np.float64),
+                                     counts, n * (n - 1) // 2, evals)
+
+
+@pytest.fixture(scope="session")
+def naive_pair_count():
+    return _naive_pair_count

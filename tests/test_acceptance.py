@@ -44,9 +44,10 @@ def test_planner_golden_numbers():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_spatial_correctness():
-    """On 10 seeded catalogs of 1,000-10,000 points: region_search (cones and
-    random convex polygons) equals brute force exactly, and neighbors_join at
+def test_spatial_correctness(tmp_path):
+    """On 10 seeded catalogs of 1,000-10,000 points: a region scan of a zoned
+    store of the catalog (cones, random convex polygons, the whole-sphere and
+    a zero-radius cone) equals brute force exactly, and neighbors_join at
     60 arcsec equals the O(N^2) oracle. Runtime < 30 s total."""
     t0 = time.perf_counter()
     sizes = np.linspace(1000, 10_000, 10).astype(int)
@@ -56,12 +57,23 @@ def test_spatial_correctness():
         phi = rng.uniform(0, 2 * np.pi, n)
         unit = np.stack([np.sqrt(1 - z ** 2) * np.cos(phi),
                          np.sqrt(1 - z ** 2) * np.sin(phi), z], axis=1)
-        idx = sphere.SpatialIndex(np.arange(n), unit)
+        ra, dec = sphere.unit_to_radec(unit)
+        recs = np.zeros(n, dtype=store.DET_DTYPE)
+        recs["det_id"] = np.arange(n)
+        recs["ra"], recs["dec"], recs["flux_err"] = ra, dec, 1.0
+        zoned = tmp_path / f"cat{cat}"
+        store.ingest_detections(recs, 4, zoned)
+        store.build_indexes(zoned, 1.0)
+        stored = sphere.radec_to_unit(ra, dec)
+
+        def region_matches(region):
+            found, _ = store.scan(zoned, "true", region=region)
+            return set(found["det_id"].tolist()) == \
+                set(np.flatnonzero(region.contains(stored)).tolist())
 
         center = unit[rng.integers(n)]
         cone = sphere.Cone(center, rng.uniform(0.01, np.pi / 2))
-        assert set(idx.region_search(cone).tolist()) == \
-            set(idx.brute_force_region(cone).tolist())
+        assert region_matches(cone)
 
         m = int(rng.integers(3, 8))
         nz = rng.uniform(-1, 1, m)
@@ -69,10 +81,10 @@ def test_spatial_correctness():
         normals = np.stack([np.sqrt(1 - nz ** 2) * np.cos(nphi),
                             np.sqrt(1 - nz ** 2) * np.sin(nphi), nz], axis=1)
         poly = sphere.ConvexPolygon(normals, rng.uniform(-0.5, 0.3, m))
-        assert set(idx.region_search(poly).tolist()) == \
-            set(idx.brute_force_region(poly).tolist())
+        assert region_matches(poly)
+        assert region_matches(sphere.Cone(np.array([0.0, 0.0, 1.0]), np.pi))
+        assert region_matches(sphere.cone_from_radec(12.0, 34.0, 0.0))
 
-        ra, dec = sphere.unit_to_radec(unit)
         table, _ = sphere.neighbors_join(np.arange(n), ra, dec, 60.0)
         got = {(int(r["id_a"]), int(r["id_b"])) for r in table}
         # chunked vectorized O(N^2) oracle in the same chord metric
@@ -232,20 +244,20 @@ def uniform_sphere(seed, n):
 CORR_BINS = np.radians(np.array([0.5, 1, 2, 4, 8, 16, 32, 64, 128]))
 
 
-def test_correlation_exactness_and_pruning():
+def test_correlation_exactness_and_pruning(naive_pair_count):
     """Dual-tree pair counts equal naive exactly at N=2,000; dual-tree
     distance evaluations < 25% of N(N-1)/2 at N=10,000; data=randoms gives
     w = 0 identically; a uniform null stays within 3 error bars per bin."""
     pts = uniform_sphere(60, 2000)
-    dual = mining.pair_count(pts, CORR_BINS, mode="dual-tree")
-    naive = mining.pair_count(pts, CORR_BINS, mode="naive")
+    dual = mining.pair_count(pts, CORR_BINS)
+    naive = naive_pair_count(pts, CORR_BINS)
     assert np.array_equal(dual.counts, naive.counts)
 
     # pruning is judged at correlation-analysis scales (0.1-10 deg log bins);
     # bins spanning the whole sky leave little for box exclusion to reject
     big = uniform_sphere(61, 10_000)
     narrow = np.radians(np.logspace(np.log10(0.1), np.log10(10.0), 9))
-    h = mining.pair_count(big, narrow, mode="dual-tree")
+    h = mining.pair_count(big, narrow)
     assert h.distance_evaluations < 0.25 * 10_000 * 9_999 / 2
 
     est_same = mining.correlation_ls(pts, pts, CORR_BINS)

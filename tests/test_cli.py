@@ -152,6 +152,24 @@ class TestExactIngest:
         assert back["master_id"].tolist() == sorted(ids)
         assert back["flags"].tolist() == [2 ** 32 - 1] * 3
 
+    @pytest.mark.parametrize("where,want", [
+        ("det_id==9007199254740993", [2 ** 53 + 1]),
+        ("det_id>9007199254740992", [2 ** 53 + 1, 2 ** 64 - 1]),
+        ("det_id<=9007199254740992", [2 ** 53]),
+        ("det_id>9007199254740992 AND pass_id>0", [2 ** 64 - 1]),
+        ("master_id==18446744073709551615 and flags==4294967295", [2 ** 64 - 1]),
+        ("det_id!=9007199254740993 And pass_id<2", [2 ** 64 - 1]),
+    ])
+    def test_where_compares_integers_exactly(self, capsys, tmp_path, where, want):
+        ids = [2 ** 53 + 1, 2 ** 64 - 1, 2 ** 53]
+        rows = [f"{i},{k},5900{k}.0,1{k}.5,0.5,10.0,1.0,{2 ** 32 - 1},0,{i}"
+                for k, i in enumerate(ids)]
+        assert ingest_rows(capsys, tmp_path, rows)[0] == EXIT_OK
+        code, out, _ = run(capsys, "query", "--store", str(tmp_path / "store"),
+                           "--where", where)
+        assert code == EXIT_OK
+        assert sorted(int(ln.split(",")[0]) for ln in out.splitlines()[1:]) == want
+
     def test_floats_cast_as_before(self, capsys, tmp_path):
         code, _, _ = ingest_rows(capsys, tmp_path, [GOOD_ROW])
         assert code == EXIT_OK

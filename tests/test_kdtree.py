@@ -28,59 +28,12 @@ class TestStructure:
 
     def test_empty_tree(self):
         tree = KdTree(np.empty((0, 3)))
-        assert tree.query_radius(np.zeros(3), 1.0).size == 0
-        assert tree.query_nearest(np.zeros(3)) == (-1, np.inf)
+        assert tree.n_nodes == 1 and tree.is_leaf(0)
+        assert tree.node_indices(0).size == 0
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             KdTree(np.zeros(5))
-
-
-class TestQueries:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_radius_matches_brute_force(self, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        pts = random_points(seed + 1, 200)
-        tree = KdTree(pts, leaf_size=8)
-        q = rng.uniform(-1, 1, 3)
-        r = rng.uniform(0, 2)
-        got = set(tree.query_radius(q, r).tolist())
-        d = np.linalg.norm(pts - q, axis=1)
-        assert got == set(np.flatnonzero(d <= r).tolist())
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_nearest_matches_brute_force(self, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        pts = random_points(seed + 1, 200)
-        tree = KdTree(pts, leaf_size=8)
-        q = rng.uniform(-1, 1, 3)
-        idx, dist = tree.query_nearest(q)
-        d = np.linalg.norm(pts - q, axis=1)
-        assert dist == pytest.approx(float(d.min()), rel=1e-12)
-        assert idx == int(np.argmin(d))
-
-    def test_nearest_tie_breaks_to_lower_index(self):
-        pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
-                        [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
-        idx, dist = KdTree(pts, leaf_size=1).query_nearest(np.zeros(3))
-        assert (idx, dist) == (0, 1.0)
-
-    def test_nearest_respects_max_radius(self):
-        pts = np.array([[5.0, 0.0, 0.0]])
-        assert KdTree(pts).query_nearest(np.zeros(3), max_radius=1.0) == (-1, np.inf)
-
-    def test_radius_is_inclusive(self):
-        pts = np.array([[1.0, 0.0, 0.0]])
-        assert KdTree(pts).query_radius(np.zeros(3), 1.0).tolist() == [0]
-
-    def test_counter_tracks_evaluations(self):
-        pts = random_points(5, 1000)
-        tree = KdTree(pts, leaf_size=32)
-        counter = [0]
-        tree.query_radius(np.zeros(3), 0.1, counter=counter)
-        assert 0 < counter[0] < 1000  # box pruning skipped most points
 
 
 class TestBounds:
@@ -91,23 +44,13 @@ class TestBounds:
         tree = KdTree(pts, leaf_size=8)
         rng = np.random.Generator(np.random.PCG64(seed))
         a, b = rng.integers(0, tree.n_nodes, 2)
-        dmin2, dmax2 = tree.box_pair_sqdist_bounds(int(a), int(b))
-        pa = pts[tree.node_indices(int(a))]
-        pb = pts[tree.node_indices(int(b))]
-        diff = pa[:, None, :] - pb[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        assert d2.min() >= dmin2 - 1e-12
-        assert d2.max() <= dmax2 + 1e-12
-
-    @given(st.integers(0, 5000))
-    @settings(max_examples=30, deadline=None)
-    def test_dot_bounds_enclose_true_dots(self, seed):
-        pts = random_points(seed, 120)
-        tree = KdTree(pts, leaf_size=8)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        direction = rng.normal(size=3)
-        node = int(rng.integers(0, tree.n_nodes))
-        lo, hi = tree.box_dot_bounds(node, direction)
-        dots = pts[tree.node_indices(node)] @ direction
-        assert dots.min() >= lo - 1e-12
-        assert dots.max() <= hi + 1e-12
+        other = KdTree(random_points(seed + 1, 90), leaf_size=8)
+        c = rng.integers(0, other.n_nodes)
+        for tb, b in ((tree, int(b)), (other, int(c))):
+            dmin2, dmax2 = tree.box_pair_sqdist_bounds(int(a), b, tb)
+            pa = pts[tree.node_indices(int(a))]
+            pb = tb.points[tb.node_indices(b)]
+            diff = pa[:, None, :] - pb[None, :, :]
+            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            assert d2.min() >= dmin2 - 1e-12
+            assert d2.max() <= dmax2 + 1e-12

@@ -18,19 +18,19 @@ DEG_BINS = np.radians(np.array([0.5, 1, 2, 4, 8, 16, 32, 64, 128]))
 
 
 class TestPairCounting:
-    def test_dual_tree_equals_naive(self):
+    def test_dual_tree_equals_naive(self, naive_pair_count):
         pts = uniform_sphere(1, 2000)
-        dual = mining.pair_count(pts, DEG_BINS, mode="dual-tree")
-        naive = mining.pair_count(pts, DEG_BINS, mode="naive")
+        dual = mining.pair_count(pts, DEG_BINS)
+        naive = naive_pair_count(pts, DEG_BINS)
         assert np.array_equal(dual.counts, naive.counts)
         assert dual.total_pairs == naive.total_pairs == 2000 * 1999 // 2
 
     @given(st.integers(0, 10_000), st.integers(2, 200))
     @settings(max_examples=25, deadline=None)
-    def test_dual_tree_equals_naive_property(self, seed, n):
+    def test_dual_tree_equals_naive_property(self, naive_pair_count, seed, n):
         pts = uniform_sphere(seed, n)
-        dual = mining.pair_count(pts, DEG_BINS, mode="dual-tree", leaf_size=8)
-        naive = mining.pair_count(pts, DEG_BINS, mode="naive")
+        dual = mining.pair_count(pts, DEG_BINS, leaf_size=8)
+        naive = naive_pair_count(pts, DEG_BINS)
         assert np.array_equal(dual.counts, naive.counts)
 
     def test_full_sphere_bins_capture_every_pair(self):
@@ -39,11 +39,10 @@ class TestPairCounting:
         h = mining.pair_count(pts, edges)
         assert int(h.counts.sum()) == h.total_pairs
 
-    def test_duplicate_points_count_once_per_pair(self):
+    def test_duplicate_points_count_once_per_pair(self, naive_pair_count):
         pts = np.repeat(uniform_sphere(3, 1), 5, axis=0)
         edges = np.array([0.0, 0.01])
-        for mode in ("dual-tree", "naive"):
-            h = mining.pair_count(pts, edges, mode=mode)
+        for h in (mining.pair_count(pts, edges), naive_pair_count(pts, edges)):
             assert int(h.counts[0]) == 10  # C(5, 2), zero-distance in first bin
 
     def test_two_points_known_bin(self):
@@ -62,13 +61,13 @@ class TestPairCounting:
     def test_pruning_effectiveness_at_10k(self):
         pts = uniform_sphere(4, 10_000)
         edges = np.radians(np.array([0.1, 0.5, 1.0, 2.0]))
-        h = mining.pair_count(pts, edges, mode="dual-tree")
+        h = mining.pair_count(pts, edges)
         assert h.distance_evaluations < 0.25 * 10_000 * 9_999 / 2
 
     def test_cross_counts_match_brute_force(self):
         a = uniform_sphere(5, 300)
         b = uniform_sphere(6, 400)
-        h = mining.cross_pair_count(a, b, DEG_BINS)
+        h = mining.pair_count(a, DEG_BINS, b)
         edges2 = mining._chord2_edges(DEG_BINS)
         counts = np.zeros(len(DEG_BINS) - 1, dtype=np.int64)
         mining._bin_d2(mining._pairwise_d2(a, b).ravel(), edges2, counts)
@@ -84,7 +83,7 @@ class TestPairCounting:
         with pytest.raises(ValidationError):
             mining.pair_count(pts[:1], DEG_BINS)
         with pytest.raises(ValidationError):
-            mining.pair_count(pts, DEG_BINS, mode="quad-tree")
+            mining.pair_count(pts, DEG_BINS, pts[:0])
 
 
 class TestCorrelation:
@@ -115,14 +114,23 @@ class TestCorrelation:
         est = mining.correlation_ls(data, randoms, DEG_BINS)
         assert est.w[0] > 3.0 * est.err[0]
 
-    def test_mode_agreement(self):
+    def test_mode_agreement(self, naive_pair_count):
+        """The estimator's dual-tree counts agree with the naive oracle."""
         data = uniform_sphere(13, 300)
         randoms = uniform_sphere(14, 500)
-        a = mining.correlation_ls(data, randoms, DEG_BINS, mode="dual-tree")
-        b = mining.correlation_ls(data, randoms, DEG_BINS, mode="naive")
-        assert np.array_equal(a.dd, b.dd)
-        assert np.array_equal(a.rr, b.rr)
-        assert np.allclose(a.w, b.w, equal_nan=True)
+        a = mining.correlation_ls(data, randoms, DEG_BINS)
+        dd = naive_pair_count(data, DEG_BINS).counts
+        rr = naive_pair_count(randoms, DEG_BINS).counts
+        dr = np.zeros(len(DEG_BINS) - 1, dtype=np.int64)
+        mining._bin_d2(mining._pairwise_d2(data, randoms).ravel(),
+                       mining._chord2_edges(DEG_BINS), dr)
+        assert np.array_equal(a.dd, dd)
+        assert np.array_equal(a.rr, rr)
+        assert np.array_equal(a.dr, dr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = ((dd / (300 * 300 / 2.0) - 2.0 * dr / (300 * 500) + rr / (500 * 500 / 2.0))
+                 / (rr / (500 * 500 / 2.0)))
+        assert np.allclose(a.w, np.where(rr > 0, w, np.nan), equal_nan=True)
 
     def test_csv_lines(self):
         est = mining.correlation_ls(uniform_sphere(15, 100),

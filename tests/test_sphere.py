@@ -1,8 +1,10 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skymine import sphere
+from skymine import sphere, store
 from skymine.errors import ValidationError
 
 
@@ -61,6 +63,34 @@ class TestRoundTrip:
         assert np.allclose(np.einsum("ij,ij->i", unit, unit), 1.0, atol=1e-12)
 
 
+def stored_catalog(unit):
+    """Detection records at the positions of a unit-vector catalog, det_id
+    = row + 1."""
+    ra, dec = sphere.unit_to_radec(unit)
+    recs = np.zeros(len(unit), dtype=store.DET_DTYPE)
+    recs["det_id"] = np.arange(1, len(unit) + 1)
+    recs["ra"] = ra
+    recs["dec"] = dec
+    recs["flux_err"] = 1.0
+    return recs
+
+
+def scan_region(unit, region):
+    """Rows of the catalog a region scan returns from a zoned store."""
+    with tempfile.TemporaryDirectory() as tmp:
+        store.ingest_detections(stored_catalog(unit), 3, tmp)
+        store.build_indexes(tmp, 1.0)
+        found, _ = store.scan(tmp, "true", region=region)
+    return set((found["det_id"] - 1).tolist())
+
+
+def brute_force_region(unit, region):
+    """Rows whose stored position lies in the region, by a linear test."""
+    recs = stored_catalog(unit)
+    inside = region.contains(sphere.radec_to_unit(recs["ra"], recs["dec"]))
+    return set(np.flatnonzero(inside).tolist())
+
+
 class TestRegions:
     def test_cone_validation(self):
         with pytest.raises(ValidationError):
@@ -74,46 +104,37 @@ class TestRegions:
 
     def test_whole_sphere_cone(self):
         unit = random_catalog(1, 500)
-        idx = sphere.SpatialIndex(np.arange(500), unit)
         cone = sphere.Cone(np.array([0.0, 0.0, 1.0]), np.pi)
-        assert len(idx.region_search(cone)) == 500
+        assert scan_region(unit, cone) == set(range(500))
 
     def test_empty_cone(self):
         unit = random_catalog(2, 100)
-        idx = sphere.SpatialIndex(np.arange(100), unit)
         cone = sphere.cone_from_radec(12.0, 34.0, 0.0)
-        assert len(idx.region_search(cone)) == 0
+        assert scan_region(unit, cone) == set()
 
     def test_cone_matches_brute_force_seeded(self):
         unit = random_catalog(3, 1000)
-        idx = sphere.SpatialIndex(np.arange(1000), unit)
         cone = sphere.cone_from_radec(40.0, 10.0, 5.0)
-        fast = set(idx.region_search(cone).tolist())
-        slow = set(idx.brute_force_region(cone).tolist())
-        assert fast == slow
+        assert scan_region(unit, cone) == brute_force_region(unit, cone)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_random_cones_match_brute_force(self, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         unit = random_catalog(seed + 1, 400)
-        idx = sphere.SpatialIndex(np.arange(400), unit)
         center = random_catalog(seed + 2, 1)[0]
         cone = sphere.Cone(center, rng.uniform(0, np.pi))
-        assert set(idx.region_search(cone).tolist()) == \
-            set(idx.brute_force_region(cone).tolist())
+        assert scan_region(unit, cone) == brute_force_region(unit, cone)
 
     @given(st.integers(0, 10_000), st.integers(3, 8))
     @settings(max_examples=30, deadline=None)
     def test_random_polygons_match_brute_force(self, seed, n_halfspaces):
         rng = np.random.Generator(np.random.PCG64(seed))
         unit = random_catalog(seed + 1, 400)
-        idx = sphere.SpatialIndex(np.arange(400), unit)
         normals = random_catalog(seed + 2, n_halfspaces)
         offsets = rng.uniform(-0.5, 0.5, n_halfspaces)
         poly = sphere.ConvexPolygon(normals, offsets)
-        assert set(idx.region_search(poly).tolist()) == \
-            set(idx.brute_force_region(poly).tolist())
+        assert scan_region(unit, poly) == brute_force_region(unit, poly)
 
 
 class TestZones:
@@ -129,13 +150,28 @@ class TestZones:
         zones = sphere.zone_of(dec, 2.5)
         assert np.all(zones == np.minimum(np.floor((dec + 90) / 2.5), 71))
 
-    def test_dec_band_equals_brute_force(self):
-        unit = random_catalog(5, 3000)
-        idx = sphere.SpatialIndex(np.arange(3000), unit, zone_height_deg=1.0)
-        _, dec = sphere.unit_to_radec(unit)
-        via_zones = set(idx.dec_band(10.0, 12.0).tolist())
-        brute = set(np.flatnonzero((dec >= 10.0) & (dec < 12.0)).tolist())
-        assert via_zones == brute
+
+class TestCellPairs:
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_radius_matches_brute_force(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        pts = random_catalog(seed + 1, 200)
+        r = rng.uniform(1e-3, 2.0)
+        queries = pts[:30] + rng.normal(0.0, r / 2, (30, 3))
+        q, t = sphere.cell_pairs(sphere.cell_keys(pts, r), sphere.cell_keys(queries, r))
+        diff = pts[t] - queries[q]
+        near = np.einsum("ij,ij->i", diff, diff) <= r * r
+        got = list(zip(q[near].tolist(), t[near].tolist()))
+        diff = queries[:, None, :] - pts[None, :, :]
+        rows, cols = np.nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= r * r)
+        assert sorted(got) == list(zip(rows.tolist(), cols.tolist()))
+
+    def test_radius_is_inclusive(self):
+        pts = np.array([[1.0, 0.0, 0.0]])
+        q, t = sphere.cell_pairs(sphere.cell_keys(pts, 1.0),
+                                 sphere.cell_keys(np.zeros((1, 3)), 1.0))
+        assert (q.tolist(), t.tolist()) == ([0], [0])
 
 
 def brute_force_pairs(ids, unit, theta_max_rad):

@@ -288,6 +288,142 @@ def survey_with_masters(tmp_path, **kw):
     return truth, det, labels, masters
 
 
+def dense_trigger(stream, masters, match_radius_arcsec, k_sigma=5.0):
+    """The trigger as a chunked dense matmul over every master, which
+    `run_trigger` replaced; kept as its oracle. The stream must be ordered."""
+    det_unit = sphere.radec_to_unit(stream["ra"], stream["dec"])
+    master_unit = sphere.radec_to_unit(masters["ra"], masters["dec"])
+    cos_limit = np.cos(np.radians(match_radius_arcsec / sphere.ARCSEC_PER_DEG))
+    alerts = []
+    if len(masters) == 0:
+        return [timedomain.Alert("new-source", float(d["mjd"]), float(d["ra"]),
+                                 float(d["dec"]), float(d["flux"]), 0.0, 0) for d in stream]
+    chunk = max(1, int(4e6 / len(masters)))
+    for lo in range(0, len(stream), chunk):
+        hi = min(lo + chunk, len(stream))
+        dots = det_unit[lo:hi] @ master_unit.T
+        best = np.argmax(dots, axis=1)
+        best_dot = dots[np.arange(hi - lo), best]
+        for i in range(hi - lo):
+            d = stream[lo + i]
+            if best_dot[i] < cos_limit:
+                alerts.append(timedomain.Alert("new-source", float(d["mjd"]), float(d["ra"]),
+                                               float(d["dec"]), float(d["flux"]), 0.0, 0))
+                continue
+            m = masters[best[i]]
+            combined = np.sqrt(float(d["flux_err"]) ** 2 + float(m["flux_variance"]))
+            if combined <= 0:
+                combined = float(d["flux_err"])
+            dev = abs(float(d["flux"]) - float(m["mean_flux"])) / combined
+            if dev > k_sigma:
+                alerts.append(timedomain.Alert("flux-anomaly", float(d["mjd"]), float(d["ra"]),
+                                               float(d["dec"]), float(d["flux"]), float(dev),
+                                               int(m["master_id"])))
+    return alerts
+
+
+def all_pairs(keys, query):
+    """Stand-in for `sphere.cell_pairs` that makes every key a candidate of
+    every query."""
+    return (np.repeat(np.arange(len(query)), len(keys)),
+            np.tile(np.arange(len(keys)), len(query)))
+
+
+def offset(unit, angle_rad, rng):
+    """Unit vectors `angle_rad` away from each row of `unit`, in random
+    directions."""
+    tangent = np.cross(unit, rng.normal(size=unit.shape))
+    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
+    return unit * np.cos(angle_rad)[:, None] + tangent * np.sin(angle_rad)[:, None]
+
+
+def trigger_case(masters_unit, stream_unit, rng, flux=None):
+    """Masters (ids 1..M, mean flux 100) and a (mjd, zone)-ordered stream."""
+    masters = np.zeros(len(masters_unit), dtype=store.MASTER_DTYPE)
+    masters["master_id"] = np.arange(1, len(masters) + 1)
+    masters["ra"], masters["dec"] = sphere.unit_to_radec(masters_unit)
+    masters["mean_flux"] = 100.0
+    masters["flux_variance"] = rng.uniform(0.0, 4.0, len(masters))
+    stream = np.zeros(len(stream_unit), dtype=store.DET_DTYPE)
+    stream["det_id"] = np.arange(1, len(stream) + 1)
+    stream["mjd"] = 60000.0 + rng.integers(0, 3, len(stream))
+    stream["ra"], stream["dec"] = sphere.unit_to_radec(stream_unit)
+    stream["zone"] = sphere.zone_of(stream["dec"], 1.0)
+    stream["flux"] = 100.0 + rng.normal(0.0, 6.0, len(stream)) if flux is None else flux
+    stream["flux_err"] = 1.0
+    return stream[np.lexsort((stream["zone"], stream["mjd"]))], masters
+
+
+class TestTriggerOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 10.0, 3600.0])
+    def test_seeded_streams_match_dense_oracle(self, seed, radius):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        theta = np.radians(radius / 3600.0)
+        sky = sphere.radec_to_unit(rng.uniform(0, 360, 600),
+                                   np.degrees(np.arcsin(rng.uniform(-1, 1, 600))))
+        # close master pairs make the nearest choice matter
+        masters_unit = np.concatenate([sky[:500], offset(sky[:100], theta * rng.uniform(
+            0.2, 1.5, 100), rng)])
+        near = offset(masters_unit[rng.integers(0, 600, 400)],
+                      theta * rng.uniform(0.0, 2.0, 400), rng)
+        stream, masters = trigger_case(masters_unit, np.concatenate([near, sky[500:]]), rng)
+        got = timedomain.run_trigger(stream, masters, radius)
+        assert {a.kind for a in got} == {"new-source", "flux-anomaly"}
+        assert got == dense_trigger(stream, masters, radius)
+
+    @pytest.mark.parametrize("radius", [60.0, 3600.0])
+    def test_radius_boundary_matches_dense_oracle(self, radius):
+        # At 2" a relative change of 1e-6 in angle moves cos by less than one
+        # ulp, so the dot test cannot see it; at 60" it is hundreds of ulps.
+        rng = np.random.Generator(np.random.PCG64(5))
+        theta = np.radians(radius / 3600.0)
+        masters_unit = sphere.radec_to_unit(rng.uniform(0, 360, 50),
+                                            rng.uniform(-60, 60, 50))
+        scale = np.repeat([1 - 1e-6, 1 + 1e-6], 50)
+        stream_unit = offset(np.concatenate([masters_unit] * 2), theta * scale, rng)
+        stream, masters = trigger_case(masters_unit, stream_unit, rng, flux=200.0)
+        got = timedomain.run_trigger(stream, masters, radius)
+        assert got == dense_trigger(stream, masters, radius)
+        assert sorted(a.kind for a in got) == ["flux-anomaly"] * 50 + ["new-source"] * 50
+
+    @pytest.mark.parametrize("lower", ["north", "south"])
+    def test_equidistant_masters_go_to_lower_index(self, lower):
+        rng = np.random.Generator(np.random.PCG64(6))
+        north, south = sphere.radec_to_unit([10.0, 10.0], [1 / 3600, -1 / 3600])
+        pair = [north, south] if lower == "north" else [south, north]
+        stream, masters = trigger_case(np.array(pair), sphere.radec_to_unit([10.0], [0.0]),
+                                       rng, flux=200.0)
+        got = timedomain.run_trigger(stream, masters, 2.0)
+        assert got == dense_trigger(stream, masters, 2.0)
+        assert [(a.kind, a.nearest_master_id) for a in got] == [("flux-anomaly", 1)]
+
+    @pytest.mark.parametrize("radius,spread", [(1e-4, (0.0, 40.0)), (1e-3, (0.0, 10.0)),
+                                               (2.0, (1 - 3e-6, 1 + 3e-6))])
+    def test_candidates_cover_every_master_the_dot_admits(self, monkeypatch, radius, spread):
+        # Rounding lets the dot test admit masters beyond the chord: up to
+        # about 20 chords at 1e-4", a few parts in 1e6 of it at 2".
+        rng = np.random.Generator(np.random.PCG64(8))
+        theta = np.radians(radius / 3600.0)
+        masters_unit = sphere.radec_to_unit(rng.uniform(0, 360, 200), rng.uniform(-80, 80, 200))
+        stream_unit = offset(np.repeat(masters_unit, 5, axis=0),
+                             theta * rng.uniform(*spread, 1000), rng)
+        stream, masters = trigger_case(masters_unit, stream_unit, rng)
+        got = timedomain.run_trigger(stream, masters, radius)
+        monkeypatch.setattr(sphere, "cell_pairs", all_pairs)
+        want = timedomain.run_trigger(stream, masters, radius)
+        assert got == want
+        assert 0.1 < sum(a.kind == "new-source" for a in want) / len(stream) < 0.9
+
+    def test_no_masters(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        stream, masters = trigger_case(np.empty((0, 3)),
+                                       sphere.radec_to_unit([10.0, 20.0], [0.0, 5.0]), rng)
+        got = timedomain.run_trigger(stream, masters, 2.0)
+        assert got == dense_trigger(stream, masters, 2.0)
+        assert [a.kind for a in got] == ["new-source"] * 2
+
+
 class TestTrigger:
     def make_stream(self, masters, rows, flux, mjd=60000.0):
         stream = np.zeros(len(rows), dtype=store.DET_DTYPE)
@@ -377,6 +513,11 @@ def mover_orphans(tracks, passes, cadence=1.0, start_mjd=59000.0):
     return np.concatenate(chunks)
 
 
+def mover_fields(tracks):
+    return [(t.track_id, t.det_ids.tolist(), t.ref_mjd, t.ra, t.dec, t.rate_deg_day,
+             t.position_angle_deg, t.rms_arcsec, t.debris_candidate) for t in tracks]
+
+
 class TestMotionFit:
     def test_exact_great_circle_zero_residual(self):
         orphans = mover_orphans([(40.0, 10.0, 0.1, 30.0)], passes=3)
@@ -460,3 +601,44 @@ class TestLinkMovers:
     def test_empty_input(self):
         assert timedomain.link_movers(np.empty(0, dtype=store.DET_DTYPE),
                                       0.5, 1.0) == []
+
+    def test_search_angle_past_180_degrees(self):
+        # 50 deg/day for 1 day: the search angle of rate_max * 1 day passes
+        # 180 deg at rate_max 400 and must not wrap back below 50 deg
+        orphans = mover_orphans([(30.0, 10.0, 50.0, 70.0)], passes=3)
+        for rate_max in (60.0, 400.0):
+            tracks = timedomain.link_movers(orphans, rate_max, 1.0)
+            assert [t.det_ids.tolist() for t in tracks] == [[1, 2, 3]]
+            assert tracks[0].rate_deg_day == pytest.approx(50.0, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [55, 57])
+    @pytest.mark.parametrize("rate_max,residual", [(0.5, 5.0), (0.5, 10.0), (2.0, 5.0)])
+    def test_equals_linking_over_all_cross_pass_pairs(self, tmp_path, monkeypatch,
+                                                      seed, rate_max, residual):
+        _, _, _, masters = survey_with_masters(tmp_path, n_objects=60, passes=6, seed=seed,
+                                               mover_fraction=0.4, position_noise_arcsec=0.5)
+        recs = store.read_all(tmp_path)
+        singles = masters["master_id"][masters["n_detections"] == 1]
+        orphans = recs[np.isin(recs["master_id"], singles)]
+        got = mover_fields(timedomain.link_movers(orphans, rate_max, residual))
+        monkeypatch.setattr(sphere, "cell_pairs", all_pairs)
+        want = mover_fields(timedomain.link_movers(orphans, rate_max, residual))
+        assert got == want
+        assert len(want) >= 5
+
+    def test_mixed_cadence_equals_linking_over_all_cross_pass_pairs(self, monkeypatch):
+        # Tracks seen every 1.5 days search farther than tracks seen daily in
+        # the same passes; the pass pair's cells must fit the farthest search.
+        rng = np.random.Generator(np.random.PCG64(23))
+        slow = [(rng.uniform(0, 360), rng.uniform(-60, 60), 0.45, rng.uniform(0, 360))
+                for _ in range(12)]
+        daily = [(rng.uniform(0, 360), rng.uniform(-60, 60), 0.2, rng.uniform(0, 360))
+                 for _ in range(4)]
+        orphans = np.concatenate([mover_orphans(slow, passes=4, cadence=1.5),
+                                  mover_orphans(daily, passes=4, start_mjd=59000.5)])
+        orphans["det_id"] = np.arange(1, len(orphans) + 1)
+        got = mover_fields(timedomain.link_movers(orphans, 0.5, 1.0))
+        monkeypatch.setattr(sphere, "cell_pairs", all_pairs)
+        want = mover_fields(timedomain.link_movers(orphans, 0.5, 1.0))
+        assert got == want
+        assert len(want) == 16
