@@ -17,21 +17,24 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import mining, planner, skygen, sphere, store, timedomain, units
+from . import csvio, mining, planner, skygen, sphere, store, timedomain, units
 from .errors import EXIT_IO, EXIT_OK, EXIT_VALIDATION, StoreIOError, ValidationError
+
+
+def _echo(blocks):
+    """Print a table from `csvio.blocks`, one echo per block."""
+    for block in blocks:
+        click.echo(block)
 
 
 def _echo_pairs(pairs, fmt):
     if fmt == "table":
         width = max(len(k) for k, _ in pairs)
-        for k, v in pairs:
-            click.echo(f"{k:<{width}}  {v}")
+        _echo(csvio.blocks(None, f"%-{width}s  %s", pairs))
     elif fmt == "json":
         click.echo(json.dumps(dict(pairs), indent=2))
     else:
-        click.echo("key,value")
-        for k, v in pairs:
-            click.echo(f"{k},{v}")
+        _echo(csvio.blocks("key,value", "%s,%s", pairs))
 
 
 format_option = click.option("--format", "fmt", default="csv",
@@ -294,8 +297,7 @@ def query_cmd(store_dir, where, cone_text, polygon_file, workers):
     elif polygon_file:
         region = sphere.load_polygon(polygon_file)
     records, stats = store.scan(store_dir, where, region=region, workers=workers)
-    for line in store.records_to_csv_lines(records):
-        click.echo(line)
+    _echo(store.records_to_csv_lines(records))
     click.echo(f"scanned={stats.records_scanned} matched={stats.records_matched} "
                f"rate={units.fmt_bytes(stats.effective_rate)}/s "
                f"workers={stats.workers}", err=True)
@@ -315,10 +317,7 @@ def neighbors_cmd(store_dir, theta, use_masters):
         ids, ra, dec = recs["det_id"], recs["ra"], recs["dec"]
     table, evals = sphere.neighbors_join(
         ids, ra, dec, units.parse_angle_deg(theta) * sphere.ARCSEC_PER_DEG)
-    rows = zip(table["id_a"].tolist(), table["id_b"].tolist(),
-               table["separation_arcsec"].tolist())
-    click.echo("\n".join(["id_a,id_b,separation_arcsec"]
-                         + [f"{a},{b},{sep:.6f}" for a, b, sep in rows]))
+    _echo(csvio.blocks("id_a,id_b,separation_arcsec", "%d,%d,%.6f", table))
     click.echo(f"pairs={len(table)} distance_evaluations={evals}", err=True)
 
 
@@ -327,17 +326,6 @@ def _chains(store_dir):
     if not np.any(recs["master_id"] > 0):
         raise ValidationError("store has no master assignments; run `master` first")
     return timedomain.group_chains(recs)
-
-
-LC_CSV_HEADER = ("master_id,n,chi2_const,dof,mean_flux,best_frequency,"
-                 "periodic_power,amplitude_fraction,classification")
-
-
-def _fit_row(lc, fit):
-    bf = f"{fit.best_frequency:.6f}" if fit.best_frequency is not None else ""
-    return (f"{lc.master_id},{len(lc)},{fit.chi2_const:.4f},{fit.dof},"
-            f"{fit.mean_flux:.4f},{bf},{fit.periodic_power:.4f},"
-            f"{fit.amplitude_fraction:.4f},{fit.classification}")
 
 
 @cli.command("lc")
@@ -358,7 +346,10 @@ def lc_cmd(store_dir, master_id, limit, fmin, fmax, steps):
     lcs = [timedomain.LightCurve.from_chain(m, c)
            for m, c in zip(master_ids[:limit], chains[:limit])]
     fits = timedomain.fit_lightcurves(lcs, (fmin, fmax, steps))
-    click.echo("\n".join([LC_CSV_HEADER] + [_fit_row(lc, fit) for lc, fit in zip(lcs, fits)]))
+    rows = [(lc.master_id, len(lc), *vars(fit).values()) for lc, fit in zip(lcs, fits)]
+    _echo(csvio.blocks("master_id,n,chi2_const,dof,mean_flux,best_frequency,"
+                       "periodic_power,amplitude_fraction,classification",
+                       "%d,%d,%.4f,%d,%.4f,%.6f,%.4f,%.4f,%s", rows))
 
 
 @cli.command("classify")
@@ -375,13 +366,11 @@ def classify_cmd(store_dir, span_days, fmin, fmax, steps):
            for i, c in enumerate(chains) if len(c) > 1}
     fits = dict(zip(lcs, timedomain.fit_lightcurves(list(lcs.values()),
                                                     (fmin, fmax, steps))))
-    rows = ["master_id,n_detections,classification"]
-    for i, (mid, chain) in enumerate(zip(master_ids, chains)):
-        flags_any = bool(np.any(chain["flags"] != 0))
-        cls = timedomain.classify_chain(len(chain), flags_any, lcs.get(i), fits.get(i),
-                                        span_days)
-        rows.append(f"{mid},{len(chain)},{cls}")
-    click.echo("\n".join(rows))
+    rows = [(mid, len(chain),
+             timedomain.classify_chain(len(chain), bool(np.any(chain["flags"] != 0)),
+                                       lcs.get(i), fits.get(i), span_days))
+            for i, (mid, chain) in enumerate(zip(master_ids.tolist(), chains))]
+    _echo(csvio.blocks("master_id,n_detections,classification", "%d,%d,%s", rows))
 
 
 @cli.command("trigger")
@@ -399,9 +388,9 @@ def trigger_cmd(store_dir, stream_dir, radius, k_sigma):
     alerts = timedomain.run_trigger(
         stream, masters, units.parse_angle_deg(radius) * sphere.ARCSEC_PER_DEG,
         k_sigma)
-    click.echo(timedomain.ALERT_CSV_HEADER)
-    for alert in alerts:
-        click.echo(alert.csv())
+    rows = [tuple(vars(a).values()) for a in alerts]
+    _echo(csvio.blocks("kind,mjd,ra,dec,flux,deviation_sigmas,nearest_master_id",
+                       "%s,%.6f,%.9f,%.9f,%.6f,%.3f,%d", rows))
     click.echo(f"alerts={len(alerts)} stream={len(stream)}", err=True)
 
 
@@ -419,13 +408,12 @@ def movers_cmd(store_dir, rate_max, residual_max, min_length):
     tracks = timedomain.link_movers(
         recs[orphan_mask], rate_max,
         units.parse_angle_deg(residual_max) * sphere.ARCSEC_PER_DEG, min_length)
-    click.echo("track_id,n,ref_mjd,ra,dec,rate_deg_day,position_angle_deg,"
-               "rms_arcsec,debris_candidate,det_ids")
-    for t in tracks:
-        det_ids = ";".join(str(d) for d in t.det_ids)
-        click.echo(f"{t.track_id},{len(t.det_ids)},{t.ref_mjd:.6f},{t.ra:.9f},"
-                   f"{t.dec:.9f},{t.rate_deg_day:.9f},{t.position_angle_deg:.4f},"
-                   f"{t.rms_arcsec:.6f},{int(t.debris_candidate)},{det_ids}")
+    rows = [(t.track_id, len(t.det_ids), t.ref_mjd, t.ra, t.dec, t.rate_deg_day,
+             t.position_angle_deg, t.rms_arcsec, t.debris_candidate,
+             ";".join(map(str, t.det_ids.tolist()))) for t in tracks]
+    _echo(csvio.blocks("track_id,n,ref_mjd,ra,dec,rate_deg_day,position_angle_deg,"
+                       "rms_arcsec,debris_candidate,det_ids",
+                       "%d,%d,%.6f,%.9f,%.9f,%.9f,%.4f,%.6f,%d,%s", rows))
     click.echo(f"tracks={len(tracks)} orphans={int(orphan_mask.sum())}", err=True)
 
 
@@ -458,8 +446,10 @@ def corr_cmd(store_dir, bins_deg, randoms, seed, use_masters):
     rand_unit = np.stack([np.sqrt(1 - z ** 2) * np.cos(phi),
                           np.sqrt(1 - z ** 2) * np.sin(phi), z], axis=1)
     est = mining.correlation_ls(unit, rand_unit, edges)
-    for line in est.csv_lines():
-        click.echo(line)
+    cols = (np.degrees(est.bin_edges_rad[:-1]), np.degrees(est.bin_edges_rad[1:]),
+            est.dd, est.dr, est.rr, est.w, est.err)
+    _echo(csvio.blocks("bin_lo_deg,bin_hi_deg,dd,dr,rr,w,err", "%.6f,%.6f,%d,%d,%d,%.6f,%.6f",
+                       list(zip(*(c.tolist() for c in cols)))))
 
 
 @cli.command("em")
@@ -488,9 +478,8 @@ def em_cmd(store_dir, features, k, mode, seed, tol, max_iter, tau, scores):
                                  seed=seed, tau=tau)
     if scores:
         vals = mining.outlier_scores(model, pts)
-        click.echo("master_id,score")
-        for mid, v in zip(masters["master_id"], vals):
-            click.echo(f"{mid},{v:.6f}")
+        _echo(csvio.blocks("master_id,score", "%d,%.6f",
+                           list(zip(masters["master_id"].tolist(), vals.tolist()))))
     else:
         click.echo(model.to_json())
     click.echo(f"iters={model.n_iter} evals={stats.responsibility_evaluations} "
@@ -511,17 +500,16 @@ def bench20_cmd(store_dir, queries_file):
     qdir = Path(queries_file).resolve().parent
     lines = [ln.strip() for ln in Path(queries_file).read_text().splitlines()
              if ln.strip() and not ln.strip().startswith("#")]
-    click.echo("query_id,exit_code,seconds,command")
-    failures = 0
+    rows = []
     for qid, line in enumerate(lines, 1):
         argv = shlex.split(line.format(store=store_dir, queries=qdir))
         t0 = time.perf_counter()
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink):
             code = run(argv)
-        wall = time.perf_counter() - t0
-        failures += code != 0
-        click.echo(f'{qid},{code},{wall:.3f},"{line}"')
+        rows.append((qid, code, time.perf_counter() - t0, line))
+    _echo(csvio.blocks("query_id,exit_code,seconds,command", '%d,%d,%.3f,"%s"', rows))
+    failures = sum(code != 0 for _, code, _, _ in rows)
     if failures:
         raise ValidationError(f"{failures} of {len(lines)} benchmark queries failed")
 

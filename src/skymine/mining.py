@@ -139,14 +139,6 @@ class CorrelationEstimate:
     w: np.ndarray          # NaN where RR = 0 (undefined bin)
     err: np.ndarray        # Poisson estimate (1+w)/sqrt(DD); NaN where DD = 0
 
-    def csv_lines(self):
-        yield "bin_lo_deg,bin_hi_deg,dd,dr,rr,w,err"
-        lo = np.degrees(self.bin_edges_rad[:-1])
-        hi = np.degrees(self.bin_edges_rad[1:])
-        for i in range(len(self.dd)):
-            yield (f"{lo[i]:.6f},{hi[i]:.6f},{self.dd[i]},{self.dr[i]},{self.rr[i]},"
-                   f"{self.w[i]:.6f},{self.err[i]:.6f}")
-
 
 def correlation_ls(data: np.ndarray, randoms: np.ndarray,
                    bin_edges_rad) -> CorrelationEstimate:

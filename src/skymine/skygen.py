@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .store import DET_DTYPE, ingest_detections
-from . import sphere
+from . import csvio, sphere
 
 RNG_ALGORITHM = "numpy.random.PCG64"
 
@@ -40,6 +40,8 @@ TRUTH_DTYPE = np.dtype([
     ("motion_rate_deg_day", "<f8"),
     ("position_angle_deg", "<f8"),
 ])
+TRUTH_CSV_FORMAT = "%d,%s,%.9f,%.9f,%.6f,%.6f,%.6f,%.6f,%.6f,%.9f,%.6f"  # all but phase
+LABEL_DTYPE = np.dtype([("det_id", "<u8"), ("truth_id", "<i8")])
 
 
 @dataclass(frozen=True)
@@ -201,19 +203,10 @@ def write_survey(config: SurveyConfig, out_dir, partition_count: int = 4):
     truth, detections, labels = generate_survey(config)
     manifest = ingest_detections(detections, partition_count, out)
 
-    lines = ["truth_id,kind,ra,dec,base_flux,period_days,amplitude_fraction,"
-             "burst_epoch,burst_duration_days,motion_rate_deg_day,position_angle_deg"]
-    for t in truth:
-        lines.append(f"{t['truth_id']},{t['kind']},{t['ra']:.9f},{t['dec']:.9f},"
-                     f"{t['base_flux']:.6f},{t['period_days']:.6f},"
-                     f"{t['amplitude_fraction']:.6f},{t['burst_epoch']:.6f},"
-                     f"{t['burst_duration_days']:.6f},{t['motion_rate_deg_day']:.9f},"
-                     f"{t['position_angle_deg']:.6f}")
-    (out / "truth.csv").write_text("\n".join(lines) + "\n")
-
-    label_lines = ["det_id,truth_id"]
-    label_lines += [f"{d},{t}" for d, t in zip(detections["det_id"], labels)]
-    (out / "labels.csv").write_text("\n".join(label_lines) + "\n")
+    names = [n for n in TRUTH_DTYPE.names if n != "phase"]
+    (out / "truth.csv").write_text(csvio.text(",".join(names), TRUTH_CSV_FORMAT, truth[names]))
+    label_rows = list(zip(detections["det_id"].tolist(), labels.tolist()))
+    (out / "labels.csv").write_text(csvio.text("det_id,truth_id", "%d,%d", label_rows))
 
     kinds, counts = (np.unique(truth["kind"], return_counts=True)
                      if len(truth) else (np.empty(0, dtype="U10"), np.empty(0, dtype=int)))
@@ -229,9 +222,5 @@ def write_survey(config: SurveyConfig, out_dir, partition_count: int = 4):
 
 
 def read_labels(store) -> dict[int, int]:
-    text = (Path(store) / "labels.csv").read_text()
-    out = {}
-    for line in text.strip().splitlines()[1:]:
-        d, t = line.split(",")
-        out[int(d)] = int(t)
-    return out
+    table = csvio.read((Path(store) / "labels.csv").read_text(), LABEL_DTYPE)
+    return dict(zip(table["det_id"].tolist(), table["truth_id"].tolist()))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import StoreIOError, ValidationError
-from . import sphere
+from . import csvio, sphere
 
 SCHEMA_VERSION = 1
 
@@ -42,6 +42,7 @@ RECORD_SIZE = DET_DTYPE.itemsize
 assert RECORD_SIZE == 64
 
 FIELD_NAMES = tuple(n for n in DET_DTYPE.names if n != "pad")
+DET_CSV_FORMAT = "%d,%d,%.6f,%.9f,%.9f,%.6f,%.6f,%d,%d,%d"  # FIELD_NAMES
 
 MASTER_DTYPE = np.dtype([
     ("master_id", "<u8"),
@@ -53,6 +54,7 @@ MASTER_DTYPE = np.dtype([
     ("first_mjd", "<f8"),
     ("last_mjd", "<f8"),
 ])
+MASTER_CSV_FORMAT = "%d,%.9f,%.9f,%d,%.6f,%.6f,%.6f,%.6f"
 
 MASTER_CLASSES = ("unclassified", "static", "variable", "transient",
                   "mover-candidate", "defect")
@@ -582,77 +584,26 @@ def build_master(store, match_radius_arcsec: float):
 
 
 def _masters_csv(masters: np.ndarray) -> bytes:
-    lines = ["master_id,ra,dec,n_detections,mean_flux,flux_variance,first_mjd,last_mjd"]
-    for m in masters:
-        lines.append(f"{m['master_id']},{m['ra']:.9f},{m['dec']:.9f},"
-                     f"{m['n_detections']},{m['mean_flux']:.6f},{m['flux_variance']:.6f},"
-                     f"{m['first_mjd']:.6f},{m['last_mjd']:.6f}")
-    return ("\n".join(lines) + "\n").encode()
+    return csvio.text(",".join(MASTER_DTYPE.names), MASTER_CSV_FORMAT, masters).encode()
 
 
 def read_masters(store) -> np.ndarray:
     path = Path(store) / "masters.csv"
     try:
-        text = path.read_text()
+        return csvio.read(path.read_text(), MASTER_DTYPE)
     except OSError as exc:
         raise StoreIOError(f"no master table at {path}; run the cross-match first") from exc
-    rows = text.strip().splitlines()[1:]
-    masters = np.zeros(len(rows), dtype=MASTER_DTYPE)
-    for i, row in enumerate(rows):
-        vals = row.split(",")
-        masters[i] = (int(vals[0]), float(vals[1]), float(vals[2]), int(vals[3]),
-                      float(vals[4]), float(vals[5]), float(vals[6]), float(vals[7]))
-    return masters
-
-
-def _parses(cell: np.ndarray, dtype) -> bool:
-    try:
-        cell.astype(dtype)
-        return True
-    except (ValueError, OverflowError):
-        return False
-
-
-def _parse_column(name: str, text: np.ndarray) -> np.ndarray:
-    """One CSV column as the field's values: integers exactly, floats as
-    float64 (assigning them to the record casts them to the field's width)."""
-    dtype = DET_DTYPE[name]
-    if dtype.kind == "u":
-        parse, top = np.uint64, np.iinfo(dtype).max
-        what = f"an integer in [0, {top}]"
-    else:
-        parse, top, what = np.float64, np.inf, "a number"
-    try:
-        values = text.astype(parse)
-        bad = np.flatnonzero(values > top)
-    except (ValueError, OverflowError):
-        bad = [next(i for i in range(len(text)) if not _parses(text[i:i + 1], parse))]
-    if len(bad):
-        raise ValidationError(f"record {bad[0]}: {name} {str(text[bad[0]])!r} is not {what}")
-    return values
+    except (ValidationError, UnicodeDecodeError) as exc:
+        raise StoreIOError(f"{path}: {exc}") from exc
 
 
 def records_from_csv(text: str) -> np.ndarray:
     """Parse detection CSV with the header `records_to_csv_lines` writes.
     Errors name the ordinal of the first bad record."""
-    lines = text.strip().splitlines()
-    if not lines or tuple(lines[0].split(",")) != FIELD_NAMES:
-        raise ValidationError(f"expected header {','.join(FIELD_NAMES)}")
-    rows = [line.split(",") for line in lines[1:]]
-    for ordinal, vals in enumerate(rows):
-        if len(vals) != len(FIELD_NAMES):
-            raise ValidationError(f"record {ordinal}: wrong column count")
-    records = np.zeros(len(rows), dtype=DET_DTYPE)
-    table = np.array(rows, dtype=str).reshape(len(rows), len(FIELD_NAMES))
-    for j, name in enumerate(FIELD_NAMES):
-        records[name] = _parse_column(name, table[:, j])
-    return records
+    return csvio.read(text, DET_DTYPE, FIELD_NAMES)
 
 
 def records_to_csv_lines(records: np.ndarray):
-    """Stream detection records as CSV (header first)."""
-    yield ",".join(FIELD_NAMES)
-    for r in records:
-        yield (f"{r['det_id']},{r['pass_id']},{r['mjd']:.6f},{r['ra']:.9f},"
-               f"{r['dec']:.9f},{r['flux']:.6f},{r['flux_err']:.6f},{r['flags']},"
-               f"{r['zone']},{r['master_id']}")
+    """Detection records as CSV lines: the header, then blocks of rows
+    (`csvio.blocks`), so `"\\n".join` of them is the CSV text."""
+    return csvio.blocks(",".join(FIELD_NAMES), DET_CSV_FORMAT, records[list(FIELD_NAMES)])

@@ -269,13 +269,6 @@ class Alert:
     deviation_sigmas: float
     nearest_master_id: int  # 0 for new-source alerts
 
-    def csv(self) -> str:
-        return (f"{self.kind},{self.mjd:.6f},{self.ra:.9f},{self.dec:.9f},"
-                f"{self.flux:.6f},{self.deviation_sigmas:.3f},{self.nearest_master_id}")
-
-
-ALERT_CSV_HEADER = "kind,mjd,ra,dec,flux,deviation_sigmas,nearest_master_id"
-
 
 def run_trigger(stream: np.ndarray, masters: np.ndarray, match_radius_arcsec: float,
                 k_sigma: float = 5.0) -> list[Alert]:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skymine import mining, sphere
-from skymine.errors import ValidationError
+from skymine import cli, mining, sphere, store
+from skymine.errors import EXIT_OK, ValidationError
 
 
 def uniform_sphere(seed, n):
@@ -132,12 +132,20 @@ class TestCorrelation:
                  / (rr / (500 * 500 / 2.0)))
         assert np.allclose(a.w, np.where(rr > 0, w, np.nan), equal_nan=True)
 
-    def test_csv_lines(self):
-        est = mining.correlation_ls(uniform_sphere(15, 100),
-                                    uniform_sphere(16, 100), DEG_BINS)
-        lines = list(est.csv_lines())
-        assert lines[0].startswith("bin_lo_deg")
-        assert len(lines) == len(DEG_BINS)
+    def test_csv_lines(self, capsys, reference_store):
+        """`corr` prints the header, then one row per bin with its edges in
+        degrees and the data pair count of the master positions."""
+        code = cli.run(["corr", "--store", str(reference_store), "--bins-deg", "1,10,3",
+                        "--randoms", "200", "--seed", "3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        assert lines[0] == "bin_lo_deg,bin_hi_deg,dd,dr,rr,w,err"
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [
+            ["1.000000", "4.000000"], ["4.000000", "7.000000"], ["7.000000", "10.000000"]]
+        masters = store.read_masters(reference_store)
+        unit = sphere.radec_to_unit(masters["ra"], masters["dec"])
+        dd = mining.pair_count(unit, np.radians(np.linspace(1, 10, 4))).counts
+        assert [int(ln.split(",")[2]) for ln in lines[1:]] == dd.tolist()
 
     def test_too_few_points(self):
         with pytest.raises(ValidationError):

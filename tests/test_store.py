@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skymine import skygen, sphere, store
-from skymine.errors import StoreIOError, ValidationError
+from skymine import cli, skygen, sphere, store
+from skymine.errors import EXIT_IO, StoreIOError, ValidationError
 
 
 def make_records(n, seed=0):
@@ -296,6 +296,63 @@ class TestMaster:
     def test_missing_masters_table(self, small_store):
         with pytest.raises(StoreIOError, match="master"):
             store.read_masters(small_store[0])
+
+
+class TestCorruptMasters:
+    """A damaged masters.csv is an I/O error naming the file and the row,
+    for `read_masters` and for every command that reads it."""
+
+    COMMANDS = [["neighbors"], ["trigger", "--stream", "{store}"], ["movers"],
+                ["corr", "--seed", "1", "--randoms", "10"], ["em", "--seed", "1"]]
+
+    @pytest.fixture
+    def mastered(self, tmp_path):
+        store.ingest_detections(make_records(50), 2, tmp_path)
+        store.build_master(tmp_path, 1.0)
+        return tmp_path
+
+    def corrupt(self, path, field, value):
+        lines = (path / "masters.csv").read_text().splitlines()
+        if field is None:
+            lines[2] = value
+        else:
+            vals = lines[2].split(",")
+            vals[store.MASTER_DTYPE.names.index(field)] = value
+            lines[2] = ",".join(vals)
+        (path / "masters.csv").write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("ra", "abc", "record 1: ra 'abc' is not a number"),
+        (None, "7,abc,1.0", "record 1: wrong column count"),
+        ("master_id", str(2 ** 64), f"record 1: master_id '{2 ** 64}' is not an integer"),
+        ("master_id", "-1", "record 1: master_id '-1' is not an integer"),
+        ("n_detections", str(2 ** 32), "record 1: n_detections"),
+    ])
+    def test_read_masters_names_file_and_row(self, mastered, field, value, message):
+        self.corrupt(mastered, field, value)
+        with pytest.raises(StoreIOError, match="masters.csv") as info:
+            store.read_masters(mastered)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_commands_exit_3(self, capsys, mastered, command):
+        self.corrupt(mastered, None, "7,abc,1.0")
+        argv = [a.format(store=mastered) for a in command]
+        code = cli.run([argv[0], "--store", str(mastered), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert "masters.csv: record 1: wrong column count" in err
+        assert "Traceback" not in err
+
+    def test_wrong_header(self, mastered):
+        (mastered / "masters.csv").write_text("id,ra\n1,2\n")
+        with pytest.raises(StoreIOError, match="expected header master_id,ra,dec"):
+            store.read_masters(mastered)
+
+    def test_header_only_is_empty(self, mastered):
+        text = (mastered / "masters.csv").read_text()
+        (mastered / "masters.csv").write_text(text.splitlines()[0] + "\n")
+        assert len(store.read_masters(mastered)) == 0
 
 
 class _HalfWrite:
