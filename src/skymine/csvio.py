@@ -39,18 +39,18 @@ def text(header: str, fmt: str, rows) -> str:
     return "\n".join(blocks(header, fmt, rows)) + "\n"
 
 
-def _parses(cell: np.ndarray, dtype) -> bool:
+def _parses(cell: str, dtype) -> bool:
     try:
-        cell.astype(dtype)
+        np.array([cell], dtype=dtype)
         return True
     except (ValueError, OverflowError):
         return False
 
 
-def _parse_column(name: str, dtype: np.dtype, cells: np.ndarray) -> np.ndarray:
-    """One column as the field's values: integers exactly and within the
-    field's range, floats as float64 (assigning them to the field casts them
-    to its width)."""
+def _parse_column(name: str, dtype: np.dtype, cells) -> np.ndarray:
+    """One column of text cells as the field's values: integers exactly and
+    within the field's range, floats as float64 as float() parses them
+    (assigning them to the field casts them to its width)."""
     if dtype.kind in "iu":
         info = np.iinfo(dtype)
         parse, lo, hi = (np.uint64 if dtype.kind == "u" else np.int64), info.min, info.max
@@ -58,21 +58,21 @@ def _parse_column(name: str, dtype: np.dtype, cells: np.ndarray) -> np.ndarray:
     else:
         parse, lo, hi, what = np.float64, -np.inf, np.inf, "a number"
     try:
-        values = cells.astype(parse)
+        values = np.array(cells, dtype=parse)
         bad = np.flatnonzero((values < lo) | (values > hi))
     except (ValueError, OverflowError):
-        bad = [next(i for i in range(len(cells)) if not _parses(cells[i:i + 1], parse))]
+        bad = [next(i for i, cell in enumerate(cells) if not _parses(cell, parse))]
     if len(bad):
-        raise ValidationError(f"record {bad[0]}: {name} {str(cells[bad[0]])!r} is not {what}")
+        raise ValidationError(f"record {bad[0]}: {name} {cells[bad[0]]!r} is not {what}")
     return values
 
 
-def read(text: str, dtype: np.dtype, names=None) -> np.ndarray:
+def read(csv_text: str, dtype: np.dtype, names=None) -> np.ndarray:
     """Parse CSV whose header is `names` (default: every field of `dtype`)
     into an array of `dtype`; fields not in the CSV are zero. Errors name the
     ordinal of the first bad record (0 is the first row after the header)."""
     names = tuple(dtype.names if names is None else names)
-    lines = text.strip().splitlines()
+    lines = csv_text.strip().splitlines()
     if not lines or tuple(lines[0].split(",")) != names:
         raise ValidationError(f"expected header {','.join(names)}")
     rows = [line.split(",") for line in lines[1:]]
@@ -80,7 +80,7 @@ def read(text: str, dtype: np.dtype, names=None) -> np.ndarray:
         if len(vals) != len(names):
             raise ValidationError(f"record {ordinal}: wrong column count")
     out = np.zeros(len(rows), dtype=dtype)
-    cells = np.array(rows, dtype=str).reshape(len(rows), len(names))
-    for j, name in enumerate(names):
-        out[name] = _parse_column(name, dtype[name], cells[:, j])
+    columns = zip(*rows) if rows else [()] * len(names)
+    for name, cells in zip(names, columns):
+        out[name] = _parse_column(name, dtype[name], cells)
     return out

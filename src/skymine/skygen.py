@@ -40,7 +40,7 @@ TRUTH_DTYPE = np.dtype([
     ("motion_rate_deg_day", "<f8"),
     ("position_angle_deg", "<f8"),
 ])
-TRUTH_CSV_FORMAT = "%d,%s,%.9f,%.9f,%.6f,%.6f,%.6f,%.6f,%.6f,%.9f,%.6f"  # all but phase
+TRUTH_CSV_FORMAT = "%d,%s,%.9f,%.9f,%.6f,%.6f,%.6f,%.6f,%.6f,%.9f,%.6f"  # fields but phase
 LABEL_DTYPE = np.dtype([("det_id", "<u8"), ("truth_id", "<i8")])
 
 

@@ -42,7 +42,7 @@ RECORD_SIZE = DET_DTYPE.itemsize
 assert RECORD_SIZE == 64
 
 FIELD_NAMES = tuple(n for n in DET_DTYPE.names if n != "pad")
-DET_CSV_FORMAT = "%d,%d,%.6f,%.9f,%.9f,%.6f,%.6f,%d,%d,%d"  # FIELD_NAMES
+DET_CSV_FORMAT = "%d,%d,%.6f,%.9f,%.9f,%.6f,%.6f,%d,%d,%d"  # of FIELD_NAMES
 
 MASTER_DTYPE = np.dtype([
     ("master_id", "<u8"),
