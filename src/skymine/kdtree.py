@@ -4,7 +4,9 @@ The tree serves the two hierarchical jobs: the dual-tree pair counter and
 the node-pruned EM E-step. (Fixed-radius point searches use the sorted cell
 keys in `sphere`.) Nodes are stored in flat arrays; each node covers a
 contiguous slice of the permuted point index, and carries an axis-aligned
-bounding box over its points.
+bounding box over its points. Both jobs walk the tree one level at a time
+over arrays of node ids, bounding every node (pair) of a level with one call
+to `box_sqdist_bounds`.
 """
 
 from __future__ import annotations
@@ -78,24 +80,28 @@ class KdTree:
     def node_count(self, node: int) -> int:
         return int(self.node_end[node] - self.node_start[node])
 
-    # -- box geometry helpers -------------------------------------------------
+    def nodes_indices(self, nodes: np.ndarray) -> np.ndarray:
+        """Original indices of the points under each of `nodes`, concatenated
+        in the order given."""
+        start = self.node_start[nodes]
+        count = self.node_end[nodes] - start
+        first = np.repeat(start - (np.cumsum(count) - count), count)
+        return self.perm[first + np.arange(count.sum())]
 
-    def box_min_sqdist(self, node: int, q: np.ndarray) -> float:
-        """Squared Euclidean distance from q to the node's bounding box."""
-        d = np.maximum(0.0, np.maximum(self.node_lo[node] - q, q - self.node_hi[node]))
-        return float(d @ d)
 
-    def box_max_sqdist(self, node: int, q: np.ndarray) -> float:
-        d = np.maximum(self.node_hi[node] - q, q - self.node_lo[node])
-        return float(d @ d)
+def box_sqdist_bounds(lo_a, hi_a, lo_b, hi_b) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) squared Euclidean distance between the boxes [lo_a, hi_a]
+    and [lo_b, hi_b], one pair per row of the broadcast leading axes (the
+    last axis holds the coordinates). A point is a box with lo == hi.
 
-    def box_pair_sqdist_bounds(self, node_a: int, node_b: int,
-                               other: KdTree | None = None) -> tuple[float, float]:
-        """(min, max) squared Euclidean distance between the box of `node_a`
-        and the box of `node_b` of `other` (this tree when None)."""
-        other = self if other is None else other
-        gap = np.maximum(0.0, np.maximum(self.node_lo[node_a] - other.node_hi[node_b],
-                                         other.node_lo[node_b] - self.node_hi[node_a]))
-        far = np.maximum(self.node_hi[node_a] - other.node_lo[node_b],
-                         other.node_hi[node_b] - self.node_lo[node_a])
-        return float(gap @ gap), float(far @ far)
+    Each sum of squares is a stack of 1xd @ dx1 products, which runs the
+    same dot kernel as `g @ g` on one row, so a bound is bit for bit the
+    one a per-node computation gives.
+    """
+    gap = np.maximum(0.0, np.maximum(lo_a - hi_b, lo_b - hi_a))
+    far = np.maximum(hi_a - lo_b, hi_b - lo_a)
+    return _row_sqnorms(gap), _row_sqnorms(far)
+
+
+def _row_sqnorms(v: np.ndarray) -> np.ndarray:
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]

@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from .errors import ValidationError
-from .kdtree import KdTree
+from .kdtree import KdTree, box_sqdist_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +59,13 @@ def pair_count(points: np.ndarray, bin_edges_rad, others: np.ndarray | None = No
     the unordered pairs within `points`, or, given `others`, the cross pairs
     with one point from each set.
 
-    A node pair whose box distance interval lies strictly inside one bin is
-    counted whole; one outside every bin is skipped; two leaves are compared
-    point by point. The walk splits one node per call, so its recursion
-    depth is at most the sum of the two trees' depths.
+    The walk handles one level of node pairs per step. A node pair whose box
+    distance interval lies strictly inside one bin is counted whole; one
+    outside every bin is skipped; a pair of two leaves is kept; any other
+    pair is replaced by the two pairs of the wider node's children (by point
+    count; a leaf is never split). A node's own pairs are its children's own
+    pairs plus their cross pairs. The kept leaves are compared point by
+    point after the walk (`_compare_leaves`).
     """
     a_pts = np.asarray(points, dtype=np.float64)
     if others is None:
@@ -76,55 +79,82 @@ def pair_count(points: np.ndarray, bin_edges_rad, others: np.ndarray | None = No
             raise ValidationError("cross pair counting needs non-empty sets")
         total = len(a_pts) * len(b_pts)
     edges2 = _chord2_edges(bin_edges_rad)
-    counts = np.zeros(len(edges2) - 1, dtype=np.int64)
+    n_bins = len(edges2) - 1
+    counts = np.zeros(n_bins, dtype=np.int64)
     tree_a = KdTree(a_pts, leaf_size=leaf_size)
     tree_b = tree_a if others is None else KdTree(b_pts, leaf_size=leaf_size)
-    evals = [0]
+    size_a = tree_a.node_end - tree_a.node_start
+    size_b = tree_b.node_end - tree_b.node_start
+    leaf_a, leaf_b = tree_a.node_left < 0, tree_b.node_left < 0
 
-    def visit_cross(na: int, nb: int) -> None:
-        dmin2, dmax2 = tree_a.box_pair_sqdist_bounds(na, nb, tree_b)
-        if dmax2 < edges2[0] or dmin2 > edges2[-1]:
-            return
-        k = int(np.searchsorted(edges2, dmin2, side="right")) - 1
-        if 0 <= k < len(edges2) - 1 and dmin2 >= edges2[k] and dmax2 < edges2[k + 1]:
-            counts[k] += tree_a.node_count(na) * tree_b.node_count(nb)
-            return
-        a_leaf, b_leaf = tree_a.is_leaf(na), tree_b.is_leaf(nb)
-        if a_leaf and b_leaf:
-            ia, ib = tree_a.node_indices(na), tree_b.node_indices(nb)
-            d2 = _pairwise_d2(a_pts[ia], b_pts[ib]).ravel()
-            evals[0] += len(ia) * len(ib)
-            _bin_d2(d2, edges2, counts)
-            return
+    root, none = np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    # own: nodes whose pairs within themselves are due; (na, nb): node pairs
+    # whose cross pairs are due
+    own, na, nb = (root, none, none) if others is None else (none, root, root)
+    own_leaves, leaf_pairs = [], []
+    while len(own) or len(na):
+        own_leaves.append(own[leaf_a[own]])
+        halved = own[~leaf_a[own]]
+        dmin2, dmax2 = box_sqdist_bounds(tree_a.node_lo[na], tree_a.node_hi[na],
+                                         tree_b.node_lo[nb], tree_b.node_hi[nb])
+        live = (dmax2 >= edges2[0]) & (dmin2 <= edges2[-1])
+        k = np.searchsorted(edges2, dmin2, side="right") - 1
+        in_bins = (k >= 0) & (k < n_bins)
+        kc = np.where(in_bins, k, 0)
+        whole = live & in_bins & (dmin2 >= edges2[kc]) & (dmax2 < edges2[kc + 1])
+        np.add.at(counts, k[whole], size_a[na[whole]] * size_b[nb[whole]])
+        na, nb = na[live & ~whole], nb[live & ~whole]
+        a_leaf, b_leaf = leaf_a[na], leaf_b[nb]
+        both = a_leaf & b_leaf
+        leaf_pairs.append((na[both], nb[both]))
         # split the wider node
-        if b_leaf or (not a_leaf and tree_a.node_count(na) >= tree_b.node_count(nb)):
-            visit_cross(int(tree_a.node_left[na]), nb)
-            visit_cross(int(tree_a.node_right[na]), nb)
-        else:
-            visit_cross(na, int(tree_b.node_left[nb]))
-            visit_cross(na, int(tree_b.node_right[nb]))
+        by_a = ~both & (b_leaf | (~a_leaf & (size_a[na] >= size_b[nb])))
+        by_b = ~both & ~by_a
+        split_a, split_b = na[by_a], nb[by_b]
+        na, nb = (np.concatenate([tree_a.node_left[split_a], tree_a.node_right[split_a],
+                                  na[by_b], na[by_b], tree_a.node_left[halved]]),
+                  np.concatenate([nb[by_a], nb[by_a], tree_b.node_left[split_b],
+                                  tree_b.node_right[split_b], tree_a.node_right[halved]]))
+        own = np.concatenate([tree_a.node_left[halved], tree_a.node_right[halved]])
 
-    def visit_self(node: int) -> None:
-        if tree_a.is_leaf(node):
-            idx = tree_a.node_indices(node)
-            if len(idx) < 2:
-                return
-            d2 = _pairwise_d2(a_pts[idx], a_pts[idx])
-            iu = np.triu_indices(len(idx), k=1)
-            evals[0] += len(iu[0])
-            _bin_d2(d2[iu], edges2, counts)
-            return
-        left, right = int(tree_a.node_left[node]), int(tree_a.node_right[node])
-        visit_self(left)
-        visit_self(right)
-        visit_cross(left, right)
-
-    if others is None:
-        visit_self(0)
-    else:
-        visit_cross(0, 0)
+    own = np.concatenate(own_leaves)
+    evals = _compare_leaves(tree_a, own, tree_a, own, edges2, counts, within=True)
+    evals += _compare_leaves(tree_a, np.concatenate([p[0] for p in leaf_pairs]),
+                             tree_b, np.concatenate([p[1] for p in leaf_pairs]),
+                             edges2, counts)
     return PairCountHistogram(np.asarray(bin_edges_rad, dtype=np.float64),
-                              counts, total, evals[0])
+                              counts, total, evals)
+
+
+_BATCH_PAIRS = 1 << 18   # most point pairs compared in one array operation
+
+
+def _compare_leaves(tree_a: KdTree, la: np.ndarray, tree_b: KdTree, lb: np.ndarray,
+                    edges2: np.ndarray, counts: np.ndarray, within: bool = False) -> int:
+    """Bin the distance of every point pair of each leaf pair (la[i], lb[i]),
+    or with `within` (la == lb) of every unordered pair inside each leaf.
+    Leaf pairs of one shape are compared together, with the same einsum
+    reduction as `_pairwise_d2`. Returns the number of distances computed."""
+    if len(la) == 0:
+        return 0
+    sizes = np.stack([tree_a.node_end[la] - tree_a.node_start[la],
+                      tree_b.node_end[lb] - tree_b.node_start[lb]])
+    shapes, group = np.unique(sizes, axis=1, return_inverse=True)
+    evals = 0
+    for g, (sa, sb) in enumerate(shapes.T.tolist()):
+        rows = np.flatnonzero(group.ravel() == g)
+        pa = tree_a.points[tree_a.perm[tree_a.node_start[la[rows], None] + np.arange(sa)]]
+        pb = tree_b.points[tree_b.perm[tree_b.node_start[lb[rows], None] + np.arange(sb)]]
+        iu = np.triu_indices(sa, k=1)
+        step = max(1, _BATCH_PAIRS // (sa * sb))
+        for lo in range(0, len(rows), step):
+            diff = pa[lo:lo + step, :, None, :] - pb[lo:lo + step, None, :, :]
+            d2 = np.einsum("gijk,gijk->gij", diff, diff)
+            if within:
+                d2 = d2[:, iu[0], iu[1]]
+            _bin_d2(d2.ravel(), edges2, counts)
+            evals += d2.size
+    return evals
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +307,12 @@ def em_fit(points: np.ndarray, k: int, mode: str = "exact", tol: float = 1e-6,
     lls: list[float] = []
 
     tree = KdTree(points, leaf_size=leaf_size) if mode == "kd" else None
-    node_aggr = None
-    if tree is not None:
-        counts = np.array([tree.node_count(i) for i in range(tree.n_nodes)], dtype=np.float64)
-        sums = np.zeros((tree.n_nodes, d))
-        sqsums = np.zeros((tree.n_nodes, d, d))
-        for i in range(tree.n_nodes):
-            idx = tree.node_indices(i)
-            if len(idx):
-                sums[i] = points[idx].sum(axis=0)
-                sqsums[i] = points[idx].T @ points[idx]
-        node_aggr = (counts, sums, sqsums)
+    node_aggr = None if tree is None else _node_aggregates(tree, points)
 
     for it in range(max_iter):
         if mode == "exact":
-            logp = _component_logpdfs(points, means, covs)
+            resp, norm = _responsibilities(points, means, covs, np.log(weights))
             stats.responsibility_evaluations += n * k
-            joint = logp + np.log(weights)
-            norm = logsumexp(joint, axis=1)
-            resp = np.exp(joint - norm[:, None])
             ll = float(np.sum(norm))
             nk = resp.sum(axis=0)
             new_means = (resp.T @ points) / nk[:, None]
@@ -325,86 +342,105 @@ def em_fit(points: np.ndarray, k: int, mode: str = "exact", tol: float = 1e-6,
     return model, stats
 
 
+def _responsibilities(points: np.ndarray, means, covs, log_w):
+    """(N, k) responsibilities and the (N,) log mixture densities."""
+    joint = _component_logpdfs(points, means, covs) + log_w
+    norm = logsumexp(joint, axis=1)
+    return np.exp(joint - norm[:, None]), norm
+
+
+def _node_aggregates(tree: KdTree, points: np.ndarray):
+    """Per-node point count, coordinate sum and sum of outer products."""
+    d = points.shape[1]
+    counts = (tree.node_end - tree.node_start).astype(np.float64)
+    sums = np.zeros((tree.n_nodes, d))
+    sqsums = np.zeros((tree.n_nodes, d, d))
+    for i in range(tree.n_nodes):
+        idx = tree.node_indices(i)
+        if len(idx):
+            sums[i] = points[idx].sum(axis=0)
+            sqsums[i] = points[idx].T @ points[idx]
+    return counts, sums, sqsums
+
+
+def _tight_nodes(hi: np.ndarray, lo: np.ndarray, tau: float) -> np.ndarray:
+    """Nodes (rows) where every component's responsibility lies in an
+    interval no wider than tau, given lo <= log(w_j p_j(x)) <= hi over the
+    node. With rest_j the log-sum-exp over the other components, component
+    j's responsibility lies in [expit(lo_j - rest_hi_j),
+    expit(hi_j - rest_lo_j)]; in log space nothing overflows."""
+    k = hi.shape[1]
+    if k == 1:
+        return np.ones(len(hi), dtype=bool)
+    others = np.where(np.eye(k, dtype=bool), -np.inf, 0.0)   # row j drops component j
+    rest_hi, rest_lo = logsumexp(np.stack([hi, lo])[:, :, None, :] + others, axis=3)
+    spread = expit(hi - rest_lo) - expit(lo - rest_hi)
+    return ~np.any(spread > tau, axis=1)
+
+
 def _kd_estep(tree: KdTree, points: np.ndarray, node_aggr, weights, means, covs,
               tau: float, stats: KdTreeStats):
-    """Node-pruned E-step: accumulate (Nk, sum x, sum xx^T) per component."""
+    """Node-pruned E-step: accumulate (Nk, sum x, sum xx^T) per component.
+
+    The walk handles one tree level per step. It bounds each component's
+    log density over every frontier node's box at once, from the box-to-mean
+    distances and the covariance's extreme eigenvalues. A node whose
+    responsibility bounds are tight (`_tight_nodes`) is pruned: all its
+    points take the responsibilities of its centroid. An open leaf keeps its
+    points; an open inner node is replaced by its children. After the walk
+    the pruned centroids and the open leaves' points are each scored in one
+    call.
+    """
     counts, sums, sqsums = node_aggr
     k = len(weights)
     d = points.shape[1]
     log_w = np.log(weights)
+    chols = np.linalg.cholesky(covs)
+    logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    eigvals = np.linalg.eigvalsh(covs)
+    lam_min, lam_max = eigvals[:, 0], eigvals[:, -1]
+    log_norm = -0.5 * (logdets + d * np.log(2.0 * np.pi))
 
-    chols = [np.linalg.cholesky(covs[j]) for j in range(k)]
-    logdets = [2.0 * np.sum(np.log(np.diag(c))) for c in chols]
-    eigvals = [np.linalg.eigvalsh(covs[j]) for j in range(k)]
-    lam_min = np.array([e[0] for e in eigvals])
-    lam_max = np.array([e[-1] for e in eigvals])
-    log_norm = np.array([-0.5 * (logdets[j] + d * np.log(2.0 * np.pi))
-                         for j in range(k)])
+    pruned, leaves = [], []
+    frontier = np.zeros(1, dtype=np.int64)   # em_fit has N >= 1: no node is empty
+    while len(frontier):
+        lo_box, hi_box = tree.node_lo[frontier, None], tree.node_hi[frontier, None]
+        dmin2, dmax2 = box_sqdist_bounds(lo_box, hi_box, means, means)   # (nodes, k)
+        hi = log_w + (log_norm - 0.5 * dmin2 / lam_max)
+        lo = log_w + (log_norm - 0.5 * dmax2 / lam_min)
+        tight = _tight_nodes(hi, lo, tau)
+        pruned.append(frontier[tight])
+        frontier = frontier[~tight]
+        leaf = tree.node_left[frontier] < 0
+        leaves.append(frontier[leaf])
+        frontier = np.concatenate([tree.node_left[frontier[~leaf]],
+                                   tree.node_right[frontier[~leaf]]])
 
     nk = np.zeros(k)
     sum_x = np.zeros((k, d))
     sum_xx = np.zeros((k, d, d))
-    ll = [0.0]
-
-    def points_estep(idx):
-        pts = points[idx]
-        logp = _component_logpdfs(pts, means, covs)
+    ll = 0.0
+    pruned = np.concatenate(pruned)
+    if len(pruned):
+        stats.nodes_pruned += len(pruned)
+        stats.responsibility_evaluations += len(pruned) * k
+        cnt = counts[pruned]
+        resp, norm = _responsibilities(sums[pruned] / cnt[:, None], means, covs, log_w)
+        ll += float(cnt @ norm)
+        nk += cnt @ resp
+        sum_x += resp.T @ sums[pruned]
+        sum_xx += np.einsum("nj,nab->jab", resp, sqsums[pruned])
+    idx = tree.nodes_indices(np.concatenate(leaves))
+    if len(idx):
         stats.responsibility_evaluations += len(idx) * k
-        joint = logp + log_w
-        norm = logsumexp(joint, axis=1)
-        resp = np.exp(joint - norm[:, None])
-        ll[0] += float(np.sum(norm))
+        pts = points[idx]
+        resp, norm = _responsibilities(pts, means, covs, log_w)
+        ll += float(np.sum(norm))
+        nk += resp.sum(axis=0)
+        sum_x += resp.T @ pts
         for j in range(k):
-            nk[j] += resp[:, j].sum()
-            sum_x[j] += resp[:, j] @ pts
             sum_xx[j] += (resp[:, j][:, None] * pts).T @ pts
-
-    def visit(node: int):
-        cnt = counts[node]
-        if cnt == 0:
-            return
-        # bounds on each component's log density over the node box
-        dmin2 = np.array([tree.box_min_sqdist(node, means[j]) for j in range(k)])
-        dmax2 = np.array([tree.box_max_sqdist(node, means[j]) for j in range(k)])
-        logp_hi = log_norm - 0.5 * dmin2 / lam_max
-        logp_lo = log_norm - 0.5 * dmax2 / lam_min
-        hi = log_w + logp_hi
-        lo = log_w + logp_lo
-        # responsibility bounds from the density bounds
-        spread_ok = True
-        for j in range(k):
-            if k == 1:
-                break
-            rest_hi = logsumexp(np.delete(hi, j))
-            rest_lo = logsumexp(np.delete(lo, j))
-            r_max = 1.0 / (1.0 + np.exp(rest_lo - hi[j]))
-            r_min = 1.0 / (1.0 + np.exp(rest_hi - lo[j]))
-            if r_max - r_min > tau:
-                spread_ok = False
-                break
-        if spread_ok:
-            stats.nodes_pruned += 1
-            centroid = (sums[node] / cnt)[None, :]
-            logp_c = _component_logpdfs(centroid, means, covs)[0]
-            stats.responsibility_evaluations += k
-            joint = logp_c + log_w
-            norm = logsumexp(joint)
-            resp = np.exp(joint - norm)
-            ll[0] += float(cnt * norm)
-            for j in range(k):
-                nk[j] += resp[j] * cnt
-                sum_x[j] += resp[j] * sums[node]
-                sum_xx[j] += resp[j] * sqsums[node]
-            return
-        if tree.is_leaf(node):
-            points_estep(tree.node_indices(node))
-            return
-        visit(int(tree.node_left[node]))
-        visit(int(tree.node_right[node]))
-
-    visit(0)
-    nk = np.maximum(nk, 1e-12)
-    return nk, sum_x, sum_xx, ll[0]
+    return np.maximum(nk, 1e-12), sum_x, sum_xx, ll
 
 
 def outlier_scores(model: MixtureModel, points: np.ndarray) -> np.ndarray:

@@ -59,10 +59,6 @@ def chord_for_angle(theta_rad: float) -> float:
     return 2.0 * np.sin(0.5 * theta_rad)
 
 
-def angle_for_chord(chord: float) -> float:
-    return 2.0 * np.arcsin(np.clip(0.5 * chord, -1.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # regions
 
@@ -229,11 +225,12 @@ def neighbors_join(ids, ra_deg, dec_deg, theta_max_arcsec: float):
 
     Returns (structured array [id_a, id_b, separation_arcsec],
     distance_evaluations), the second being the number of candidate pairs
-    whose distance was computed.
+    whose distance was computed. Ids are unsigned 64-bit, as the store keeps
+    det_id and master_id.
     """
     if theta_max_arcsec <= 0:
         raise ValidationError("theta_max must be > 0")
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.uint64)
     unit = radec_to_unit(ra_deg, dec_deg)
     chord = chord_for_angle(np.radians(theta_max_arcsec / ARCSEC_PER_DEG))
     keys = cell_keys(unit, max(chord, 1e-9))
@@ -242,7 +239,7 @@ def neighbors_join(ids, ra_deg, dec_deg, theta_max_arcsec: float):
     d2 = np.einsum("ij,ij->i", diff, diff)
     near = (d2 <= chord * chord) & (q != t)
     q, t = q[near], t[near]
-    table = np.zeros(len(q), dtype=[("id_a", "<i8"), ("id_b", "<i8"),
+    table = np.zeros(len(q), dtype=[("id_a", "<u8"), ("id_b", "<u8"),
                                     ("separation_arcsec", "<f8")])
     table["id_a"] = ids[q]
     table["id_b"] = ids[t]

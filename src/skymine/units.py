@@ -6,7 +6,6 @@ reconciles in decimal units. Angles accept `d` (degrees) or `s` (arcseconds).
 
 from __future__ import annotations
 
-import math
 import re
 
 from .errors import ValidationError
@@ -68,10 +67,6 @@ def parse_angle_deg(text: str) -> float:
     if t.endswith("s"):
         return float(t[:-1]) / ARCSEC_PER_DEG
     raise ValidationError(f"angle {text!r} needs a unit suffix ('d' or 's')")
-
-
-def parse_angle_rad(text: str) -> float:
-    return math.radians(parse_angle_deg(text))
 
 
 def fmt_bytes(n: float) -> str:

@@ -152,6 +152,17 @@ class TestExactIngest:
         assert back["master_id"].tolist() == sorted(ids)
         assert back["flags"].tolist() == [2 ** 32 - 1] * 3
 
+    def test_neighbors_prints_unsigned_det_ids(self, capsys, tmp_path):
+        rows = [f"{2 ** 64 - 1},0,59000.0,10.0,0.0,10.0,1.0,0,0,0",
+                "5,1,59001.0,10.0001,0.0,10.0,1.0,0,0,0"]
+        assert ingest_rows(capsys, tmp_path, rows)[0] == EXIT_OK
+        code, out, _ = run(capsys, "neighbors", "--store", str(tmp_path / "store"),
+                           "--theta", "1s", "--use-detections")
+        assert code == EXIT_OK
+        assert out.splitlines() == ["id_a,id_b,separation_arcsec",
+                                    "5,18446744073709551615,0.360000",
+                                    "18446744073709551615,5,0.360000"]
+
     @pytest.mark.parametrize("where,want", [
         ("det_id==9007199254740993", [2 ** 53 + 1]),
         ("det_id>9007199254740992", [2 ** 53 + 1, 2 ** 64 - 1]),

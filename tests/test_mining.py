@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
-from skymine import cli, mining, sphere, store
+from skymine import cli, mining, skygen, sphere, store
 from skymine.errors import EXIT_OK, ValidationError
+from skymine.kdtree import KdTree
 
 
 def uniform_sphere(seed, n):
@@ -269,3 +273,324 @@ class TestOutlierScores:
         model, _ = mining.em_fit(pts, k=1)
         with pytest.raises(ValidationError):
             mining.outlier_scores(model, np.zeros((5, 3)))
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the recursive tree walks that the level-at-a-time walks replace.
+
+def _box_min_sqdist(tree, node, q):
+    d = np.maximum(0.0, np.maximum(tree.node_lo[node] - q, q - tree.node_hi[node]))
+    return float(d @ d)
+
+
+def _box_max_sqdist(tree, node, q):
+    d = np.maximum(tree.node_hi[node] - q, q - tree.node_lo[node])
+    return float(d @ d)
+
+
+def _box_pair_sqdist_bounds(tree_a, node_a, tree_b, node_b):
+    gap = np.maximum(0.0, np.maximum(tree_a.node_lo[node_a] - tree_b.node_hi[node_b],
+                                     tree_b.node_lo[node_b] - tree_a.node_hi[node_a]))
+    far = np.maximum(tree_a.node_hi[node_a] - tree_b.node_lo[node_b],
+                     tree_b.node_hi[node_b] - tree_a.node_lo[node_a])
+    return float(gap @ gap), float(far @ far)
+
+
+def reference_kd_estep(tree, points, node_aggr, weights, means, covs, tau, stats):
+    """The recursive node-pruned E-step, one node and one component at a time."""
+    counts, sums, sqsums = node_aggr
+    k = len(weights)
+    d = points.shape[1]
+    log_w = np.log(weights)
+
+    chols = [np.linalg.cholesky(covs[j]) for j in range(k)]
+    logdets = [2.0 * np.sum(np.log(np.diag(c))) for c in chols]
+    eigvals = [np.linalg.eigvalsh(covs[j]) for j in range(k)]
+    lam_min = np.array([e[0] for e in eigvals])
+    lam_max = np.array([e[-1] for e in eigvals])
+    log_norm = np.array([-0.5 * (logdets[j] + d * np.log(2.0 * np.pi))
+                         for j in range(k)])
+
+    nk = np.zeros(k)
+    sum_x = np.zeros((k, d))
+    sum_xx = np.zeros((k, d, d))
+    ll = [0.0]
+
+    def points_estep(idx):
+        pts = points[idx]
+        logp = mining._component_logpdfs(pts, means, covs)
+        stats.responsibility_evaluations += len(idx) * k
+        joint = logp + log_w
+        norm = logsumexp(joint, axis=1)
+        resp = np.exp(joint - norm[:, None])
+        ll[0] += float(np.sum(norm))
+        for j in range(k):
+            nk[j] += resp[:, j].sum()
+            sum_x[j] += resp[:, j] @ pts
+            sum_xx[j] += (resp[:, j][:, None] * pts).T @ pts
+
+    def visit(node):
+        cnt = counts[node]
+        if cnt == 0:
+            return
+        dmin2 = np.array([_box_min_sqdist(tree, node, means[j]) for j in range(k)])
+        dmax2 = np.array([_box_max_sqdist(tree, node, means[j]) for j in range(k)])
+        hi = log_w + (log_norm - 0.5 * dmin2 / lam_max)
+        lo = log_w + (log_norm - 0.5 * dmax2 / lam_min)
+        spread_ok = True
+        for j in range(k):
+            if k == 1:
+                break
+            rest_hi = logsumexp(np.delete(hi, j))
+            rest_lo = logsumexp(np.delete(lo, j))
+            r_max = 1.0 / (1.0 + np.exp(rest_lo - hi[j]))
+            r_min = 1.0 / (1.0 + np.exp(rest_hi - lo[j]))
+            if r_max - r_min > tau:
+                spread_ok = False
+                break
+        if spread_ok:
+            stats.nodes_pruned += 1
+            centroid = (sums[node] / cnt)[None, :]
+            logp_c = mining._component_logpdfs(centroid, means, covs)[0]
+            stats.responsibility_evaluations += k
+            joint = logp_c + log_w
+            norm = logsumexp(joint)
+            resp = np.exp(joint - norm)
+            ll[0] += float(cnt * norm)
+            for j in range(k):
+                nk[j] += resp[j] * cnt
+                sum_x[j] += resp[j] * sums[node]
+                sum_xx[j] += resp[j] * sqsums[node]
+            return
+        if tree.is_leaf(node):
+            points_estep(tree.node_indices(node))
+            return
+        visit(int(tree.node_left[node]))
+        visit(int(tree.node_right[node]))
+
+    visit(0)
+    nk = np.maximum(nk, 1e-12)
+    return nk, sum_x, sum_xx, ll[0]
+
+
+def reference_pair_count(points, bin_edges_rad, others=None, leaf_size=32):
+    """The recursive dual-tree pair counter, one node pair at a time."""
+    a_pts = np.asarray(points, dtype=np.float64)
+    b_pts = a_pts if others is None else np.asarray(others, dtype=np.float64)
+    edges2 = mining._chord2_edges(bin_edges_rad)
+    counts = np.zeros(len(edges2) - 1, dtype=np.int64)
+    tree_a = KdTree(a_pts, leaf_size=leaf_size)
+    tree_b = tree_a if others is None else KdTree(b_pts, leaf_size=leaf_size)
+    evals = [0]
+
+    def visit_cross(na, nb):
+        dmin2, dmax2 = _box_pair_sqdist_bounds(tree_a, na, tree_b, nb)
+        if dmax2 < edges2[0] or dmin2 > edges2[-1]:
+            return
+        k = int(np.searchsorted(edges2, dmin2, side="right")) - 1
+        if 0 <= k < len(edges2) - 1 and dmin2 >= edges2[k] and dmax2 < edges2[k + 1]:
+            counts[k] += tree_a.node_count(na) * tree_b.node_count(nb)
+            return
+        a_leaf, b_leaf = tree_a.is_leaf(na), tree_b.is_leaf(nb)
+        if a_leaf and b_leaf:
+            ia, ib = tree_a.node_indices(na), tree_b.node_indices(nb)
+            d2 = mining._pairwise_d2(a_pts[ia], b_pts[ib]).ravel()
+            evals[0] += len(ia) * len(ib)
+            mining._bin_d2(d2, edges2, counts)
+            return
+        if b_leaf or (not a_leaf and tree_a.node_count(na) >= tree_b.node_count(nb)):
+            visit_cross(int(tree_a.node_left[na]), nb)
+            visit_cross(int(tree_a.node_right[na]), nb)
+        else:
+            visit_cross(na, int(tree_b.node_left[nb]))
+            visit_cross(na, int(tree_b.node_right[nb]))
+
+    def visit_self(node):
+        if tree_a.is_leaf(node):
+            idx = tree_a.node_indices(node)
+            if len(idx) < 2:
+                return
+            d2 = mining._pairwise_d2(a_pts[idx], a_pts[idx])
+            iu = np.triu_indices(len(idx), k=1)
+            evals[0] += len(iu[0])
+            mining._bin_d2(d2[iu], edges2, counts)
+            return
+        left, right = int(tree_a.node_left[node]), int(tree_a.node_right[node])
+        visit_self(left)
+        visit_self(right)
+        visit_cross(left, right)
+
+    if others is None:
+        visit_self(0)
+    else:
+        visit_cross(0, 0)
+    return counts, evals[0]
+
+
+def blob_points(seed, k, n=600, duplicates=False):
+    """k Gaussian blobs away from the origin (no sum lies near zero); with
+    `duplicates`, every point appears three times."""
+    centers = [[3.0, 5.0], [8.0, 6.0], [5.0, 10.0]][:k]
+    pts = gaussian_blobs(seed, [(n // k, c, np.eye(2) * 0.5) for c in centers])
+    return np.repeat(pts[::3], 3, axis=0) if duplicates else pts
+
+
+def estep_parameters(points, k, seed=0):
+    """(weights, means, covs) after three exact EM iterations."""
+    model, _ = mining.em_fit(points, k, mode="exact", tol=0.0, max_iter=3, seed=seed)
+    return model.weights, model.means, model.covariances
+
+
+def both_esteps(points, k, leaf_size, tau):
+    """Run the E-step and its oracle on the same parameters; assert equal
+    counters and sums. Only the oracle may overflow."""
+    tree = KdTree(points, leaf_size=leaf_size)
+    aggr = mining._node_aggregates(tree, points)
+    params = estep_parameters(points, k)
+    got_stats, want_stats = mining.KdTreeStats(), mining.KdTreeStats()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mining._kd_estep(tree, points, aggr, *params, tau, got_stats)
+    with np.errstate(over="ignore"):
+        want = reference_kd_estep(tree, points, aggr, *params, tau, want_stats)
+    assert got_stats.nodes_pruned == want_stats.nodes_pruned
+    assert got_stats.responsibility_evaluations == want_stats.responsibility_evaluations
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+    return got_stats
+
+
+class TestKdEstepOracle:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("leaf_size", [1, 8, 64])
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_matches_recursive_walk(self, k, leaf_size, duplicates):
+        stats = both_esteps(blob_points(40 + k, k, duplicates=duplicates), k,
+                            leaf_size, 1e-4)
+        if k > 1:  # some nodes pruned, some leaves opened
+            assert stats.nodes_pruned > 0
+            assert stats.responsibility_evaluations > stats.nodes_pruned * k
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("leaf_size", [1, 8, 64])
+    def test_tau_zero_prunes_nothing(self, k, leaf_size):
+        pts = blob_points(43, k)
+        stats = both_esteps(pts, k, leaf_size, 0.0)
+        assert stats.nodes_pruned == 0
+        assert stats.responsibility_evaluations == len(pts) * k
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_large_tau_prunes_the_root(self, k):
+        stats = both_esteps(blob_points(44, k), k, 8, 1.0)
+        assert stats.nodes_pruned == 1
+        assert stats.responsibility_evaluations == k
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_far_components_without_overflow(self, k):
+        """Components many sigma apart drive the oracle's exp() past float
+        range; the log-space bounds agree with it and raise no warning."""
+        pts = blob_points(45, k) * np.array([1.0, 40.0])
+        both_esteps(pts, k, 8, 1e-4)
+        tree = KdTree(pts, leaf_size=8)
+        with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+            reference_kd_estep(tree, pts, mining._node_aggregates(tree, pts),
+                               *estep_parameters(pts, k), 1e-4, mining.KdTreeStats())
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_em_fit_matches_recursive_walk(self, monkeypatch, k):
+        pts = blob_points(46, k, n=1500)
+        got, got_stats = mining.em_fit(pts, k, mode="kd", tol=0.0, max_iter=15, seed=1)
+        monkeypatch.setattr(mining, "_kd_estep", reference_kd_estep)
+        with np.errstate(over="ignore"):
+            want, want_stats = mining.em_fit(pts, k, mode="kd", tol=0.0, max_iter=15, seed=1)
+        assert got_stats.nodes_pruned == want_stats.nodes_pruned > 0
+        assert got_stats.responsibility_evaluations == want_stats.responsibility_evaluations
+        for name in ("weights", "means", "covariances", "log_likelihoods"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-9)
+
+
+def skygen_positions(seed, n_objects=150, passes=8):
+    """Detection positions of a seeded survey: tight per-object clumps."""
+    cfg = skygen.SurveyConfig(n_objects=n_objects, passes=passes, seed=seed,
+                              mover_fraction=0.05, position_noise_arcsec=0.05)
+    det = skygen.generate_survey(cfg)[1]
+    return sphere.radec_to_unit(det["ra"], det["dec"])
+
+
+def edge_points():
+    """Points 0.5 degrees apart along the equator and a meridian, binned at
+    edges that many of their pair separations hit exactly."""
+    steps = np.arange(0.0, 40.0, 0.5)
+    pts = np.concatenate([sphere.radec_to_unit(steps, np.zeros_like(steps)),
+                          sphere.radec_to_unit(np.zeros_like(steps), steps),
+                          sphere.radec_to_unit(steps[:20], np.zeros(20))])
+    return pts, np.radians(np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]))
+
+
+def assert_pair_counts_match(points, edges, others=None, leaf_size=32):
+    got = mining.pair_count(points, edges, others, leaf_size=leaf_size)
+    counts, evals = reference_pair_count(points, edges, others, leaf_size=leaf_size)
+    assert np.array_equal(got.counts, counts)
+    assert got.distance_evaluations == evals
+    return got
+
+
+class TestPairCountOracle:
+    @pytest.mark.parametrize("leaf_size", [1, 8, 32])
+    def test_skygen_self_and_cross(self, leaf_size):
+        a, b = skygen_positions(1), skygen_positions(2, n_objects=90)
+        edges = np.radians(np.array([1e-5, 1e-4, 0.01, 1.0, 5.0, 30.0]))
+        assert assert_pair_counts_match(a, edges, leaf_size=leaf_size).counts[0] > 0
+        assert_pair_counts_match(a, edges, b, leaf_size=leaf_size)
+        assert_pair_counts_match(b, edges, a, leaf_size=leaf_size)
+
+    def test_corr_bins_on_uniform_points(self):
+        a, b = uniform_sphere(50, 1500), uniform_sphere(51, 2000)
+        edges = np.radians(np.linspace(0.5, 20, 6))
+        for others in (None, b):
+            h = assert_pair_counts_match(a, edges, others)
+            assert h.distance_evaluations > 0
+
+    @pytest.mark.parametrize("leaf_size", [1, 4, 32])
+    def test_points_on_bin_edges(self, leaf_size):
+        pts, edges = edge_points()
+        d2 = mining._pairwise_d2(pts, pts)
+        assert np.isin(d2, mining._chord2_edges(edges)).sum() > 100
+        assert_pair_counts_match(pts, edges, leaf_size=leaf_size)
+        assert_pair_counts_match(pts[:90], edges, pts[90:], leaf_size=leaf_size)
+
+    def test_duplicates_and_tiny_sets(self):
+        pts = np.repeat(uniform_sphere(52, 40), 4, axis=0)
+        edges = np.radians(np.array([0.0, 1e-9, 10.0, 90.0]))
+        assert_pair_counts_match(pts, edges, leaf_size=3)
+        assert_pair_counts_match(pts[:2], edges)
+        assert_pair_counts_match(pts[:1], edges, pts[1:2])
+
+
+@pytest.fixture(scope="module")
+def mine_shaped_store(tmp_path_factory):
+    """A mastered 1,000-object, 40-pass survey, the `mine` benchmark's shape."""
+    out = tmp_path_factory.mktemp("mine") / "store"
+    cfg = skygen.SurveyConfig(n_objects=1000, passes=40, seed=1, periodic_fraction=0.1,
+                              transient_fraction=0.05, mover_fraction=0.05,
+                              position_noise_arcsec=0.05)
+    store.ingest_detections(skygen.generate_survey(cfg)[1], 4, out)
+    store.build_indexes(out, 1.0)
+    store.build_master(out, 1.0)
+    return out
+
+
+def test_kd_em_on_mine_store_raises_no_warning(capsys, mine_shaped_store):
+    argv = ["em", "--store", str(mine_shaped_store), "--seed", "1", "--tol", "0",
+            "--max-iter", "20"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.run(argv + ["--mode", "kd"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert "Warning" not in captured.err
+    kd = mining.MixtureModel.from_json(captured.out)
+    assert cli.run(argv + ["--mode", "exact"]) == EXIT_OK
+    exact = mining.MixtureModel.from_json(capsys.readouterr().out)
+    assert kd.n_iter == exact.n_iter == 20
+    assert np.all(np.isfinite(kd.means)) and np.all(np.isfinite(kd.covariances))
