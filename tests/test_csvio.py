@@ -121,3 +121,66 @@ def test_signed_integers_parse_exactly():
         csvio.read(f"a,b\n{2 ** 63},0\n", dtype)
     with pytest.raises(ValidationError, match="record 1: b '-1' is not an integer"):
         csvio.read("a,b\n1,2\n1,-1\n", dtype)
+
+
+SYNTAX_DTYPE = np.dtype([("n", "<u4"), ("x", "<f8")])
+U4_RANGE = "an integer in [0, 4294967295]"
+
+
+@pytest.mark.parametrize("body,want", [
+    (" 5 ,\t1.5 ", [(5, 1.5)]),  # padded cells
+    ("+1,+1", [(1, 1.0)]),
+    ("007,1.", [(7, 1.0)]),
+    ("1,infinity\n2,-Infinity\n3,nan", [(1, np.inf), (2, -np.inf), (3, None)]),
+    ("1_000,1", [(1000, 1.0)]),
+    ("1,1_000", [(1, 1000.0)]),
+    ("-0,1", [(0, 1.0)]),
+    ("١,٢", [(1, 2.0)]),  # Arabic-Indic digits
+])
+def test_accepted_syntax(body, want):
+    table = csvio.read(f"n,x\n{body}\n", SYNTAX_DTYPE)
+    assert table["n"].tolist() == [n for n, _ in want]
+    for got, (_, x) in zip(table["x"].tolist(), want, strict=True):
+        assert np.isnan(got) if x is None else got == x
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1e3,1", f"record 0: n '1e3' is not {U4_RANGE}"),
+    ("5.0,1", f"record 0: n '5.0' is not {U4_RANGE}"),
+    (",1", f"record 0: n '' is not {U4_RANGE}"),
+    ("  ,1", f"record 0: n '  ' is not {U4_RANGE}"),
+    ("1,", "record 0: x '' is not a number"),
+    ('"1",1', f"record 0: n '\"1\"' is not {U4_RANGE}"),  # no quoting
+    ("1,2#c", "record 0: x '2#c' is not a number"),  # no comments
+    ("1,0x1p3", "record 0: x '0x1p3' is not a number"),
+    ("1,2\n3,4\n5,abc", "record 2: x 'abc' is not a number"),
+    ("1,2\n3,4\n-1,6", f"record 2: n '-1' is not {U4_RANGE}"),
+    ("1,2\n3,4\n4294967296,6", f"record 2: n '4294967296' is not {U4_RANGE}"),
+    ("1,2\n\n3,4", "record 1: wrong column count"),
+    ("1,2\n  \n3,4", "record 1: wrong column count"),
+    ("\n1,2", "record 0: wrong column count"),
+    ("1,2\n3,4\n5", "record 2: wrong column count"),
+    ("1,2\n3,4\n5,6,7", "record 2: wrong column count"),
+    ("1,2\n3,4\n5,6,", "record 2: wrong column count"),
+])
+def test_rejected_syntax(body, message):
+    with pytest.raises(ValidationError) as err:
+        csvio.read(f"n,x\n{body}\n", SYNTAX_DTYPE)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", ["n,x\n", "n,x", "\n n,x \n\n"])
+def test_header_only_is_an_empty_table(text):
+    table = csvio.read(text, SYNTAX_DTYPE)
+    assert table.dtype == SYNTAX_DTYPE and len(table) == 0
+
+
+@pytest.mark.parametrize("text", ["", "n\n1\n", "x,n\n1,2\n", "n, x\n1,2\n"])
+def test_header_must_match(text):
+    with pytest.raises(ValidationError, match="^expected header n,x$"):
+        csvio.read(text, SYNTAX_DTYPE)
+
+
+def test_crlf_line_ends():
+    table = csvio.read("n,x\r\n1,2.5\r\n3,4\r\n", SYNTAX_DTYPE)
+    assert table.tolist() == [(1, 2.5), (3, 4.0)]
