@@ -9,6 +9,8 @@ so a wide query holds one block of Python objects, not its whole result.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import ValidationError
@@ -39,48 +41,45 @@ def text(header: str, fmt: str, rows) -> str:
     return "\n".join(blocks(header, fmt, rows)) + "\n"
 
 
-def _parses(cell: str, dtype) -> bool:
-    try:
-        np.array([cell], dtype=dtype)
-        return True
-    except (ValueError, OverflowError):
-        return False
-
-
-def _parse_column(name: str, dtype: np.dtype, cells) -> np.ndarray:
-    """One column of text cells as the field's values: integers exactly and
-    within the field's range, floats as float64 as float() parses them
-    (assigning them to the field casts them to its width)."""
-    if dtype.kind in "iu":
-        info = np.iinfo(dtype)
-        parse, lo, hi = (np.uint64 if dtype.kind == "u" else np.int64), info.min, info.max
-        what = f"an integer in [{lo}, {hi}]"
-    else:
-        parse, lo, hi, what = np.float64, -np.inf, np.inf, "a number"
-    try:
-        values = np.array(cells, dtype=parse)
-        bad = np.flatnonzero((values < lo) | (values > hi))
-    except (ValueError, OverflowError):
-        bad = [next(i for i, cell in enumerate(cells) if not _parses(cell, parse))]
-    if len(bad):
-        raise ValidationError(f"record {bad[0]}: {name} {cells[bad[0]]!r} is not {what}")
-    return values
+def _bad_cell(body, names, dtype, row: int, col: int, parsed: bool) -> ValidationError:
+    field, cell = dtype[names[col]], body[row].split(",")[col]
+    info = np.iinfo(field) if field.kind in "iu" else None
+    what = (f"an integer in [{info.min}, {info.max}]" if info
+            else f"a number in {field} range" if parsed else "a number")
+    return ValidationError(f"record {row}: {names[col]} {cell!r} is not {what}")
 
 
 def read(csv_text: str, dtype: np.dtype, names=None) -> np.ndarray:
     """Parse CSV whose header is `names` (default: every field of `dtype`)
-    into an array of `dtype`; fields not in the CSV are zero. Errors name the
-    ordinal of the first bad record (0 is the first row after the header)."""
+    into an array of `dtype`; fields not in the CSV are zero. numpy's C
+    reader parses integers exactly, floats as float64 as float() does; each
+    must then fit its field. Errors name the first bad record's ordinal (0
+    is the first row after the header)."""
     names = tuple(dtype.names if names is None else names)
     lines = csv_text.strip().splitlines()
     if not lines or tuple(lines[0].split(",")) != names:
         raise ValidationError(f"expected header {','.join(names)}")
-    rows = [line.split(",") for line in lines[1:]]
-    for ordinal, vals in enumerate(rows):
-        if len(vals) != len(names):
-            raise ValidationError(f"record {ordinal}: wrong column count")
-    out = np.zeros(len(rows), dtype=dtype)
-    columns = zip(*rows) if rows else [()] * len(names)
-    for name, cells in zip(names, columns):
-        out[name] = _parse_column(name, dtype[name], cells)
+    body = lines[1:]
+    # loadtxt skips empty lines, which would renumber the records after one;
+    # a blank in its place is a record of one column, as str.split makes it.
+    rows = [line or " " for line in body] if "" in body else body
+    wide = [(name, {"u": "<u8", "i": "<i8"}.get(dtype[name].kind, "<f8")) for name in names]
+    try:
+        values = np.loadtxt(rows, wide, delimiter=",", comments=None, quotechar=None,
+                            ndmin=1) if body else np.zeros(0, wide)
+    except ValueError as exc:  # "... at row R[, column C]"
+        row, col = re.search(r"at row (\d+)(?:, column (\d+))?", str(exc)).groups()
+        if col is None:  # a column count error counts lines from 1
+            raise ValidationError(f"record {int(row) - 1}: wrong column count") from None
+        raise _bad_cell(body, names, dtype, int(row), int(col) - 1, False) from None
+    out = np.zeros(len(body), dtype)
+    with np.errstate(over="ignore"):
+        for name in names:
+            out[name] = values[name]
+    # an integer must keep its value, and a float may be infinite only if it was
+    kept = [out[n] == values[n] if dtype[n].kind in "iu"
+            else np.isinf(out[n]) == np.isinf(values[n]) for n in names]
+    bad = [(int(np.argmin(k)), col) for col, k in enumerate(kept) if not k.all()]
+    if bad:
+        raise _bad_cell(body, names, dtype, *min(bad), True)
     return out

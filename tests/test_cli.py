@@ -208,6 +208,24 @@ class TestExactIngest:
         assert code == EXIT_VALIDATION
         assert "record 1: flux 'abc' is not a number" in err
 
+    @pytest.mark.parametrize("field,value", [("flux", "1e40"), ("flux_err", "-3.5e38")])
+    def test_float32_overflow_names_the_record(self, capsys, tmp_path, field, value):
+        vals = GOOD_ROW.split(",")
+        vals[store.FIELD_NAMES.index(field)] = value
+        rows = [GOOD_ROW.replace("7,", "8,", 1), ",".join(vals)]
+        code, _, err = ingest_rows(capsys, tmp_path, rows)
+        assert code == EXIT_VALIDATION
+        assert f"record 1: {field} '{value}' is not a number in float32 range" in err
+        assert "overflow" not in err
+        assert not (tmp_path / "store").exists()
+
+    def test_literal_inf_flux_is_kept(self, capsys, tmp_path):
+        rows = [GOOD_ROW.replace("123.25", "inf"), GOOD_ROW.replace("7,", "8,", 1)
+                .replace("123.25", "-Infinity")]
+        assert ingest_rows(capsys, tmp_path, rows)[0] == EXIT_OK
+        back = np.sort(store.read_all(tmp_path / "store"), order="det_id")
+        assert back["flux"].tolist() == [np.inf, -np.inf]
+
     def test_wrong_column_count(self, capsys, tmp_path):
         code, _, err = ingest_rows(capsys, tmp_path, [GOOD_ROW, "8,1,2"])
         assert code == EXIT_VALIDATION
