@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 class KdTree:
     """Static kd-tree. Points are immutable after construction; all
@@ -22,6 +24,8 @@ class KdTree:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2:
             raise ValueError("points must be (N, d)")
+        if leaf_size < 1:
+            raise ValidationError(f"leaf_size must be >= 1, got {leaf_size}")
         self.points = points
         self.leaf_size = int(leaf_size)
         n = len(points)

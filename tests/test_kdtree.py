@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skymine.errors import ValidationError
 from skymine.kdtree import KdTree, box_sqdist_bounds
 
 
@@ -42,6 +43,12 @@ class TestStructure:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             KdTree(np.zeros(5))
+
+    @pytest.mark.parametrize("leaf_size", [0, -1])
+    def test_rejects_leaf_size_below_one(self, leaf_size):
+        with pytest.raises(ValidationError, match="leaf_size must be >= 1"):
+            KdTree(random_points(9, 3, 2), leaf_size=leaf_size)
+        assert KdTree(random_points(9, 3, 2), leaf_size=1).n_nodes == 5
 
 
 class TestBounds:

@@ -88,6 +88,8 @@ class TestPairCounting:
             mining.pair_count(pts[:1], DEG_BINS)
         with pytest.raises(ValidationError):
             mining.pair_count(pts, DEG_BINS, pts[:0])
+        with pytest.raises(ValidationError, match="leaf_size must be >= 1"):
+            mining.pair_count(pts, DEG_BINS, leaf_size=0)
 
 
 class TestCorrelation:
@@ -241,6 +243,8 @@ class TestEM:
             mining.em_fit(pts, k=11)
         with pytest.raises(ValidationError):
             mining.em_fit(pts, k=2, mode="approx")
+        with pytest.raises(ValidationError, match="leaf_size must be >= 1"):
+            mining.em_fit(pts, k=2, mode="kd", leaf_size=0)
         bad = pts.copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValidationError):
