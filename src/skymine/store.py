@@ -189,7 +189,7 @@ def ingest_detections(records: np.ndarray, partition_count: int, out_dir) -> Sto
     except OSError as exc:
         raise StoreIOError(f"cannot create store at {out}: {exc}") from exc
 
-    order = np.argsort(records, order=["zone", "det_id"], kind="stable")
+    order = np.lexsort((records["det_id"], records["zone"]))
     ordered = records[order]
     manifest = StoreManifest(total_records=len(records),
                              creation={"partition_count": partition_count})
