@@ -7,8 +7,6 @@ records), on edge values and at block boundaries. The reader must parse
 floats bit for bit as float() does, and integers exactly.
 """
 
-import re
-
 import numpy as np
 import pytest
 
@@ -195,8 +193,8 @@ def test_first_bad_record_is_named():
         csvio.read("n,x\n1,abc\n2,3\n4\n", SYNTAX_DTYPE)
     with pytest.raises(ValidationError, match="^record 1: wrong column count$"):
         csvio.read("n,x\n1,2\n\n-1,3\n", SYNTAX_DTYPE)
-    with pytest.raises(ValidationError, match=f"^record 1: n '-1' is not {re.escape(U4_RANGE)}$"):
-        csvio.read("n,x\n1,2\n-1,3\n4294967296,3\n", SYNTAX_DTYPE)
+    with pytest.raises(ValidationError, match="^record 1: f '1e40' is not a number in float32"):
+        csvio.read("n,f\n1,2\n2,1e40\n4294967296,3\n", np.dtype([("n", "<u4"), ("f", "<f4")]))
 
 
 def test_blank_line_in_one_column_table_is_an_empty_cell():
