@@ -518,6 +518,209 @@ def mover_fields(tracks):
              t.position_angle_deg, t.rms_arcsec, t.debris_candidate) for t in tracks]
 
 
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, a):
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def reference_link_movers(orphans, rate_max_deg_day, residual_max_arcsec,
+                          min_track_length=3):
+    """`link_movers` as a per-pair loop with a union-find over pairs, which
+    the array passes replaced; kept as their oracle."""
+    if rate_max_deg_day <= 0 or residual_max_arcsec <= 0:
+        raise ValidationError("rate_max and residual_max must be > 0")
+    if min_track_length < 2:
+        raise ValidationError("min_track_length must be >= 2")
+    if len(orphans) == 0:
+        return []
+    orphans = np.sort(np.asarray(orphans), order=["det_id"])
+    unit = sphere.radec_to_unit(orphans["ra"], orphans["dec"])
+    passes = np.unique(orphans["pass_id"])
+    by_pass = {int(p): np.flatnonzero(orphans["pass_id"] == p) for p in passes}
+    residual_deg = residual_max_arcsec / sphere.ARCSEC_PER_DEG
+
+    mjd = orphans["mjd"]
+    pair_rows = []
+    pair_params = []
+    for p_lo, p_hi in zip(passes[:-1], passes[1:]):
+        rows_lo, rows_hi = by_pass[int(p_lo)], by_pass[int(p_hi)]
+        ahead = mjd[rows_hi].min() - mjd[rows_lo] > 0
+        rows_lo = rows_lo[ahead]
+        if not len(rows_lo):
+            continue
+        max_sep = np.minimum(np.radians(rate_max_deg_day * (mjd[rows_hi].max() - mjd[rows_lo])),
+                             np.pi)
+        chord = sphere.chord_for_angle(max_sep)
+        edge = max(float(chord.max()), 1e-9)
+        q, t = sphere.cell_pairs(sphere.cell_keys(unit[rows_hi], edge),
+                                 sphere.cell_keys(unit[rows_lo], edge))
+        diff = unit[rows_hi[t]] - unit[rows_lo[q]]
+        near = np.einsum("ij,ij->i", diff, diff) <= chord[q] * chord[q]
+        q, t = q[near], t[near]
+        order = np.lexsort((t, q))
+        for row_a, row_b in zip(rows_lo[q[order]].tolist(), rows_hi[t[order]].tolist()):
+            dt_ab = float(mjd[row_b] - mjd[row_a])
+            if dt_ab <= 0:
+                continue
+            sep = float(sphere.angle_between(unit[row_a], unit[row_b]))
+            rate = np.degrees(sep) / dt_ab
+            if rate > rate_max_deg_day:
+                continue
+            normal = np.cross(unit[row_a], unit[row_b])
+            nn = np.linalg.norm(normal)
+            if nn < 1e-15:
+                continue
+            pair_rows.append((row_a, row_b))
+            pair_params.append((rate, normal / nn, dt_ab, sep))
+    if not pair_rows:
+        return []
+
+    uf = _UnionFind(len(pair_rows))
+    by_det = {}
+    for k, (a, b) in enumerate(pair_rows):
+        by_det.setdefault(a, []).append(k)
+        by_det.setdefault(b, []).append(k)
+    for shared in by_det.values():
+        for i in range(len(shared)):
+            for j in range(i + 1, len(shared)):
+                ki, kj = shared[i], shared[j]
+                r1, n1, dt1, sep1 = pair_params[ki]
+                r2, n2, dt2, sep2 = pair_params[kj]
+                rate_tol = 4.0 * residual_deg / min(dt1, dt2)
+                if abs(r1 - r2) > rate_tol:
+                    continue
+                tilt_tol = 4.0 * np.radians(residual_deg) / max(min(sep1, sep2), 1e-12)
+                if float(n1 @ n2) < np.cos(min(tilt_tol, np.pi / 2)):
+                    continue
+                uf.union(ki, kj)
+
+    groups = {}
+    for k, (a, b) in enumerate(pair_rows):
+        root = uf.find(k)
+        groups.setdefault(root, set()).update((a, b))
+
+    tracks = []
+    used_rows = set()
+    track_id = 1
+    for root in sorted(groups, key=lambda r: min(groups[r])):
+        rows = sorted(groups[root] - used_rows)
+        if len(rows) < min_track_length:
+            continue
+        rows_arr = np.asarray(rows)
+        order = np.argsort(orphans["mjd"][rows_arr], kind="stable")
+        rows_arr = rows_arr[order]
+        pred, rate, pa, rms = timedomain.fit_motion(orphans["mjd"][rows_arr], unit[rows_arr])
+        if rms > residual_max_arcsec or rate > rate_max_deg_day:
+            continue
+        ra0, dec0 = sphere.unit_to_radec(pred[0])
+        tracks.append(timedomain.MoverTrack(
+            track_id=track_id,
+            det_ids=orphans["det_id"][rows_arr].astype(np.int64),
+            ref_mjd=float(orphans["mjd"][rows_arr][0]),
+            ra=float(ra0), dec=float(dec0),
+            rate_deg_day=rate,
+            position_angle_deg=pa,
+            rms_arcsec=rms,
+            debris_candidate=rate > timedomain.DEFAULT_THRESHOLDS.debris_rate_cut,
+        ))
+        used_rows.update(int(r) for r in rows_arr)
+        track_id += 1
+    return tracks
+
+
+@pytest.fixture(scope="module")
+def survey_orphans(tmp_path_factory):
+    """orphans(seed, n_objects, passes, mover_fraction): the single-detection
+    records of a mastered skygen store with the `mine` benchmark's kind mix
+    (by default its 1,000 x 40 shape), built once per argument tuple."""
+    cache = {}
+
+    def orphans(seed, n_objects=1000, passes=40, mover_fraction=0.05):
+        key = (seed, n_objects, passes, mover_fraction)
+        if key not in cache:
+            out = tmp_path_factory.mktemp("movers")
+            _, _, _, masters = survey_with_masters(
+                out, n_objects=n_objects, passes=passes, seed=seed,
+                periodic_fraction=0.1, transient_fraction=0.05,
+                mover_fraction=mover_fraction, position_noise_arcsec=0.05)
+            recs = store.read_all(out)
+            singles = masters["master_id"][masters["n_detections"] == 1]
+            cache[key] = recs[np.isin(recs["master_id"], singles)]
+        return cache[key]
+
+    return orphans
+
+
+def pass_detections(positions, pass_ids, det_ids, start_mjd=59000.0):
+    """Orphan records at (ra, dec) positions, one per pass, daily."""
+    recs = np.zeros(len(positions), dtype=store.DET_DTYPE)
+    recs["ra"], recs["dec"] = np.asarray(positions, dtype=np.float64).T
+    recs["pass_id"] = pass_ids
+    recs["mjd"] = start_mjd + recs["pass_id"]
+    recs["det_id"] = det_ids
+    recs["flux"] = 100.0
+    recs["flux_err"] = 1.0
+    return recs
+
+
+class TestLinkMoversOracle:
+    """`link_movers` returns exactly what the per-pair reference returns."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("rate_max,residual,min_length",
+                             [(0.5, 5.0, 3), (0.5, 10.0, 3), (2.0, 5.0, 3),
+                              (5.0, 30.0, 2), (20.0, 60.0, 3)])
+    def test_mine_shaped_stores(self, survey_orphans, seed, rate_max, residual, min_length):
+        orphans = survey_orphans(seed)
+        want = mover_fields(reference_link_movers(orphans, rate_max, residual, min_length))
+        assert mover_fields(timedomain.link_movers(orphans, rate_max, residual,
+                                                   min_length)) == want
+        assert len(want) >= 40
+
+    def test_all_sky_search(self, survey_orphans):
+        # at 400 deg/day every detection of a pass pairs with every detection
+        # of the next, and most pairs share a detection with many others
+        orphans = survey_orphans(3, n_objects=100, passes=8, mover_fraction=0.2)
+        want = mover_fields(reference_link_movers(orphans, 400.0, 5.0))
+        assert mover_fields(timedomain.link_movers(orphans, 400.0, 5.0)) == want
+        assert len(want) >= 10
+
+    def test_groups_tied_on_lowest_detection_go_in_pair_order(self):
+        # X (det 1) moves on from W northward and on to Y eastward: two
+        # incompatible pairs, two groups whose lowest detection is X. The
+        # group of the earlier pair, (W, X) of passes 0-1, takes X, although
+        # Y's det_id is below W's.
+        orphans = pass_detections([(100.0, 20.0), (100.0 + 0.1 / np.cos(np.radians(20.0)),
+                                                   20.0), (100.0, 19.9)],
+                                  [1, 2, 0], [1, 2, 3])
+        want = mover_fields(reference_link_movers(orphans, 0.5, 1.0, 2))
+        assert [ids for _, ids, *_ in want] == [[3, 1]]
+        assert mover_fields(timedomain.link_movers(orphans, 0.5, 1.0, 2)) == want
+
+    def test_earlier_track_claims_rows_of_a_later_group(self):
+        # Two tracks leave one detection (det 10) in different directions.
+        # Both groups hold it; the group of lower lowest detection (det 2)
+        # becomes track 1, and the other is fit without det 10.
+        orphans = mover_orphans([(40.0, -10.0, 0.1, 90.0), (40.0, -10.0, 0.1, 0.0)],
+                                passes=4)
+        orphans = orphans[orphans["det_id"] != 5]
+        orphans["det_id"][orphans["det_id"] == 1] = 10
+        want = mover_fields(reference_link_movers(orphans, 0.5, 1.0))
+        assert [ids for _, ids, *_ in want] == [[10, 2, 3, 4], [6, 7, 8]]
+        assert mover_fields(timedomain.link_movers(orphans, 0.5, 1.0)) == want
+
+
 class TestMotionFit:
     def test_exact_great_circle_zero_residual(self):
         orphans = mover_orphans([(40.0, 10.0, 0.1, 30.0)], passes=3)
