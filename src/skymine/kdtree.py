@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .sphere import row_dots
 
 
 class KdTree:
@@ -98,14 +99,9 @@ def box_sqdist_bounds(lo_a, hi_a, lo_b, hi_b) -> tuple[np.ndarray, np.ndarray]:
     and [lo_b, hi_b], one pair per row of the broadcast leading axes (the
     last axis holds the coordinates). A point is a box with lo == hi.
 
-    Each sum of squares is a stack of 1xd @ dx1 products, which runs the
-    same dot kernel as `g @ g` on one row, so a bound is bit for bit the
-    one a per-node computation gives.
+    Each sum of squares is a `row_dots`, bit for bit `g @ g` on one row,
+    so a bound is the one a per-node computation gives.
     """
     gap = np.maximum(0.0, np.maximum(lo_a - hi_b, lo_b - hi_a))
     far = np.maximum(hi_a - lo_b, hi_b - lo_a)
-    return _row_sqnorms(gap), _row_sqnorms(far)
-
-
-def _row_sqnorms(v: np.ndarray) -> np.ndarray:
-    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+    return row_dots(gap, gap), row_dots(far, far)

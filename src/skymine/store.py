@@ -448,12 +448,6 @@ def _nearest(pos: np.ndarray, v: np.ndarray, q: np.ndarray, t: np.ndarray,
     return np.where(best <= chord * chord, pick, -1)
 
 
-def _row_norms(s: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of every row, bit for bit: a stack of 1x3 @ 3x1
-    products runs the same dot kernel as `s.dot(s)`; einsum does not."""
-    return np.sqrt(np.matmul(s[:, None, :], s[:, :, None])[:, 0, 0])
-
-
 def _found(state, ids, v, flux, mjd, edge):
     """Start the masters `ids` at one detection each. 0.0 + flux keeps the
     sign of a running sum that starts at 0.0 (-0.0 becomes 0.0)."""
@@ -470,7 +464,7 @@ def _found(state, ids, v, flux, mjd, edge):
 def _join(state, ids, v, flux, mjd, edge):
     """Add one detection to each of the distinct masters `ids`."""
     s = state["sum"][ids] + v
-    pos = s / _row_norms(s)[:, None]
+    pos = s / np.sqrt(sphere.row_dots(s, s))[:, None]
     state["sum"][ids] = s
     state["pos"][ids] = pos
     state["key"][ids] = sphere.cell_keys(pos, edge)
@@ -559,7 +553,8 @@ def build_master(store, match_radius_arcsec: float):
         assignment[rows] = match + 1  # master_id 0 means unassigned
 
     st = {name: col[:n_masters] for name, col in state.items()}
-    ra, dec = sphere.unit_to_radec(st["sum"] / _row_norms(st["sum"])[:, None])
+    norm = np.sqrt(sphere.row_dots(st["sum"], st["sum"]))
+    ra, dec = sphere.unit_to_radec(st["sum"] / norm[:, None])
     n = st["n"].astype(np.float64)
     mean = st["flux_sum"] / n
     masters = np.zeros(n_masters, dtype=MASTER_DTYPE)

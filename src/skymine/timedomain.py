@@ -8,6 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 from . import sphere
@@ -393,20 +395,9 @@ def fit_motion(mjds: np.ndarray, unit: np.ndarray):
     return pred, float(np.degrees(abs(omega))), pa, rms_arcsec
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+# pair comparisons that one array operation of `link_movers` makes at most,
+# which bounds its memory at any rate_max
+_MERGE_BATCH = 1 << 20
 
 
 def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
@@ -432,12 +423,11 @@ def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
     by_pass = {int(p): np.flatnonzero(orphans["pass_id"] == p) for p in passes}
     residual_deg = residual_max_arcsec / ARCSEC_PER_DEG
 
-    # candidate pairs across adjacent passes: a detection's search angle is
-    # rate_max times its longest time to a detection of the next pass, at
-    # most pi
+    # candidate pairs (a, b) across adjacent passes, in pass order and by
+    # (a, b) within a pass pair: a detection's search angle is rate_max times
+    # its longest time to a detection of the next pass, at most pi
     mjd = orphans["mjd"]
-    pair_rows = []
-    pair_params = []
+    rows_a, rows_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for p_lo, p_hi in zip(passes[:-1], passes[1:]):
         rows_lo, rows_hi = by_pass[int(p_lo)], by_pass[int(p_hi)]
         ahead = mjd[rows_hi].min() - mjd[rows_lo] > 0
@@ -454,76 +444,84 @@ def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
         near = np.einsum("ij,ij->i", diff, diff) <= chord[q] * chord[q]
         q, t = q[near], t[near]
         order = np.lexsort((t, q))
-        for row_a, row_b in zip(rows_lo[q[order]].tolist(), rows_hi[t[order]].tolist()):
-            dt_ab = float(mjd[row_b] - mjd[row_a])
-            if dt_ab <= 0:
-                continue
-            sep = float(sphere.angle_between(unit[row_a], unit[row_b]))
-            rate = np.degrees(sep) / dt_ab
-            if rate > rate_max_deg_day:
-                continue
-            # oriented great-circle normal: constant along a track,
-            # unlike the coordinate position angle
-            normal = np.cross(unit[row_a], unit[row_b])
-            nn = np.linalg.norm(normal)
-            if nn < 1e-15:
-                continue
-            pair_rows.append((row_a, row_b))
-            pair_params.append((rate, normal / nn, dt_ab, sep))
-    if not pair_rows:
+        rows_a.append(rows_lo[q[order]])
+        rows_b.append(rows_hi[t[order]])
+    a, b = np.concatenate(rows_a), np.concatenate(rows_b)
+    dt = mjd[b] - mjd[a]
+    a, b, dt = a[dt > 0], b[dt > 0], dt[dt > 0]
+    sep = sphere.angle_between(unit[a], unit[b])
+    rate = np.degrees(sep) / dt
+    # oriented great-circle normal: constant along a track, unlike the
+    # coordinate position angle
+    normal = np.cross(unit[a], unit[b])
+    norm = np.sqrt(sphere.row_dots(normal, normal))
+    keep = (rate <= rate_max_deg_day) & (norm >= 1e-15)
+    a, b, dt, sep, rate = a[keep], b[keep], dt[keep], sep[keep], rate[keep]
+    normal = normal[keep] / norm[keep, None]
+    if not len(a):
         return []
 
-    # merge pairs that share a detection and have compatible motion
-    uf = _UnionFind(len(pair_rows))
-    by_det: dict[int, list[int]] = {}
-    for k, (a, b) in enumerate(pair_rows):
-        by_det.setdefault(a, []).append(k)
-        by_det.setdefault(b, []).append(k)
-    for shared in by_det.values():
-        for i in range(len(shared)):
-            for j in range(i + 1, len(shared)):
-                ki, kj = shared[i], shared[j]
-                r1, n1, dt1, sep1 = pair_params[ki]
-                r2, n2, dt2, sep2 = pair_params[kj]
-                rate_tol = 4.0 * residual_deg / min(dt1, dt2)
-                if abs(r1 - r2) > rate_tol:
-                    continue
-                # a position jitter of r shifts a pair's plane normal by
-                # about r / separation; same orientation required
-                tilt_tol = 4.0 * np.radians(residual_deg) / max(min(sep1, sep2), 1e-12)
-                if float(n1 @ n2) < np.cos(min(tilt_tol, np.pi / 2)):
-                    continue
-                uf.union(ki, kj)
+    # merge pairs that share a detection and have compatible motion. Each
+    # pair is listed under both its detections, sorted by (detection, pair),
+    # and each entry is compared with the later entries of its detection;
+    # comparisons are numbered and made _MERGE_BATCH at a time.
+    det = np.concatenate([a, b])
+    pair = np.tile(np.arange(len(a)), 2)
+    order = np.lexsort((pair, det))
+    det, pair = det[order], pair[order]
+    later = np.searchsorted(det, det, side="right") - np.arange(len(det)) - 1
+    ends = np.cumsum(later)
+    edges_i, edges_j = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for lo in range(0, int(ends[-1]), _MERGE_BATCH):
+        c = np.arange(lo, min(lo + _MERGE_BATCH, int(ends[-1])))
+        e = np.searchsorted(ends, c, side="right")
+        ki, kj = pair[e], pair[e + 1 + c - (ends[e] - later[e])]
+        rate_tol = 4.0 * residual_deg / np.minimum(dt[ki], dt[kj])
+        near = np.abs(rate[ki] - rate[kj]) <= rate_tol
+        ki, kj = ki[near], kj[near]
+        # a position jitter of r shifts a pair's plane normal by about
+        # r / separation; same orientation required
+        tilt_tol = 4.0 * np.radians(residual_deg) / np.maximum(np.minimum(sep[ki], sep[kj]),
+                                                               1e-12)
+        aligned = (sphere.row_dots(normal[ki], normal[kj])
+                   >= np.cos(np.minimum(tilt_tol, np.pi / 2)))
+        edges_i.append(ki[aligned])
+        edges_j.append(kj[aligned])
+    ki, kj = np.concatenate(edges_i), np.concatenate(edges_j)
+    n_groups, label = connected_components(
+        coo_array((np.ones(len(ki)), (ki, kj)), shape=(len(a), len(a))), directed=False)
 
-    groups: dict[int, set[int]] = {}
-    for k, (a, b) in enumerate(pair_rows):
-        root = uf.find(k)
-        groups.setdefault(root, set()).update((a, b))
+    # groups in order of (lowest detection, lowest pair), each as its
+    # ascending detection rows
+    first_row = np.full(n_groups, len(orphans))
+    np.minimum.at(first_row, label, np.minimum(a, b))
+    first_pair = np.full(n_groups, len(a))
+    np.minimum.at(first_pair, label, np.arange(len(a)))
+    rank = np.empty(n_groups, np.int64)
+    rank[np.lexsort((first_pair, first_row))] = np.arange(n_groups)
+    group, group_rows = np.divmod(np.unique(np.tile(rank[label], 2) * len(orphans)
+                                            + np.concatenate([a, b])), len(orphans))
 
     tracks: list[MoverTrack] = []
-    used_rows: set[int] = set()
-    track_id = 1
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        rows = sorted(groups[root] - used_rows)
+    used = np.zeros(len(orphans), dtype=bool)
+    for rows in np.split(group_rows, np.flatnonzero(np.diff(group)) + 1):
+        rows = rows[~used[rows]]
         if len(rows) < min_track_length:
             continue
-        rows_arr = np.asarray(rows)
-        order = np.argsort(orphans["mjd"][rows_arr], kind="stable")
-        rows_arr = rows_arr[order]
-        pred, rate, pa, rms = fit_motion(orphans["mjd"][rows_arr], unit[rows_arr])
+        rows = rows[np.argsort(mjd[rows], kind="stable")]
+        pred, rate, pa, rms = fit_motion(mjd[rows], unit[rows])
         if rms > residual_max_arcsec or rate > rate_max_deg_day:
             continue
         ra0, dec0 = sphere.unit_to_radec(pred[0])
         tracks.append(MoverTrack(
-            track_id=track_id,
-            det_ids=orphans["det_id"][rows_arr].astype(np.int64),
-            ref_mjd=float(orphans["mjd"][rows_arr][0]),
+            track_id=len(tracks) + 1,
+            det_ids=orphans["det_id"][rows].astype(np.int64),
+            ref_mjd=float(mjd[rows][0]),
             ra=float(ra0), dec=float(dec0),
             rate_deg_day=rate,
             position_angle_deg=pa,
             rms_arcsec=rms,
             debris_candidate=rate > thresholds.debris_rate_cut,
         ))
-        used_rows.update(int(r) for r in rows_arr)
-        track_id += 1
+        used[rows] = True
     return tracks

@@ -696,6 +696,13 @@ class TestLinkMoversOracle:
         assert mover_fields(timedomain.link_movers(orphans, 400.0, 5.0)) == want
         assert len(want) >= 10
 
+    def test_comparisons_in_many_batches(self, survey_orphans, monkeypatch):
+        # batches of 1,000 split detections' runs of pairs at their edges
+        orphans = survey_orphans(3, n_objects=100, passes=8, mover_fraction=0.2)
+        want = mover_fields(reference_link_movers(orphans, 400.0, 5.0))
+        monkeypatch.setattr(timedomain, "_MERGE_BATCH", 1000)
+        assert mover_fields(timedomain.link_movers(orphans, 400.0, 5.0)) == want
+
     def test_groups_tied_on_lowest_detection_go_in_pair_order(self):
         # X (det 1) moves on from W northward and on to Y eastward: two
         # incompatible pairs, two groups whose lowest detection is X. The
