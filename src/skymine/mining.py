@@ -238,7 +238,6 @@ class MixtureModel:
 class KdTreeStats:
     nodes_pruned: int = 0
     responsibility_evaluations: int = 0
-    exact_equivalence_deviation: float | None = None
 
 
 def _component_logpdfs(points: np.ndarray, means: np.ndarray,

@@ -101,7 +101,6 @@ class ScanStats:
     bytes_read: int = 0
     records_scanned: int = 0
     records_matched: int = 0
-    wall_seconds: float = 0.0
     effective_rate: float = 0.0
     workers: int = 1
 
@@ -375,7 +374,6 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
         bytes_read=scanned * RECORD_SIZE,
         records_scanned=scanned,
         records_matched=len(matched),
-        wall_seconds=wall,
         effective_rate=(scanned * RECORD_SIZE / wall) if wall > 0 else 0.0,
         workers=workers,
     )

@@ -5,7 +5,7 @@ space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -61,21 +61,15 @@ class LightCurveFit:
     classification: str
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Default classification cuts; all tunable via CLI flags."""
-
-    variability_chi2_dof: float = 3.0
-    periodic_power: float = 0.5
-    transient_sigma: float = 5.0
-    transient_min_run: int = 3
-    # chains spanning less than this fraction of the survey count as bursts
-    transient_span_fraction: float = 0.6
-    # tracks faster than this rate (deg/day) get the debris-candidate flag
-    debris_rate_cut: float = 1.0
-
-
-DEFAULT_THRESHOLDS = Thresholds()
+# classification cuts
+VARIABILITY_CHI2_DOF = 3.0
+PERIODIC_POWER = 0.5
+TRANSIENT_SIGMA = 5.0
+TRANSIENT_MIN_RUN = 3
+# chains spanning less than this fraction of the survey count as bursts
+TRANSIENT_SPAN_FRACTION = 0.6
+# tracks faster than this rate (deg/day) get the debris-candidate flag
+DEBRIS_RATE_CUT = 1.0
 
 
 def _weighted_constant(lc: LightCurve):
@@ -157,16 +151,16 @@ def periodogram(lc: LightCurve, freqs: np.ndarray):
     return next(_periodograms([lc], freqs))
 
 
-def _transient_shape(lc: LightCurve, thresholds: Thresholds) -> bool:
+def _transient_shape(lc: LightCurve) -> bool:
     """True when the significant points form one contiguous run and the rest
     of the series is consistent with zero flux."""
-    sig = lc.fluxes > thresholds.transient_sigma * lc.flux_errs
+    sig = lc.fluxes > TRANSIENT_SIGMA * lc.flux_errs
     quiet = np.abs(lc.fluxes) < 2.0 * lc.flux_errs
     if not sig.any() or not (~sig).any():
         return False
     runs = np.flatnonzero(sig)
     contiguous = runs[-1] - runs[0] + 1 == len(runs)
-    return bool(contiguous and len(runs) >= thresholds.transient_min_run
+    return bool(contiguous and len(runs) >= TRANSIENT_MIN_RUN
                 and quiet[~sig].all())
 
 
@@ -178,14 +172,13 @@ def _frequency_grid(freq_grid: tuple[float, float, int]) -> np.ndarray:
 
 
 def _fit(lc: LightCurve, freqs: np.ndarray | None,
-         spectrum: tuple[np.ndarray, np.ndarray] | None,
-         thresholds: Thresholds) -> LightCurveFit:
+         spectrum: tuple[np.ndarray, np.ndarray] | None) -> LightCurveFit:
     """Constant fit plus classification; `spectrum` is the curve's (power,
     amplitude) on `freqs`, or None for curves too short to search."""
     mean, chi2 = _weighted_constant(lc)
     dof = max(len(lc) - 1, 1)
     if spectrum is None:
-        cls = "static" if chi2 / dof <= thresholds.variability_chi2_dof else "variable"
+        cls = "static" if chi2 / dof <= VARIABILITY_CHI2_DOF else "variable"
         return LightCurveFit(chi2, len(lc) - 1, mean, None, 0.0, 0.0, cls)
     power, amp = spectrum
     best = int(np.argmax(power))
@@ -193,11 +186,11 @@ def _fit(lc: LightCurve, freqs: np.ndarray | None,
     periodic_power = float(power[best])
     amplitude_fraction = float(amp[best] / abs(mean)) if mean != 0 else 0.0
 
-    if chi2 / dof <= thresholds.variability_chi2_dof:
+    if chi2 / dof <= VARIABILITY_CHI2_DOF:
         cls = "static"
-    elif periodic_power > thresholds.periodic_power:
+    elif periodic_power > PERIODIC_POWER:
         cls = "variable"
-    elif _transient_shape(lc, thresholds):
+    elif _transient_shape(lc):
         cls = "transient"
     else:
         cls = "variable"
@@ -206,8 +199,8 @@ def _fit(lc: LightCurve, freqs: np.ndarray | None,
 
 
 def fit_lightcurves(lcs: list[LightCurve],
-                    freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000),
-                    thresholds: Thresholds = DEFAULT_THRESHOLDS) -> list[LightCurveFit]:
+                    freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000)
+                    ) -> list[LightCurveFit]:
     """Fit every light curve as `fit_lightcurve` would, in input order.
 
     Curves of 3+ points are searched in groups that share an epoch vector,
@@ -217,27 +210,26 @@ def fit_lightcurves(lcs: list[LightCurve],
     groups: dict[bytes, list[int]] = {}
     for i, lc in enumerate(lcs):
         if len(lc) < 3:
-            fits[i] = _fit(lc, None, None, thresholds)
+            fits[i] = _fit(lc, None, None)
         else:
             groups.setdefault(lc.epochs.tobytes(), []).append(i)
     freqs = _frequency_grid(freq_grid) if groups else None
     for members in groups.values():
         spectra = _periodograms([lcs[i] for i in members], freqs)
         for i, spectrum in zip(members, spectra):
-            fits[i] = _fit(lcs[i], freqs, spectrum, thresholds)
+            fits[i] = _fit(lcs[i], freqs, spectrum)
     return fits
 
 
-def fit_lightcurve(lc: LightCurve, freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000),
-                   thresholds: Thresholds = DEFAULT_THRESHOLDS) -> LightCurveFit:
+def fit_lightcurve(lc: LightCurve,
+                   freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000)) -> LightCurveFit:
     """Weighted constant fit plus, for series of 3+ points, a floating-mean
     sinusoid search over a uniform frequency grid."""
-    return fit_lightcurves([lc], freq_grid, thresholds)[0]
+    return fit_lightcurves([lc], freq_grid)[0]
 
 
 def classify_chain(n_detections: int, flags_any: bool, lc: LightCurve | None,
-                   fit: LightCurveFit | None, survey_span_days: float | None = None,
-                   thresholds: Thresholds = DEFAULT_THRESHOLDS) -> str:
+                   fit: LightCurveFit | None, survey_span_days: float | None = None) -> str:
     """Classify a master's detection chain.
 
     Single flagged detections are defects; single clean detections are
@@ -251,11 +243,9 @@ def classify_chain(n_detections: int, flags_any: bool, lc: LightCurve | None,
         raise ValidationError("multi-detection chains need a light curve and fit")
     if survey_span_days and survey_span_days > 0 and len(lc) >= 2:
         span = float(lc.epochs[-1] - lc.epochs[0])
-        if span < thresholds.transient_span_fraction * survey_span_days:
+        if span < TRANSIENT_SPAN_FRACTION * survey_span_days:
             return "transient"
-    if fit.classification == "static":
-        return "static"
-    return "variable" if fit.classification in ("variable",) else fit.classification
+    return fit.classification
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +391,7 @@ _MERGE_BATCH = 1 << 20
 
 
 def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
-                residual_max_arcsec: float, min_track_length: int = 3,
-                thresholds: Thresholds = DEFAULT_THRESHOLDS) -> list[MoverTrack]:
+                residual_max_arcsec: float, min_track_length: int = 3) -> list[MoverTrack]:
     """Link unmatched detections into constant-motion tracks.
 
     Pairs across adjacent passes define (rate, position angle) candidates;
@@ -521,7 +510,7 @@ def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
             rate_deg_day=rate,
             position_angle_deg=pa,
             rms_arcsec=rms,
-            debris_candidate=rate > thresholds.debris_rate_cut,
+            debris_candidate=rate > DEBRIS_RATE_CUT,
         ))
         used[rows] = True
     return tracks

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from skymine import skygen, sphere, store, timedomain
 from skymine.errors import ValidationError
-from skymine.timedomain import LightCurve, Thresholds
+from skymine.timedomain import LightCurve
 
 
 def make_lc(epochs, fluxes, errs, master_id=1):
@@ -144,13 +144,13 @@ def oracle_periodogram(lc, freqs):
     return np.clip(power, 0.0, 1.0), amp
 
 
-def oracle_fit(lc, freq_grid, thresholds=timedomain.DEFAULT_THRESHOLDS):
+def oracle_fit(lc, freq_grid):
     w = 1.0 / lc.flux_errs ** 2
     mean = float(np.sum(w * lc.fluxes) / np.sum(w))
     chi2 = float(np.sum(w * (lc.fluxes - mean) ** 2))
     dof = max(len(lc) - 1, 1)
     if len(lc) < 3:
-        cls = "static" if chi2 / dof <= thresholds.variability_chi2_dof else "variable"
+        cls = "static" if chi2 / dof <= timedomain.VARIABILITY_CHI2_DOF else "variable"
         return timedomain.LightCurveFit(chi2, len(lc) - 1, mean, None, 0.0, 0.0, cls)
     freqs = np.linspace(freq_grid[0], freq_grid[1], int(freq_grid[2]))
     power, amp = oracle_periodogram(lc, freqs)
@@ -158,11 +158,11 @@ def oracle_fit(lc, freq_grid, thresholds=timedomain.DEFAULT_THRESHOLDS):
     best_frequency = float(freqs[best])
     periodic_power = float(power[best])
     amplitude_fraction = float(amp[best] / abs(mean)) if mean != 0 else 0.0
-    if chi2 / dof <= thresholds.variability_chi2_dof:
+    if chi2 / dof <= timedomain.VARIABILITY_CHI2_DOF:
         cls = "static"
-    elif periodic_power > thresholds.periodic_power:
+    elif periodic_power > timedomain.PERIODIC_POWER:
         cls = "variable"
-    elif timedomain._transient_shape(lc, thresholds):
+    elif timedomain._transient_shape(lc):
         cls = "transient"
     else:
         cls = "variable"
@@ -632,7 +632,7 @@ def reference_link_movers(orphans, rate_max_deg_day, residual_max_arcsec,
             rate_deg_day=rate,
             position_angle_deg=pa,
             rms_arcsec=rms,
-            debris_candidate=rate > timedomain.DEFAULT_THRESHOLDS.debris_rate_cut,
+            debris_candidate=rate > timedomain.DEBRIS_RATE_CUT,
         ))
         used_rows.update(int(r) for r in rows_arr)
         track_id += 1
