@@ -715,6 +715,22 @@ class TestLinkMoversOracle:
         assert [ids for _, ids, *_ in want] == [[3, 1]]
         assert mover_fields(timedomain.link_movers(orphans, 0.5, 1.0, 2)) == want
 
+    def test_rate_tolerance_is_closed(self):
+        # W, X, Y along one meridian, 0.1 deg and 0.101 deg apart a day each:
+        # the residual is chosen so that the two pairs' rates differ by
+        # exactly the rate tolerance, and the pairs still merge
+        orphans = pass_detections([(100.0, 20.0), (100.0, 20.1), (100.0, 20.201)],
+                                  [0, 1, 2], [1, 2, 3])
+        unit = sphere.radec_to_unit(orphans["ra"], orphans["dec"])
+        rates = [np.degrees(float(sphere.angle_between(unit[i], unit[i + 1]))) for i in (0, 1)]
+        gap = abs(rates[0] - rates[1])
+        near = gap / 4.0 * sphere.ARCSEC_PER_DEG
+        residual = next(float(r) for r in near + np.spacing(near) * np.arange(-4, 5)
+                        if 4.0 * (r / sphere.ARCSEC_PER_DEG) == gap)
+        want = mover_fields(reference_link_movers(orphans, 0.5, residual))
+        assert [ids for _, ids, *_ in want] == [[1, 2, 3]]
+        assert mover_fields(timedomain.link_movers(orphans, 0.5, residual)) == want
+
     def test_earlier_track_claims_rows_of_a_later_group(self):
         # Two tracks leave one detection (det 10) in different directions.
         # Both groups hold it; the group of lower lowest detection (det 2)
