@@ -51,8 +51,9 @@ def angle_between(u, v) -> np.ndarray:
 
 def row_dots(u, v) -> np.ndarray:
     """Dot product of each pair of rows (last axis) of u and v, bit for bit
-    `u[i] @ v[i]` and `np.linalg.norm(u[i]) ** 2`: a stack of 1xd @ dx1
-    products runs the same dot kernel as one row's; einsum does not."""
+    `u[i] @ v[i]`, so `np.sqrt(row_dots(u, u))` is `np.linalg.norm` of each
+    row: a stack of 1xd @ dx1 products runs the same dot kernel as one
+    row's; einsum does not."""
     return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
 
