@@ -137,14 +137,36 @@ def load_polygon(path) -> ConvexPolygon:
     return ConvexPolygon(np.asarray(normals), np.asarray(offsets))
 
 
+# Outward margin (degrees) on every declination bound, far above the
+# rounding of the bound itself: a bound that rounds onto a zone edge must not
+# drop the zone below it.
+DEC_BOUND_PAD = 1e-7
+# The containment tests compare a dot product that rounds by a few 1e-16.
+# Each cap's cosine is lowered by this much before arccos, so the bound holds
+# every point such a test admits, which for a zero-radius cap is every point
+# within about 1.5e-8 rad of its centre.
+_DOT_SLACK = 1e-15
+
+
 def region_dec_bounds(region: Region) -> tuple[float, float]:
-    """Conservative [dec_min, dec_max] (degrees) containing the region; used
-    for zone pre-filtering."""
+    """[dec_min, dec_max] (degrees) holding every point `region.contains`
+    admits, widened by DEC_BOUND_PAD and clipped to [-90, 90]; used for zone
+    pre-filtering. dec_min > dec_max when the region is empty.
+
+    A halfspace n.p >= o is a cap of radius arccos(o/|n|) around n/|n|, and
+    the cap's points lie within that radius of its centre in declination. A
+    cone is one such cap; a polygon's band is the intersection of its caps'
+    bands. The bound is exact for RA/Dec boxes.
+    """
     if isinstance(region, Cone):
-        _, dec = unit_to_radec(region.center)
-        r = np.degrees(region.radius)
-        return max(-90.0, float(dec) - r), min(90.0, float(dec) + r)
-    return -90.0, 90.0
+        normals, offsets = region.center[None, :], np.cos([region.radius])
+    else:
+        normals, offsets = region.normals, region.offsets
+    _, centre_dec = unit_to_radec(normals)
+    cos_r = offsets / np.sqrt(row_dots(normals, normals)) - _DOT_SLACK
+    r = np.degrees(np.arccos(np.clip(cos_r, -1.0, 1.0)))
+    return (max(-90.0, float(np.max(centre_dec - r)) - DEC_BOUND_PAD),
+            min(90.0, float(np.min(centre_dec + r)) + DEC_BOUND_PAD))
 
 
 # ---------------------------------------------------------------------------

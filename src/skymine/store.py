@@ -204,26 +204,53 @@ def ingest_detections(records: np.ndarray, partition_count: int, out_dir) -> Sto
     return manifest
 
 
-def read_partition(store, info: PartitionInfo, verify: bool = False) -> np.ndarray:
+def _read_into(store, info: PartitionInfo, out: np.ndarray, verify: bool) -> None:
+    """Fill `out`, room for exactly `info.records` records, with the
+    partition's bytes by one `readinto`. A file of any other size, or a read
+    that comes back short, is an error."""
     path = Path(store) / info.name
+    buf = out.view(np.uint8)
     try:
-        data = path.read_bytes()
+        with open(path, "rb", buffering=0) as f:
+            size = os.fstat(f.fileno()).st_size
+            got = f.readinto(buf) if size == buf.nbytes else 0
     except OSError as exc:
         raise StoreIOError(f"cannot read {path}: {exc}") from exc
-    if len(data) != info.records * RECORD_SIZE:
+    if size != buf.nbytes:
         raise StoreIOError(f"{path}: expected {info.records} records, "
-                           f"got {len(data)} bytes")
-    if verify and zlib.crc32(data) != info.crc32:
+                           f"got {size} bytes")
+    if got != buf.nbytes:
+        raise StoreIOError(f"{path}: short read, {got} of {buf.nbytes} bytes")
+    if verify and zlib.crc32(buf) != info.crc32:
         raise StoreIOError(f"{path}: checksum mismatch")
-    return np.frombuffer(data, dtype=DET_DTYPE)
+
+
+def read_partition(store, info: PartitionInfo, verify: bool = False) -> np.ndarray:
+    out = np.empty(info.records, dtype=DET_DTYPE)
+    _read_into(store, info, out, verify)
+    return out
+
+
+def _map(workers: int, fn, *iterables) -> list:
+    """`fn` over the zipped iterables, in order, on `workers` threads."""
+    if workers == 1:
+        return [fn(*args) for args in zip(*iterables)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *iterables))
+
+
+def _read_partitions(store, partitions, workers: int = 1, verify: bool = False) -> np.ndarray:
+    """Every record of `partitions` in (partition, offset) order, each
+    partition read straight into its rows of one array."""
+    ends = np.cumsum([0] + [p.records for p in partitions]).tolist()
+    out = np.empty(ends[-1], dtype=DET_DTYPE)
+    _map(workers, lambda info, lo, hi: _read_into(store, info, out[lo:hi], verify),
+         partitions, ends[:-1], ends[1:])
+    return out
 
 
 def read_all(store, verify: bool = False) -> np.ndarray:
-    manifest = read_manifest(store)
-    parts = [read_partition(store, p, verify=verify) for p in manifest.partitions]
-    if not parts:
-        return np.empty(0, dtype=DET_DTYPE)
-    return np.concatenate(parts)
+    return _read_partitions(store, read_manifest(store).partitions, verify=verify)
 
 
 def build_indexes(store, zone_height_deg: float) -> StoreManifest:
@@ -235,7 +262,7 @@ def build_indexes(store, zone_height_deg: float) -> StoreManifest:
     data_bytes = 0
     with _rewrite(store) as put:
         for info in manifest.partitions:
-            recs = read_partition(store, info).copy()
+            recs = read_partition(store, info)
             if len(recs):
                 recs["zone"] = sphere.zone_of(recs["dec"], zone_height_deg)
                 zones, counts = np.unique(recs["zone"], return_counts=True)
@@ -322,29 +349,37 @@ class Predicate:
 # ---------------------------------------------------------------------------
 # parallel sequential scan
 
+def _band_rows(zone: np.ndarray, z_lo: int, z_hi: int) -> np.ndarray:
+    """Rows whose zone lies in [z_lo, z_hi], in one pass over `zone`; none
+    when z_lo > z_hi. Unsigned wrap-around puts the zones below z_lo past
+    the span."""
+    if z_lo > z_hi:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(zone - np.uint32(z_lo) <= np.uint32(z_hi - z_lo))
+
+
 def _scan_partition(store, info, predicate, region, zone_range):
+    """The partition's matching records in offset order. A region scan on a
+    zoned store keeps its zone band's rows first, and tests the predicate and
+    the region on those rows only."""
     recs = read_partition(store, info)
-    mask = predicate.mask(recs)
-    if region is not None:
-        cand = mask.copy()
-        if zone_range is not None:
-            z_lo, z_hi = zone_range
-            cand &= (recs["zone"] >= z_lo) & (recs["zone"] <= z_hi)
-        rows = np.flatnonzero(cand)
-        if len(rows):
-            unit = sphere.radec_to_unit(recs["ra"][rows], recs["dec"][rows])
-            inside = region.contains(unit)
-            mask = np.zeros(len(recs), dtype=bool)
-            mask[rows[inside]] = True
-        else:
-            mask = np.zeros(len(recs), dtype=bool)
-    return recs[mask], len(recs)
+    if region is None:
+        return recs[predicate.mask(recs)]
+    rows = (np.arange(len(recs)) if zone_range is None
+            else _band_rows(recs["zone"], *zone_range))
+    if predicate.constant is not True:
+        rows = rows[predicate.mask(recs[rows])]
+    unit = sphere.radec_to_unit(recs["ra"][rows], recs["dec"][rows])
+    return recs[rows[region.contains(unit)]]
 
 
 def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
     """Full sequential scan with predicate pushdown and optional region
     filter. Results are ordered by (partition, offset) so the output is
-    identical regardless of worker count.
+    identical regardless of worker count. A region scan of a zoned store
+    tests only the rows in the zones of `sphere.region_dec_bounds`; a
+    constant-true scan with no region reads every partition straight into
+    the result.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
@@ -354,22 +389,19 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
     zone_range = None
     if region is not None and manifest.zone_height_deg:
         dec_lo, dec_hi = sphere.region_dec_bounds(region)
-        zone_range = (int(sphere.zone_of(dec_lo, manifest.zone_height_deg)),
-                      int(sphere.zone_of(dec_hi, manifest.zone_height_deg)))
+        z_lo = int(sphere.zone_of(dec_lo, manifest.zone_height_deg))
+        z_hi = int(sphere.zone_of(dec_hi, manifest.zone_height_deg))
+        zone_range = (z_lo, z_hi if dec_lo <= dec_hi else z_lo - 1)  # empty: no zone
+    scanned = sum(p.records for p in manifest.partitions)
     t0 = time.perf_counter()
-    if workers == 1:
-        results = [_scan_partition(store, info, predicate, region, zone_range)
-                   for info in manifest.partitions]
+    if region is None and predicate.constant is True:
+        matched = _read_partitions(store, manifest.partitions, workers)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_partition, store, info, predicate,
-                                   region, zone_range)
-                       for info in manifest.partitions]
-            results = [f.result() for f in futures]
+        parts = _map(workers, lambda info: _scan_partition(store, info, predicate, region,
+                                                           zone_range),
+                     manifest.partitions)
+        matched = np.concatenate(parts) if parts else np.empty(0, dtype=DET_DTYPE)
     wall = time.perf_counter() - t0
-    matched = (np.concatenate([r for r, _ in results])
-               if results else np.empty(0, dtype=DET_DTYPE))
-    scanned = sum(n for _, n in results)
     stats = ScanStats(
         bytes_read=scanned * RECORD_SIZE,
         records_scanned=scanned,

@@ -137,6 +137,120 @@ class TestRegions:
         assert scan_region(unit, poly) == brute_force_region(unit, poly)
 
 
+PAD = sphere.DEC_BOUND_PAD
+
+
+def meridian_points(normal, offset, jitter):
+    """Points on the meridian through the centre of the cap normal.p >= offset,
+    at the cap's angular radius from the centre plus each of `jitter`
+    (radians), north and south: where the cap reaches its extreme
+    declinations."""
+    norm = np.linalg.norm(normal)
+    centre = normal / norm
+    radius = np.arccos(np.clip(offset / norm, -1.0, 1.0))
+    ra, dec = np.radians(sphere.unit_to_radec(centre))
+    north = np.array([-np.sin(dec) * np.cos(ra), -np.sin(dec) * np.sin(ra), np.cos(dec)])
+    angle = (radius + np.asarray(jitter))[:, None]
+    return np.concatenate([np.cos(angle) * centre + np.sin(angle) * north,
+                           np.cos(angle) * centre - np.sin(angle) * north])
+
+
+def contained_decs(region, unit):
+    """Declinations of the stored positions of `unit` the region contains."""
+    ra, dec = sphere.unit_to_radec(unit)
+    return dec[region.contains(sphere.radec_to_unit(ra, dec))]
+
+
+def assert_bounds_hold(region, unit):
+    lo, hi = sphere.region_dec_bounds(region)
+    assert -90.0 <= lo and hi <= 90.0
+    dec = contained_decs(region, unit)
+    assert np.all((dec >= lo) & (dec <= hi)), (lo, hi, dec.min(), dec.max())
+    return dec
+
+
+JITTER = np.concatenate([-np.logspace(-6, -12, 7), [0.0], np.logspace(-12, -6, 7)])
+
+
+def box(d0, d1, r0, r1):
+    """RA/Dec box [r0, r1] x [d0, d1] (degrees) as four halfspaces."""
+    r0, r1, s0, s1 = np.radians(r0), np.radians(r1), np.sin(np.radians(d0)), np.sin(np.radians(d1))
+    normals = [(-np.sin(r0), np.cos(r0), 0.0), (np.sin(r1), -np.cos(r1), 0.0),
+               (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+    return sphere.ConvexPolygon(np.array(normals), np.array([0.0, 0.0, s0, -s1]))
+
+
+class TestDecBounds:
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_cones_hold_every_contained_point(self, seed, tiny):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        center = random_catalog(seed + 2, 1)[0]
+        radius = 10 ** rng.uniform(-10, -3) if tiny else rng.uniform(0, np.pi)
+        cone = sphere.Cone(center, radius)
+        unit = np.concatenate([random_catalog(seed + 1, 2000), center[None, :],
+                               meridian_points(center, np.cos(radius), JITTER)])
+        assert_bounds_hold(cone, unit)
+
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_random_polygons_hold_every_contained_point(self, seed, n_halfspaces):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        normals = random_catalog(seed + 2, n_halfspaces)
+        offsets = rng.uniform(-0.5, 0.9, n_halfspaces)
+        poly = sphere.ConvexPolygon(normals, offsets)
+        edges = [meridian_points(n, o, JITTER) for n, o in zip(normals, offsets)]
+        assert_bounds_hold(poly, np.concatenate([random_catalog(seed + 1, 2000), *edges]))
+
+    @given(st.floats(-89.0, 88.0), st.floats(1e-3, 90.0), st.floats(0.0, 360.0),
+           st.floats(1e-3, 179.0))
+    @settings(max_examples=60, deadline=None)
+    def test_boxes_get_their_exact_band(self, d0, height, r0, width):
+        d1 = min(d0 + height, 89.0)
+        lo, hi = sphere.region_dec_bounds(box(d0, d1, r0, r0 + width))
+        assert lo == pytest.approx(d0 - PAD, abs=1e-10)
+        assert hi == pytest.approx(d1 + PAD, abs=1e-10)
+
+    @pytest.mark.parametrize("name,band", [("northcap", (30.0 - PAD, 90.0)),
+                                           ("wedge", (-30.0 - PAD, 30.0 + PAD))])
+    def test_shipped_polygons_get_their_exact_band(self, name, band):
+        poly = sphere.load_polygon(f"queries/{name}.poly")
+        assert sphere.region_dec_bounds(poly) == pytest.approx(band, abs=1e-10)
+
+    def test_cone_band_is_centre_plus_minus_radius(self):
+        assert sphere.region_dec_bounds(sphere.cone_from_radec(10.0, 20.0, 5.0)) == \
+            pytest.approx((15.0 - PAD, 25.0 + PAD), abs=1e-10)
+        assert sphere.region_dec_bounds(sphere.cone_from_radec(10.0, 80.0, 15.0)) == \
+            pytest.approx((65.0 - PAD, 90.0), abs=1e-10)
+
+    @given(st.floats(0.0, 360.0), st.floats(0.0, 360.0), st.floats(-60.0, 60.0),
+           st.floats(0.01, 20.0), st.floats(0.01, 20.0), st.floats(1e-5, 5.0))
+    @settings(max_examples=60, deadline=None)
+    def test_caps_whose_bands_miss_give_an_empty_band(self, ra1, ra2, dec1, r1, r2, gap):
+        dec2 = max(dec1 - r1 - r2 - gap, -89.0)
+        caps = [sphere.cone_from_radec(ra1, dec1, r1), sphere.cone_from_radec(ra2, dec2, r2)]
+        poly = sphere.ConvexPolygon(np.array([c.center for c in caps]),
+                                    np.cos([c.radius for c in caps]))
+        lo, hi = sphere.region_dec_bounds(poly)
+        assert lo > hi
+        assert len(contained_decs(poly, random_catalog(int(ra1 * 100), 500))) == 0
+
+    @given(st.integers(0, 10_000), st.floats(-0.99e-9, 0.99e-9), st.floats(0.0, 1e-6),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_tiny_cap_with_off_unit_normal_is_bounded(self, seed, scale, radius, as_cone):
+        centre = random_catalog(seed, 1)[0]
+        normal = centre * (1.0 + (scale / 2 if as_cone else scale))
+        offset = np.cos(radius)
+        region = (sphere.Cone(normal, radius) if as_cone
+                  else sphere.ConvexPolygon(normal[None, :], np.array([offset])))
+        unit = np.concatenate([meridian_points(normal, offset, np.concatenate([JITTER, [1e-5]])),
+                               centre[None, :]])
+        dec = assert_bounds_hold(region, unit)
+        if scale > 1e-12:  # a longer normal widens the cap past its centre's rounding
+            assert len(dec) > 0
+
+
 class TestZones:
     def test_equator_zone(self):
         assert int(sphere.zone_of(0.0, 1.0)) == 90

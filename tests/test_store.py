@@ -103,6 +103,35 @@ class TestRoundTrip:
         with pytest.raises(StoreIOError, match="expected"):
             store.read_partition(path, manifest.partitions[1])
 
+    def test_short_read_is_an_error(self, small_store, monkeypatch):
+        path, _ = small_store
+        real_open = open
+
+        class ShortRead:
+            """A file whose readinto() fills all but the last record."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def fileno(self):
+                return self.f.fileno()
+
+            def readinto(self, buf):
+                return self.f.readinto(memoryview(buf)[:-store.RECORD_SIZE])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(store, "open", lambda *a, **k: ShortRead(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(StoreIOError, match="short read"):
+            store.read_all(path)
+        with pytest.raises(StoreIOError, match="short read"):
+            store.scan(path, "flux>300")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(StoreIOError, match="manifest"):
             store.read_manifest(tmp_path / "nowhere")
@@ -229,6 +258,99 @@ class TestScan:
         a, _ = store.scan(path, "pass_id<=3", workers=4)
         b, _ = store.scan(path, "pass_id<=3", workers=4)
         assert a.tobytes() == b.tobytes()
+
+
+def zone_edge_records(first_id):
+    """Records at RA 0 on both sides of dec 30, a 1-degree zone edge, a few
+    ulps apart."""
+    dec = 30.0 + 3.6e-15 * np.arange(-40, 6)
+    recs = make_records(len(dec), seed=first_id)
+    recs["det_id"] = np.arange(first_id, first_id + len(dec))
+    recs["ra"] = 0.0
+    recs["dec"] = dec
+    return recs
+
+
+@pytest.fixture(params=["full", "sparse"])
+def indexed_store(request, tmp_path):
+    """A zoned store with records on a zone edge: 2,000 random records in 4
+    partitions, or just the edge records in 64 partitions, most of them
+    empty."""
+    if request.param == "full":
+        recs, parts = np.concatenate([make_records(2000), zone_edge_records(2001)]), 4
+    else:
+        recs, parts = zone_edge_records(1), 64
+    store.ingest_detections(recs, parts, tmp_path)
+    store.build_indexes(tmp_path, 1.0)
+    return tmp_path
+
+
+def _poly(normals, offsets):
+    return sphere.ConvexPolygon(np.array(normals, dtype=float), np.array(offsets, dtype=float))
+
+
+SCAN_REGIONS = {
+    "none": None,
+    "cone": sphere.cone_from_radec(100.0, 30.0, 20.0),
+    "cone-at-pole": sphere.cone_from_radec(0.0, 80.0, 15.0),
+    # its lower bound, 31 - 1 degrees, computes as exactly 30.0; a record
+    # a few ulps below 30 (zone 119) still passes the cone test
+    "cone-on-zone-edge": sphere.cone_from_radec(0.0, 31.0, 1.0),
+    "northcap": sphere.load_polygon(Path(__file__).parents[1] / "queries" / "northcap.poly"),
+    "wedge": sphere.load_polygon(Path(__file__).parents[1] / "queries" / "wedge.poly"),
+    "box": _poly([[0, 1, 0], [np.sin(1.0), -np.cos(1.0), 0], [0, 0, 1], [0, 0, -1]],
+                 [0.0, 0.0, np.sin(np.radians(-20.0)), -np.sin(np.radians(10.0))]),
+    "empty": _poly([[0, 0, 1], [0, 0, -1]], [0.6, -0.5]),
+}
+
+
+class TestZoneBandScan:
+    """Every scan equals the brute-force mask over `read_all`, byte for byte
+    and in (partition, offset) order."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("where", ["true", "false", "flux>300", "flux<500 and pass_id<=4"])
+    @pytest.mark.parametrize("region", SCAN_REGIONS, ids=str)
+    def test_equals_brute_force(self, indexed_store, region, where, workers):
+        region = SCAN_REGIONS[region]
+        recs = store.read_all(indexed_store)
+        mask = store.Predicate(where).mask(recs)
+        if region is not None:
+            mask &= region.contains(sphere.radec_to_unit(recs["ra"], recs["dec"]))
+        out, stats = store.scan(indexed_store, where, region=region, workers=workers)
+        assert out.tobytes() == recs[mask].tobytes()
+        assert stats.records_scanned == len(recs)
+        assert stats.records_matched == np.count_nonzero(mask)
+
+    def test_cone_on_a_zone_edge_keeps_the_zone_below(self, indexed_store):
+        cone = SCAN_REGIONS["cone-on-zone-edge"]
+        assert sphere.region_dec_bounds(cone)[0] < 30.0
+        out, _ = store.scan(indexed_store, "true", region=cone)
+        assert np.any(out["zone"] == 119) and np.any(out["zone"] == 120)
+
+    def test_empty_band_returns_no_rows(self, indexed_store):
+        lo, hi = sphere.region_dec_bounds(SCAN_REGIONS["empty"])
+        assert lo > hi
+        out, stats = store.scan(indexed_store, "true", region=SCAN_REGIONS["empty"])
+        assert len(out) == 0 and stats.records_scanned > 0
+
+    def test_unzoned_store_tests_every_row(self, tmp_path):
+        recs = make_records(300)
+        store.ingest_detections(recs, 3, tmp_path)
+        cone = SCAN_REGIONS["cone"]
+        out, _ = store.scan(tmp_path, "flux>300", region=cone, workers=2)
+        back = store.read_all(tmp_path)
+        mask = (back["flux"] > 300) & cone.contains(sphere.radec_to_unit(back["ra"], back["dec"]))
+        assert out.tobytes() == back[mask].tobytes()
+
+    def test_truncated_partition_fails_every_scan(self, small_store):
+        path, _ = small_store
+        target = path / "part-0003.det"
+        target.write_bytes(target.read_bytes()[:-64])
+        for where, region in [("true", None), ("flux>300", None),
+                              ("true", SCAN_REGIONS["cone"])]:
+            with pytest.raises(StoreIOError, match="expected"):
+                store.scan(path, where, region=region, workers=2)
 
 
 class TestMaster:
