@@ -101,7 +101,9 @@ def _trig_basis(freqs: np.ndarray, t: np.ndarray):
 
 def _periodograms(lcs: list[LightCurve], freqs: np.ndarray):
     """Yield power and amplitude per trial frequency for light curves that
-    share one epoch vector.
+    share one epoch vector. Power is the fraction of weighted variance that
+    the best-fit floating-mean sinusoid explains, in [0, 1]; amplitude is
+    that sinusoid's.
 
     The trig basis is computed once for the group. Each curve's reductions
     use the same operands and calls as a lone curve would, so results do not
@@ -139,16 +141,6 @@ def _periodograms(lcs: list[LightCurve], freqs: np.ndarray):
             power = np.where(safe, (ss * yc ** 2 + cc * ys ** 2
                                     - 2.0 * cs * yc * ys) / (yy * d), 0.0)
         yield np.clip(power, 0.0, 1.0), np.hypot(a, b)
-
-
-def periodogram(lc: LightCurve, freqs: np.ndarray):
-    """Floating-mean single-sinusoid least-squares power on a frequency grid.
-
-    Power is the fraction of weighted variance explained by the best-fit
-    sinusoid at each trial frequency, in [0, 1]. Also returns the fitted
-    amplitude per frequency.
-    """
-    return next(_periodograms([lc], freqs))
 
 
 def _transient_shape(lc: LightCurve) -> bool:
@@ -201,10 +193,13 @@ def _fit(lc: LightCurve, freqs: np.ndarray | None,
 def fit_lightcurves(lcs: list[LightCurve],
                     freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000)
                     ) -> list[LightCurveFit]:
-    """Fit every light curve as `fit_lightcurve` would, in input order.
+    """Fit every light curve, in input order: a weighted constant fit plus,
+    for series of 3+ points, a floating-mean sinusoid search over a uniform
+    frequency grid.
 
     Curves of 3+ points are searched in groups that share an epoch vector,
     so the trig work is done once per distinct epoch vector, not per curve.
+    The result does not depend on how curves are grouped.
     """
     fits: list[LightCurveFit | None] = [None] * len(lcs)
     groups: dict[bytes, list[int]] = {}
@@ -219,13 +214,6 @@ def fit_lightcurves(lcs: list[LightCurve],
         for i, spectrum in zip(members, spectra):
             fits[i] = _fit(lcs[i], freqs, spectrum)
     return fits
-
-
-def fit_lightcurve(lc: LightCurve,
-                   freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000)) -> LightCurveFit:
-    """Weighted constant fit plus, for series of 3+ points, a floating-mean
-    sinusoid search over a uniform frequency grid."""
-    return fit_lightcurves([lc], freq_grid)[0]
 
 
 def classify_chain(n_detections: int, flags_any: bool, lc: LightCurve | None,
@@ -436,8 +424,8 @@ def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
         rows_a.append(rows_lo[q[order]])
         rows_b.append(rows_hi[t[order]])
     a, b = np.concatenate(rows_a), np.concatenate(rows_b)
+    # every dt > 0: `ahead` kept only rows earlier than all of the next pass
     dt = mjd[b] - mjd[a]
-    a, b, dt = a[dt > 0], b[dt > 0], dt[dt > 0]
     sep = sphere.angle_between(unit[a], unit[b])
     rate = np.degrees(sep) / dt
     # oriented great-circle normal: constant along a track, unlike the
@@ -491,9 +479,15 @@ def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
     group, group_rows = np.divmod(np.unique(np.tile(rank[label], 2) * len(orphans)
                                             + np.concatenate([a, b])), len(orphans))
 
+    # a group only loses rows to earlier tracks, so one that starts short
+    # never becomes a track
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    sizes = np.diff(starts, append=len(group))
+    long_enough = sizes >= min_track_length
     tracks: list[MoverTrack] = []
     used = np.zeros(len(orphans), dtype=bool)
-    for rows in np.split(group_rows, np.flatnonzero(np.diff(group)) + 1):
+    for start, size in zip(starts[long_enough].tolist(), sizes[long_enough].tolist()):
+        rows = group_rows[start:start + size]
         rows = rows[~used[rows]]
         if len(rows) < min_track_length:
             continue

@@ -184,7 +184,7 @@ def test_lightcurve_period_and_false_variable_rate(clean_master_survey):
     t = np.sort(rng.uniform(0, 40, 40))
     model = 100.0 * (1 + 0.4 * np.sin(2 * np.pi * t / 2.5))
     lc = timedomain.LightCurve(1, t, model + rng.normal(0, 1.0, 40), np.full(40, 1.0))
-    fit = timedomain.fit_lightcurve(lc)
+    fit = timedomain.fit_lightcurves([lc])[0]
     assert 1.0 / fit.best_frequency == pytest.approx(2.5, rel=0.01)
 
     master_ids, chains = timedomain.group_chains(store.read_all(clean_master_survey["dir"]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from skymine import skygen, sphere, store, timedomain
 from skymine.errors import ValidationError
@@ -10,6 +11,17 @@ from skymine.timedomain import LightCurve
 def make_lc(epochs, fluxes, errs, master_id=1):
     return LightCurve(master_id, np.asarray(epochs, float),
                       np.asarray(fluxes, float), np.asarray(errs, float))
+
+
+def fit_lightcurve(lc, freq_grid=(0.01, 2.0, 4000)):
+    """One curve's fit, through `fit_lightcurves`."""
+    return timedomain.fit_lightcurves([lc], freq_grid)[0]
+
+
+def periodogram(lc, freqs):
+    """One curve's power and amplitude per frequency, through the grouped
+    kernel `fit_lightcurves` uses."""
+    return next(timedomain._periodograms([lc], freqs))
 
 
 def sinusoid_lc(period, n=40, amp=0.4, base=100.0, sigma=1.0, seed=0, span=40.0):
@@ -43,26 +55,26 @@ class TestFits:
         rng = np.random.Generator(np.random.PCG64(3))
         n = 200
         lc = make_lc(np.arange(n), 50 + rng.normal(0, 2.0, n), np.full(n, 2.0))
-        fit = timedomain.fit_lightcurve(lc)
+        fit = fit_lightcurve(lc)
         assert 0.5 < fit.chi2_const / fit.dof < 1.5
         assert fit.classification == "static"
         assert fit.mean_flux == pytest.approx(50.0, abs=0.5)
 
     def test_sinusoid_period_within_one_percent(self):
         lc = sinusoid_lc(period=2.5)
-        fit = timedomain.fit_lightcurve(lc)
+        fit = fit_lightcurve(lc)
         assert fit.classification == "variable"
         assert 1.0 / fit.best_frequency == pytest.approx(2.5, rel=0.01)
         assert fit.amplitude_fraction == pytest.approx(0.4, rel=0.1)
         assert fit.periodic_power > 0.9
 
     def test_two_point_curve_degenerate(self):
-        fit = timedomain.fit_lightcurve(make_lc([0, 1], [10.0, 10.5], [1.0, 1.0]))
+        fit = fit_lightcurve(make_lc([0, 1], [10.0, 10.5], [1.0, 1.0]))
         assert fit.best_frequency is None
         assert fit.classification == "static"
 
     def test_single_point(self):
-        fit = timedomain.fit_lightcurve(make_lc([0], [10.0], [1.0]))
+        fit = fit_lightcurve(make_lc([0], [10.0], [1.0]))
         assert fit.mean_flux == 10.0
         assert fit.best_frequency is None
 
@@ -72,21 +84,21 @@ class TestFits:
         flux = np.zeros(n)
         flux[10:15] = 50.0
         lc = make_lc(t, flux + 0.01, np.full(n, 1.0))
-        fit = timedomain.fit_lightcurve(lc)
+        fit = fit_lightcurve(lc)
         assert fit.classification == "transient"
 
     def test_flux_scaling_leaves_frequency_fixed(self):
         lc = sinusoid_lc(period=3.7, seed=5)
         scaled = make_lc(lc.epochs, 1000.0 * lc.fluxes, 1000.0 * lc.flux_errs)
-        f1 = timedomain.fit_lightcurve(lc)
-        f2 = timedomain.fit_lightcurve(scaled)
+        f1 = fit_lightcurve(lc)
+        f2 = fit_lightcurve(scaled)
         assert f1.best_frequency == f2.best_frequency
         assert f1.periodic_power == pytest.approx(f2.periodic_power, rel=1e-9)
 
     def test_bad_grid(self):
         lc = sinusoid_lc(period=2.0)
         with pytest.raises(ValidationError):
-            timedomain.fit_lightcurve(lc, freq_grid=(2.0, 1.0, 100))
+            fit_lightcurve(lc, freq_grid=(2.0, 1.0, 100))
 
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
@@ -95,7 +107,7 @@ class TestFits:
         n = 15
         lc = make_lc(np.sort(rng.uniform(0, 10, n)) + np.arange(n) * 1e-6,
                      rng.uniform(1, 100, n), rng.uniform(0.1, 5, n))
-        power, _ = timedomain.periodogram(lc, np.linspace(0.05, 3.0, 200))
+        power, _ = periodogram(lc, np.linspace(0.05, 3.0, 200))
         assert np.all((power >= 0) & (power <= 1))
 
     def test_false_variable_rate_below_five_percent(self):
@@ -105,7 +117,7 @@ class TestFits:
             n = 30
             lc = make_lc(np.arange(n, dtype=float),
                          100 + rng.normal(0, 1.0, n), np.full(n, 1.0))
-            if timedomain.fit_lightcurve(lc).classification != "static":
+            if fit_lightcurve(lc).classification != "static":
                 flagged += 1
         assert flagged / 300 < 0.05
 
@@ -217,7 +229,7 @@ class TestGroupedFitEquivalence:
     def test_periodogram_equals_oracle(self, grid):
         freqs = np.linspace(grid[0], grid[1], grid[2])
         for lc in equivalence_curves():
-            power, amp = timedomain.periodogram(lc, freqs)
+            power, amp = periodogram(lc, freqs)
             want_power, want_amp = oracle_periodogram(lc, freqs)
             assert np.array_equal(power, want_power)
             assert np.array_equal(amp, want_amp)
@@ -235,7 +247,7 @@ class TestGroupedFitEquivalence:
         assert np.any(np.abs(d) <= 1e-15) and np.any(np.abs(d) > 1e-15)
         constant = [lc for lc in curves if len(lc) >= 3 and np.ptp(lc.fluxes) == 0]
         assert len(constant) == 2
-        assert all(not timedomain.periodogram(lc, freqs)[0].any() for lc in constant)
+        assert all(not periodogram(lc, freqs)[0].any() for lc in constant)
 
     def test_bad_grid_only_checked_when_searched(self):
         short = [make_lc([0, 1], [1.0, 2.0], [1.0, 1.0])]
@@ -264,14 +276,14 @@ class TestClassifyChain:
 
     def test_short_chain_is_transient(self):
         lc = make_lc([0, 1, 2, 3], [50, 55, 52, 48], [1, 1, 1, 1])
-        fit = timedomain.fit_lightcurve(lc)
+        fit = fit_lightcurve(lc)
         assert timedomain.classify_chain(4, False, lc, fit,
                                          survey_span_days=50.0) == "transient"
 
     def test_full_span_static(self):
         n = 20
         lc = make_lc(np.arange(n, dtype=float), np.full(n, 50.0), np.full(n, 1.0))
-        fit = timedomain.fit_lightcurve(lc)
+        fit = fit_lightcurve(lc)
         assert timedomain.classify_chain(n, False, lc, fit,
                                          survey_span_days=20.0) == "static"
 
@@ -702,6 +714,25 @@ class TestLinkMoversOracle:
         want = mover_fields(reference_link_movers(orphans, 400.0, 5.0))
         monkeypatch.setattr(timedomain, "_MERGE_BATCH", 1000)
         assert mover_fields(timedomain.link_movers(orphans, 400.0, 5.0)) == want
+
+    @pytest.mark.parametrize("min_length", [2, 3])
+    def test_mostly_two_detection_groups(self, survey_orphans, monkeypatch, min_length):
+        # a wide rate_max with a tight residual: most candidate pairs merge
+        # with no other pair and form a group of two detections, which is a
+        # track at min_length 2 and skipped at 3
+        orphans = survey_orphans(4, n_objects=100, passes=8, mover_fraction=0.2)
+        pairs_per_group = []
+
+        def components(graph, directed):
+            n, label = connected_components(graph, directed=directed)
+            pairs_per_group.extend(np.bincount(label).tolist())
+            return n, label
+
+        monkeypatch.setattr(timedomain, "connected_components", components)
+        want = mover_fields(reference_link_movers(orphans, 50.0, 1.0, min_length))
+        assert mover_fields(timedomain.link_movers(orphans, 50.0, 1.0, min_length)) == want
+        assert np.mean(np.array(pairs_per_group) == 1) > 0.5
+        assert len(want) > 0
 
     def test_groups_tied_on_lowest_detection_go_in_pair_order(self):
         # X (det 1) moves on from W northward and on to Y eastward: two
