@@ -206,14 +206,20 @@ def ingest_detections(records: np.ndarray, partition_count: int, out_dir) -> Sto
 
 def _read_into(store, info: PartitionInfo, out: np.ndarray, verify: bool) -> None:
     """Fill `out`, room for exactly `info.records` records, with the
-    partition's bytes by one `readinto`. A file of any other size, or a read
-    that comes back short, is an error."""
+    partition's bytes by `readinto` calls until it is full. One read() returns
+    at most about 2 GiB on Linux, so a large partition takes several. A file of
+    any other size, or one that ends before `out` is full, is an error."""
     path = Path(store) / info.name
-    buf = out.view(np.uint8)
+    buf = memoryview(out.view(np.uint8))
+    got = 0
     try:
         with open(path, "rb", buffering=0) as f:
             size = os.fstat(f.fileno()).st_size
-            got = f.readinto(buf) if size == buf.nbytes else 0
+            while size == buf.nbytes and got < size:
+                k = f.readinto(buf[got:])
+                if not k:
+                    break
+                got += k
     except OSError as exc:
         raise StoreIOError(f"cannot read {path}: {exc}") from exc
     if size != buf.nbytes:

@@ -1,3 +1,4 @@
+import os
 import shutil
 import tempfile
 import zlib
@@ -103,13 +104,13 @@ class TestRoundTrip:
         with pytest.raises(StoreIOError, match="expected"):
             store.read_partition(path, manifest.partitions[1])
 
-    def test_short_read_is_an_error(self, small_store, monkeypatch):
-        path, _ = small_store
+    @staticmethod
+    def _open_with(monkeypatch, readinto):
+        """Make store's open() return files whose readinto() is
+        `readinto(real_file, buf)`."""
         real_open = open
 
-        class ShortRead:
-            """A file whose readinto() fills all but the last record."""
-
+        class Wrapped:
             def __init__(self, f):
                 self.f = f
 
@@ -117,7 +118,7 @@ class TestRoundTrip:
                 return self.f.fileno()
 
             def readinto(self, buf):
-                return self.f.readinto(memoryview(buf)[:-store.RECORD_SIZE])
+                return readinto(self.f, buf)
 
             def __enter__(self):
                 return self
@@ -125,8 +126,30 @@ class TestRoundTrip:
             def __exit__(self, *exc):
                 self.f.close()
 
-        monkeypatch.setattr(store, "open", lambda *a, **k: ShortRead(real_open(*a, **k)),
+        monkeypatch.setattr(store, "open", lambda *a, **k: Wrapped(real_open(*a, **k)),
                             raising=False)
+
+    def test_partial_reads_are_continued(self, small_store, monkeypatch):
+        """A readinto() that fills less than asked, as read() does past 2 GiB
+        on Linux, is called again until the partition is complete."""
+        path, _ = small_store
+        want = store.read_all(path)
+        want_scan, _ = store.scan(path, "flux>300")
+        chunk = 3 * store.RECORD_SIZE + 5
+        self._open_with(monkeypatch, lambda f, buf: f.readinto(memoryview(buf)[:chunk]))
+        assert store.read_all(path).tobytes() == want.tobytes()
+        assert store.scan(path, "flux>300")[0].tobytes() == want_scan.tobytes()
+
+    def test_short_read_is_an_error(self, small_store, monkeypatch):
+        """A file that ends before the size fstat reported is an error."""
+        path, _ = small_store
+
+        def early_eof(f, buf):
+            # the file seems to end one record before its real end
+            end = os.fstat(f.fileno()).st_size - store.RECORD_SIZE
+            return f.readinto(memoryview(buf)[:max(0, end - f.tell())])
+
+        self._open_with(monkeypatch, early_eof)
         with pytest.raises(StoreIOError, match="short read"):
             store.read_all(path)
         with pytest.raises(StoreIOError, match="short read"):
