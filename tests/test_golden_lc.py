@@ -19,6 +19,8 @@ GOLDEN = {
         "c9bf350edfefc646d8db4c59dfb97150052b323c8b356a28025bb35cc9a9790c",
     "lc --master 1":
         "a67bc8d200bba5f3c8165179673687165e52791bc0349601a49c02dfd8e9947e",
+    "classify":
+        "e30a9c24fb59b6dbb920cc7ad6ae2840d08b34422aa684757c4812b214d7d255",
     "classify --span-days 12":
         "18eff4fb4f4719c325fae04796f6057d7fa98c3151cf14d6077f78d21041400f",
 }
