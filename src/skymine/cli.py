@@ -362,10 +362,14 @@ def lc_cmd(store_dir, master_id, limit, fmin, fmax, steps):
 def classify_cmd(store_dir, span_days, fmin, fmax, steps):
     """Classify every master chain; CSV master_id,classification."""
     master_ids, chains = _chains(store_dir)
+    # every multi-detection chain becomes a LightCurve, which rejects repeated
+    # epochs before any output; only chains whose class can depend on their
+    # spectrum are searched
     lcs = {i: timedomain.LightCurve.from_chain(master_ids[i], c)
            for i, c in enumerate(chains) if len(c) > 1}
-    fits = dict(zip(lcs, timedomain.fit_lightcurves(list(lcs.values()),
-                                                    (fmin, fmax, steps))))
+    fitted = [i for i, lc in lcs.items() if not timedomain.is_burst(lc, span_days)]
+    fits = dict(zip(fitted, timedomain.fit_lightcurves(
+        [lcs[i] for i in fitted], (fmin, fmax, steps), classes_only=True)))
     rows = [(mid, len(chain),
              timedomain.classify_chain(len(chain), bool(np.any(chain["flags"] != 0)),
                                        lcs.get(i), fits.get(i), span_days))

@@ -75,15 +75,9 @@ class KdTree:
     def n_nodes(self) -> int:
         return len(self.node_start)
 
-    def is_leaf(self, node: int) -> bool:
-        return self.node_left[node] < 0
-
     def node_indices(self, node: int) -> np.ndarray:
         """Original indices of the points under a node."""
         return self.perm[self.node_start[node]:self.node_end[node]]
-
-    def node_count(self, node: int) -> int:
-        return int(self.node_end[node] - self.node_start[node])
 
     def nodes_indices(self, nodes: np.ndarray) -> np.ndarray:
         """Original indices of the points under each of `nodes`, concatenated

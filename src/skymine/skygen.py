@@ -220,7 +220,3 @@ def write_survey(config: SurveyConfig, out_dir, partition_count: int = 4):
     (out / "survey.json").write_text(json.dumps(survey_manifest, indent=2))
     return truth, detections, labels, manifest
 
-
-def read_labels(store) -> dict[int, int]:
-    table = csvio.read((Path(store) / "labels.csv").read_text(), LABEL_DTYPE)
-    return dict(zip(table["det_id"].tolist(), table["truth_id"].tolist()))

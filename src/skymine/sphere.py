@@ -57,11 +57,6 @@ def row_dots(u, v) -> np.ndarray:
     return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
 
-def angular_distance(ra1, dec1, ra2, dec2) -> float:
-    """Great-circle angle (radians) between two RA/Dec positions (degrees)."""
-    return float(angle_between(radec_to_unit(ra1, dec1), radec_to_unit(ra2, dec2)))
-
-
 def chord_for_angle(theta_rad: float) -> float:
     """Euclidean chord length subtending a given angle on the unit sphere."""
     return 2.0 * np.sin(0.5 * theta_rad)

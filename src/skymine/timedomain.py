@@ -163,14 +163,19 @@ def _frequency_grid(freq_grid: tuple[float, float, int]) -> np.ndarray:
     return np.linspace(f_min, f_max, int(n_steps))
 
 
-def _fit(lc: LightCurve, freqs: np.ndarray | None,
+def _static(lc: LightCurve, chi2: float) -> bool:
+    """True when the constant fit's chi^2/dof is within the variability cut;
+    such a curve is static whatever its spectrum."""
+    return chi2 / max(len(lc) - 1, 1) <= VARIABILITY_CHI2_DOF
+
+
+def _fit(lc: LightCurve, constant: tuple[float, float], freqs: np.ndarray | None,
          spectrum: tuple[np.ndarray, np.ndarray] | None) -> LightCurveFit:
-    """Constant fit plus classification; `spectrum` is the curve's (power,
-    amplitude) on `freqs`, or None for curves too short to search."""
-    mean, chi2 = _weighted_constant(lc)
-    dof = max(len(lc) - 1, 1)
+    """Classification from the curve's weighted constant fit (mean, chi2) and
+    its (power, amplitude) on `freqs`, or None for curves not searched."""
+    mean, chi2 = constant
     if spectrum is None:
-        cls = "static" if chi2 / dof <= VARIABILITY_CHI2_DOF else "variable"
+        cls = "static" if _static(lc, chi2) else "variable"
         return LightCurveFit(chi2, len(lc) - 1, mean, None, 0.0, 0.0, cls)
     power, amp = spectrum
     best = int(np.argmax(power))
@@ -178,7 +183,7 @@ def _fit(lc: LightCurve, freqs: np.ndarray | None,
     periodic_power = float(power[best])
     amplitude_fraction = float(amp[best] / abs(mean)) if mean != 0 else 0.0
 
-    if chi2 / dof <= VARIABILITY_CHI2_DOF:
+    if _static(lc, chi2):
         cls = "static"
     elif periodic_power > PERIODIC_POWER:
         cls = "variable"
@@ -191,8 +196,8 @@ def _fit(lc: LightCurve, freqs: np.ndarray | None,
 
 
 def fit_lightcurves(lcs: list[LightCurve],
-                    freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000)
-                    ) -> list[LightCurveFit]:
+                    freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000),
+                    *, classes_only: bool = False) -> list[LightCurveFit]:
     """Fit every light curve, in input order: a weighted constant fit plus,
     for series of 3+ points, a floating-mean sinusoid search over a uniform
     frequency grid.
@@ -200,20 +205,36 @@ def fit_lightcurves(lcs: list[LightCurve],
     Curves of 3+ points are searched in groups that share an epoch vector,
     so the trig work is done once per distinct epoch vector, not per curve.
     The result does not depend on how curves are grouped.
+
+    With `classes_only`, a curve that is static by its chi^2/dof alone is not
+    searched and comes back as a short curve does (no best frequency, power
+    0); its classification is the one the search would give. The grid is
+    checked whenever a curve of 3+ points is given, searched or not.
     """
+    constants = [_weighted_constant(lc) for lc in lcs]
     fits: list[LightCurveFit | None] = [None] * len(lcs)
     groups: dict[bytes, list[int]] = {}
     for i, lc in enumerate(lcs):
-        if len(lc) < 3:
-            fits[i] = _fit(lc, None, None)
+        if len(lc) < 3 or (classes_only and _static(lc, constants[i][1])):
+            fits[i] = _fit(lc, constants[i], None, None)
         else:
             groups.setdefault(lc.epochs.tobytes(), []).append(i)
-    freqs = _frequency_grid(freq_grid) if groups else None
+    freqs = _frequency_grid(freq_grid) if any(len(lc) >= 3 for lc in lcs) else None
     for members in groups.values():
         spectra = _periodograms([lcs[i] for i in members], freqs)
         for i, spectrum in zip(members, spectra):
-            fits[i] = _fit(lcs[i], freqs, spectrum)
+            fits[i] = _fit(lcs[i], constants[i], freqs, spectrum)
     return fits
+
+
+def is_burst(lc: LightCurve, survey_span_days: float | None) -> bool:
+    """True when a survey span is given and the curve spans less than
+    TRANSIENT_SPAN_FRACTION of it: such a chain is a transient, whatever its
+    fit."""
+    if not (survey_span_days and survey_span_days > 0 and len(lc) >= 2):
+        return False
+    span = float(lc.epochs[-1] - lc.epochs[0])
+    return span < TRANSIENT_SPAN_FRACTION * survey_span_days
 
 
 def classify_chain(n_detections: int, flags_any: bool, lc: LightCurve | None,
@@ -222,17 +243,18 @@ def classify_chain(n_detections: int, flags_any: bool, lc: LightCurve | None,
 
     Single flagged detections are defects; single clean detections are
     mover candidates (nothing else revisits a location exactly once).
-    Short contiguous chains against a known survey span are transients;
-    everything else falls to the light-curve fit.
+    Short contiguous chains against a known survey span are transients
+    (`is_burst`; they need no fit); everything else falls to the
+    light-curve fit.
     """
     if n_detections == 1:
         return "defect" if flags_any else "mover-candidate"
-    if lc is None or fit is None:
-        raise ValidationError("multi-detection chains need a light curve and fit")
-    if survey_span_days and survey_span_days > 0 and len(lc) >= 2:
-        span = float(lc.epochs[-1] - lc.epochs[0])
-        if span < TRANSIENT_SPAN_FRACTION * survey_span_days:
-            return "transient"
+    if lc is None:
+        raise ValidationError("multi-detection chains need a light curve")
+    if is_burst(lc, survey_span_days):
+        return "transient"
+    if fit is None:
+        raise ValidationError("multi-detection chains that are not bursts need a fit")
     return fit.classification
 
 

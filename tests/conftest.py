@@ -4,10 +4,12 @@ Every test in test_acceptance.py maps to one acceptance criterion; the
 terminal summary prints one PASS/FAIL line per criterion.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from skymine import mining, skygen, store
+from skymine import csvio, mining, skygen, store
 
 _acceptance_results: dict[str, str] = {}
 
@@ -100,3 +102,14 @@ def _naive_pair_count(points, bin_edges_rad) -> mining.PairCountHistogram:
 @pytest.fixture(scope="session")
 def naive_pair_count():
     return _naive_pair_count
+
+
+def _read_labels(store_dir) -> dict[int, int]:
+    """det_id -> truth_id from a `skygen.write_survey` store's labels.csv."""
+    table = csvio.read((Path(store_dir) / "labels.csv").read_text(), skygen.LABEL_DTYPE)
+    return dict(zip(table["det_id"].tolist(), table["truth_id"].tolist()))
+
+
+@pytest.fixture(scope="session")
+def read_labels():
+    return _read_labels

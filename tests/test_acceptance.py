@@ -131,7 +131,7 @@ def test_scan_parallel_throughput(million_record_store):
     assert ratio >= 2.0
 
 
-def test_master_factor_fifty_reduction(clean_master_survey):
+def test_master_factor_fifty_reduction(clean_master_survey, read_labels):
     """1,000 static objects x 50 passes at 0.1 arcsec noise, 1 arcsec match
     radius: exactly 1,000 masters, every chain of length 50."""
     masters = clean_master_survey["masters"]
@@ -139,7 +139,7 @@ def test_master_factor_fifty_reduction(clean_master_survey):
     assert np.all(masters["n_detections"] == 50)
     # each master's chain maps to exactly one truth object
     recs = store.read_all(clean_master_survey["dir"])
-    labels = skygen.read_labels(clean_master_survey["dir"])
+    labels = read_labels(clean_master_survey["dir"])
     for mid in masters["master_id"][:50]:
         tids = {labels[int(d)] for d in recs["det_id"][recs["master_id"] == mid]}
         assert len(tids) == 1
@@ -196,7 +196,7 @@ def test_lightcurve_period_and_false_variable_rate(clean_master_survey):
     assert false_variable / n_curves < 0.05
 
 
-def test_mover_recovery_and_static_null(tmp_path):
+def test_mover_recovery_and_static_null(tmp_path, read_labels):
     """>= 90% of injected linear movers with >= 3 detections recovered as
     single tracks; zero tracks on an all-static catalog."""
     cfg = skygen.SurveyConfig(n_objects=40, passes=6, seed=55,
@@ -210,7 +210,7 @@ def test_mover_recovery_and_static_null(tmp_path):
     orphans = recs[np.isin(recs["master_id"], list(singles))]
     tracks = timedomain.link_movers(orphans, 0.5, 5.0)
 
-    table = skygen.read_labels(mover_dir)
+    table = read_labels(mover_dir)
     movers = truth[truth["kind"] == "mover"]
     recovered = 0
     for t in movers:

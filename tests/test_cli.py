@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from skymine import cli, store
+from skymine import cli, store, timedomain
 from skymine.errors import EXIT_IO, EXIT_OK, EXIT_VALIDATION
 
 
@@ -352,12 +352,11 @@ class TestQueries:
         assert code == EXIT_VALIDATION
 
 
-@pytest.fixture(scope="module")
-def merged_pair_store(tmp_path_factory):
+def _merged_pair(tmp_path_factory, name, pair_fluxes):
     """An isolated source plus two sources 0.3 arcsec apart, all seen in every
     pass; a 1 arcsec master radius merges the pair into master 2, which then
     holds two detections per epoch."""
-    out = tmp_path_factory.mktemp("cli") / "merged"
+    out = tmp_path_factory.mktemp("cli") / name
     passes = 5
     recs = np.zeros(3 * passes, dtype=store.DET_DTYPE)
     recs["det_id"] = np.arange(1, 3 * passes + 1)
@@ -365,7 +364,7 @@ def merged_pair_store(tmp_path_factory):
     recs["mjd"] = 59000.0 + recs["pass_id"]
     recs["ra"] = np.tile([10.0, 50.0, 50.0 + 0.3 / 3600.0], passes)
     recs["dec"] = 5.0
-    recs["flux"] = np.tile([100.0, 80.0, 120.0], passes)
+    recs["flux"] = np.tile([100.0, *pair_fluxes], passes)
     recs["flux_err"] = 1.0
     store.ingest_detections(recs, 2, out)
     assert cli.run(["index", "--store", str(out)]) == EXIT_OK
@@ -373,10 +372,31 @@ def merged_pair_store(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def merged_pair_store(tmp_path_factory):
+    """The merged chain alternates 80 and 120: variable, so it is searched."""
+    return _merged_pair(tmp_path_factory, "merged", (80.0, 120.0))
+
+
+@pytest.fixture(scope="module")
+def merged_static_store(tmp_path_factory):
+    """The merged chain is flat at 100: static by chi^2/dof alone, so
+    `classify` would not search it."""
+    return _merged_pair(tmp_path_factory, "merged_static", (100.0, 100.0))
+
+
 class TestRepeatedEpochs:
-    @pytest.mark.parametrize("command", ["lc", "classify"])
-    def test_rejected_before_any_output(self, capsys, merged_pair_store, command):
-        code, out, err = run(capsys, command, "--store", str(merged_pair_store))
+    # `classify` searches neither a static chain nor a burst, but it still
+    # rejects one that repeats an epoch
+    @pytest.mark.parametrize("fixture, argv", [
+        ("merged_pair_store", ["lc"]),
+        ("merged_pair_store", ["classify"]),
+        ("merged_static_store", ["classify"]),
+        ("merged_pair_store", ["classify", "--span-days", "100"]),
+    ], ids=["lc", "classify", "classify-static", "classify-burst"])
+    def test_rejected_before_any_output(self, request, capsys, fixture, argv):
+        path = request.getfixturevalue(fixture)
+        code, out, err = run(capsys, argv[0], "--store", str(path), *argv[1:])
         assert code == EXIT_VALIDATION
         assert out == ""
         assert "master 2" in err
@@ -387,6 +407,64 @@ class TestRepeatedEpochs:
                            "--master", "1")
         assert code == EXIT_OK
         assert [ln.split(",")[:2] for ln in out.splitlines()[1:]] == [["1", "5"]]
+
+
+class TestClassifySearch:
+    """`classify` searches a spectrum only for chains whose class can depend
+    on one; `lc` searches every chain of 3+ points."""
+
+    @staticmethod
+    def searched(monkeypatch, capsys, argv):
+        seen = []
+        real = timedomain._periodograms
+
+        def spy(lcs, freqs):
+            seen.extend(lc.master_id for lc in lcs)
+            return real(lcs, freqs)
+
+        monkeypatch.setattr(timedomain, "_periodograms", spy)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert len(seen) == len(set(seen))
+        return sorted(seen), out
+
+    @staticmethod
+    def chains(reference_store):
+        ids, chains = timedomain.group_chains(store.read_all(reference_store))
+        return [(int(m), c) for m, c in zip(ids, chains)]
+
+    # against a 12-day span the 12 chains of 3+ points spanning 3-6 days are
+    # bursts; against 20 days every chain is
+    @pytest.mark.parametrize("span_days, bursts", [(None, 0), (12.0, 12), (20.0, 282)])
+    def test_classify_searches_non_burst_variable_chains(
+            self, monkeypatch, capsys, reference_store, span_days, bursts):
+        extra = [] if span_days is None else ["--span-days", str(span_days)]
+        seen, out = self.searched(monkeypatch, capsys,
+                                  ["classify", "--store", str(reference_store), *extra])
+        chains = self.chains(reference_store)
+        variable, burst = set(), set()
+        for m, c in chains:
+            if len(c) < 3:
+                continue
+            t, y = c["mjd"], c["flux"].astype(float)
+            w = 1.0 / c["flux_err"].astype(float) ** 2
+            mean = np.sum(w * y) / np.sum(w)
+            if np.sum(w * (y - mean) ** 2) / (len(c) - 1) > timedomain.VARIABILITY_CHI2_DOF:
+                variable.add(m)
+            if span_days and t[-1] - t[0] < timedomain.TRANSIENT_SPAN_FRACTION * span_days:
+                burst.add(m)
+        assert len(burst) == bursts
+        assert seen == sorted(variable - burst)
+        assert len(variable) > 20
+        if bursts:
+            assert variable & burst
+        assert len(out.splitlines()) == len(chains) + 1
+
+    def test_lc_searches_every_chain_of_three_or_more(self, monkeypatch, capsys,
+                                                      reference_store):
+        seen, _ = self.searched(monkeypatch, capsys, ["lc", "--store", str(reference_store)])
+        assert seen == [m for m, c in self.chains(reference_store) if len(c) >= 3]
+
 
 class TestBench20:
     def test_all_twenty_queries_pass(self, capsys, survey_store):

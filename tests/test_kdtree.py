@@ -15,7 +15,7 @@ class TestStructure:
     def test_leaves_partition_points(self):
         pts = random_points(0, 500)
         tree = KdTree(pts, leaf_size=16)
-        leaves = [i for i in range(tree.n_nodes) if tree.is_leaf(i)]
+        leaves = [i for i in range(tree.n_nodes) if tree.node_left[i] < 0]
         covered = np.concatenate([tree.node_indices(i) for i in leaves])
         assert sorted(covered.tolist()) == list(range(500))
 
@@ -29,7 +29,7 @@ class TestStructure:
 
     def test_empty_tree(self):
         tree = KdTree(np.empty((0, 3)))
-        assert tree.n_nodes == 1 and tree.is_leaf(0)
+        assert tree.n_nodes == 1 and tree.node_left[0] < 0
         assert tree.node_indices(0).size == 0
         assert tree.nodes_indices(np.array([0])).size == 0
 

@@ -282,6 +282,14 @@ class TestOutlierScores:
 # ---------------------------------------------------------------------------
 # Oracles: the recursive tree walks that the level-at-a-time walks replace.
 
+def _is_leaf(tree, node):
+    return tree.node_left[node] < 0
+
+
+def _node_count(tree, node):
+    return int(tree.node_end[node] - tree.node_start[node])
+
+
 def _box_min_sqdist(tree, node, q):
     d = np.maximum(0.0, np.maximum(tree.node_lo[node] - q, q - tree.node_hi[node]))
     return float(d @ d)
@@ -366,7 +374,7 @@ def reference_kd_estep(tree, points, node_aggr, weights, means, covs, tau, stats
                 sum_x[j] += resp[j] * sums[node]
                 sum_xx[j] += resp[j] * sqsums[node]
             return
-        if tree.is_leaf(node):
+        if _is_leaf(tree, node):
             points_estep(tree.node_indices(node))
             return
         visit(int(tree.node_left[node]))
@@ -393,16 +401,16 @@ def reference_pair_count(points, bin_edges_rad, others=None, leaf_size=32):
             return
         k = int(np.searchsorted(edges2, dmin2, side="right")) - 1
         if 0 <= k < len(edges2) - 1 and dmin2 >= edges2[k] and dmax2 < edges2[k + 1]:
-            counts[k] += tree_a.node_count(na) * tree_b.node_count(nb)
+            counts[k] += _node_count(tree_a, na) * _node_count(tree_b, nb)
             return
-        a_leaf, b_leaf = tree_a.is_leaf(na), tree_b.is_leaf(nb)
+        a_leaf, b_leaf = _is_leaf(tree_a, na), _is_leaf(tree_b, nb)
         if a_leaf and b_leaf:
             ia, ib = tree_a.node_indices(na), tree_b.node_indices(nb)
             d2 = mining._pairwise_d2(a_pts[ia], b_pts[ib]).ravel()
             evals[0] += len(ia) * len(ib)
             mining._bin_d2(d2, edges2, counts)
             return
-        if b_leaf or (not a_leaf and tree_a.node_count(na) >= tree_b.node_count(nb)):
+        if b_leaf or (not a_leaf and _node_count(tree_a, na) >= _node_count(tree_b, nb)):
             visit_cross(int(tree_a.node_left[na]), nb)
             visit_cross(int(tree_a.node_right[na]), nb)
         else:
@@ -410,7 +418,7 @@ def reference_pair_count(points, bin_edges_rad, others=None, leaf_size=32):
             visit_cross(na, int(tree_b.node_right[nb]))
 
     def visit_self(node):
-        if tree_a.is_leaf(node):
+        if _is_leaf(tree_a, node):
             idx = tree_a.node_indices(node)
             if len(idx) < 2:
                 return

@@ -158,7 +158,7 @@ class TestDeterminism:
 
 
 class TestWriteSurvey:
-    def test_manifest_and_labels(self, tmp_path):
+    def test_manifest_and_labels(self, tmp_path, read_labels):
         out = tmp_path / "s"
         truth, det, labels, manifest = skygen.write_survey(
             cfg(n_objects=30, passes=4, periodic_fraction=0.2), out)
@@ -167,7 +167,7 @@ class TestWriteSurvey:
         assert meta["n_objects"] == 30
         assert meta["n_detections"] == len(det) == manifest.total_records
         assert meta["kind_counts"]["periodic"] == 6
-        table = skygen.read_labels(out)
+        table = read_labels(out)
         assert len(table) == len(det)
         assert table[int(det["det_id"][0])] == int(labels[0])
 

@@ -17,19 +17,25 @@ def random_catalog(seed, n):
     return unit
 
 
+def angular_distance(ra1, dec1, ra2, dec2) -> float:
+    """Great-circle angle (radians) between two RA/Dec positions (degrees)."""
+    return float(sphere.angle_between(sphere.radec_to_unit(ra1, dec1),
+                                      sphere.radec_to_unit(ra2, dec2)))
+
+
 class TestAngularDistance:
     def test_orthogonal_axes(self):
-        assert sphere.angular_distance(0, 0, 90, 0) == pytest.approx(np.pi / 2)
+        assert angular_distance(0, 0, 90, 0) == pytest.approx(np.pi / 2)
 
     def test_identity(self):
-        assert sphere.angular_distance(123.4, -56.7, 123.4, -56.7) == 0.0
+        assert angular_distance(123.4, -56.7, 123.4, -56.7) == 0.0
 
     def test_antipodal_poles(self):
-        assert sphere.angular_distance(0, 90, 0, -90) == pytest.approx(np.pi)
+        assert angular_distance(0, 90, 0, -90) == pytest.approx(np.pi)
 
     def test_rejects_bad_dec(self):
         with pytest.raises(ValidationError):
-            sphere.angular_distance(0, 91, 0, 0)
+            angular_distance(0, 91, 0, 0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50)

@@ -377,7 +377,7 @@ class TestZoneBandScan:
 
 
 class TestMaster:
-    def test_static_objects_collapse_exactly(self, tmp_path):
+    def test_static_objects_collapse_exactly(self, tmp_path, read_labels):
         cfg = skygen.SurveyConfig(n_objects=200, passes=10, seed=5,
                                   position_noise_arcsec=0.1)
         truth, det, labels, _ = skygen.write_survey(cfg, tmp_path)
@@ -387,7 +387,7 @@ class TestMaster:
         assert np.all(masters["n_detections"] == 10)
         # every master groups detections of exactly one truth object
         recs = store.read_all(tmp_path)
-        table = skygen.read_labels(tmp_path)
+        table = read_labels(tmp_path)
         for mid in masters["master_id"]:
             tids = {table[int(d)] for d in recs["det_id"][recs["master_id"] == mid]}
             assert len(tids) == 1

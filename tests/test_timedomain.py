@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,6 +269,71 @@ class TestGroupedFitEquivalence:
         with pytest.raises(ValidationError, match="master 9, mjd 3.000000 repeats"):
             make_lc([1, 3, 3], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], master_id=9)
 
+class TestClassesOnly:
+    """With `classes_only`, curves that are static by chi^2/dof alone are not
+    searched; every classification equals the full fit's, and every other
+    field equals it too, apart from the skipped curves' search results."""
+
+    GRID = (0.01, 2.0, 200)
+
+    def check(self, curves):
+        full = timedomain.fit_lightcurves(curves, self.GRID)
+        brief = timedomain.fit_lightcurves(curves, self.GRID, classes_only=True)
+        skipped = 0
+        for lc, f, b in zip(curves, full, brief):
+            assert b.classification == f.classification
+            if len(lc) >= 3 and f.chi2_const / f.dof <= timedomain.VARIABILITY_CHI2_DOF:
+                assert b == dataclasses.replace(f, best_frequency=None,
+                                                periodic_power=0.0,
+                                                amplitude_fraction=0.0)
+                skipped += 1
+            else:
+                assert b == f
+        return full, skipped
+
+    # chi^2/dof is exactly 3 for each: the weighted mean is exactly 100 and
+    # every square and sum is exact
+    AT_CUT = [
+        ([-1.5, 1.5, -1.5, 1.5], 1.0),
+        ([-3.0, 3.0, -3.0, 3.0], 2.0),
+        ([-0.75, 0.75, -0.75, 0.75], 0.5),
+        ([-2.0, 1.0, -2.0, 0.0, 2.0, -1.0, 2.0], 1.0),
+    ]
+
+    @pytest.mark.parametrize("offsets, err", AT_CUT)
+    @pytest.mark.parametrize("scale", [1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    def test_both_sides_of_the_cut(self, offsets, err, scale):
+        n = len(offsets)
+        lc = make_lc(np.arange(n) * 1.7, 100.0 + scale * np.array(offsets),
+                     np.full(n, err))
+        full, skipped = self.check([lc])
+        ratio = full[0].chi2_const / full[0].dof
+        if scale == 1.0:
+            assert ratio == timedomain.VARIABILITY_CHI2_DOF
+        assert (ratio <= timedomain.VARIABILITY_CHI2_DOF) == (scale <= 1.0)
+        assert skipped == (scale <= 1.0)
+
+    @given(st.integers(1, 20), st.one_of(st.just(1.0), st.floats(0.5, 1.5)),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_classes_match_near_the_cut(self, n, ratio, seed):
+        """Curves scaled to chi^2/dof near ratio * VARIABILITY_CHI2_DOF."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        t = np.sort(rng.uniform(0, 30, n)) + np.arange(n) * 1e-3
+        err = rng.uniform(0.5, 2.0, n)
+        w = 1.0 / err ** 2
+        dev = rng.normal(0, 1, n)
+        dev -= np.sum(w * dev) / np.sum(w)
+        chi2 = np.sum(w * dev ** 2)
+        if chi2 > 0:
+            dev *= np.sqrt(timedomain.VARIABILITY_CHI2_DOF * max(n - 1, 1) * ratio / chi2)
+        self.check([make_lc(t, 100.0 + dev, err)])
+
+    def test_mixed_curves_in_one_call(self):
+        _, skipped = self.check(equivalence_curves())
+        assert skipped > 0
+
+
 class TestClassifyChain:
     def test_single_flagged_is_defect(self):
         assert timedomain.classify_chain(1, True, None, None) == "defect"
@@ -290,6 +357,17 @@ class TestClassifyChain:
     def test_missing_fit_rejected(self):
         with pytest.raises(ValidationError):
             timedomain.classify_chain(5, False, None, None)
+        lc = make_lc([0, 1, 2, 3], [50, 55, 52, 48], [1, 1, 1, 1])
+        with pytest.raises(ValidationError):
+            timedomain.classify_chain(4, False, lc, None, survey_span_days=5.0)
+
+    def test_burst_needs_no_fit(self):
+        lc = make_lc([0, 1, 2, 3], [50, 55, 52, 48], [1, 1, 1, 1])
+        assert timedomain.is_burst(lc, 50.0)
+        assert not timedomain.is_burst(lc, 5.0)
+        assert not timedomain.is_burst(lc, None)
+        assert timedomain.classify_chain(4, False, lc, None,
+                                         survey_span_days=50.0) == "transient"
 
 
 def survey_with_masters(tmp_path, **kw):
