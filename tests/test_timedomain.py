@@ -269,6 +269,7 @@ class TestGroupedFitEquivalence:
         with pytest.raises(ValidationError, match="master 9, mjd 3.000000 repeats"):
             make_lc([1, 3, 3], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], master_id=9)
 
+
 class TestClassesOnly:
     """With `classes_only`, curves that are static by chi^2/dof alone are not
     searched; every classification equals the full fit's, and every other
