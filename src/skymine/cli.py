@@ -62,13 +62,12 @@ def plan():
 @click.option("--camera-gpix", default=5.0, show_default=True)
 @click.option("--exposure", default=60.0, show_default=True, help="Exposure seconds.")
 @click.option("--night-hours", default=8.0, show_default=True)
-@click.option("--nights", default=200.0, show_default=True)
 @format_option
 def plan_acquisition_cmd(sky_pixels, bytes_per_pixel, passes, camera_gpix,
-                         exposure, night_hours, nights, fmt):
+                         exposure, night_hours, fmt):
     """Raw imaging volume and stream-rate projections."""
     spec = planner.AcquisitionSpec(sky_pixels, bytes_per_pixel, passes,
-                                   camera_gpix, exposure, night_hours, nights)
+                                   camera_gpix, exposure, night_hours)
     p = planner.plan_acquisition(spec)
     _echo_pairs([
         ("bytes_per_pass", p.bytes_per_pass),
@@ -362,18 +361,8 @@ def lc_cmd(store_dir, master_id, limit, fmin, fmax, steps):
 def classify_cmd(store_dir, span_days, fmin, fmax, steps):
     """Classify every master chain; CSV master_id,classification."""
     master_ids, chains = _chains(store_dir)
-    # every multi-detection chain becomes a LightCurve, which rejects repeated
-    # epochs before any output; only chains whose class can depend on their
-    # spectrum are searched
-    lcs = {i: timedomain.LightCurve.from_chain(master_ids[i], c)
-           for i, c in enumerate(chains) if len(c) > 1}
-    fitted = [i for i, lc in lcs.items() if not timedomain.is_burst(lc, span_days)]
-    fits = dict(zip(fitted, timedomain.fit_lightcurves(
-        [lcs[i] for i in fitted], (fmin, fmax, steps), classes_only=True)))
-    rows = [(mid, len(chain),
-             timedomain.classify_chain(len(chain), bool(np.any(chain["flags"] != 0)),
-                                       lcs.get(i), fits.get(i), span_days))
-            for i, (mid, chain) in enumerate(zip(master_ids.tolist(), chains))]
+    classes = timedomain.classify_chains(master_ids, chains, (fmin, fmax, steps), span_days)
+    rows = list(zip(master_ids.tolist(), map(len, chains), classes))
     _echo(csvio.blocks("master_id,n_detections,classification", "%d,%d,%s", rows))
 
 
@@ -433,7 +422,12 @@ def corr_cmd(store_dir, bins_deg, randoms, seed, use_masters):
     parts = bins_deg.split(",")
     if len(parts) not in (3, 4):
         raise ValidationError("--bins-deg must be lo,hi,n[,log]")
-    lo, hi, nbins = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, nbins = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValidationError(f"--bins-deg must be lo,hi,n[,log], got {bins_deg!r}") from None
+    if nbins < 1:
+        raise ValidationError(f"--bins-deg needs at least one bin, got {bins_deg!r}")
     if len(parts) == 4 and parts[3] == "log":
         edges = np.radians(np.logspace(np.log10(lo), np.log10(hi), nbins + 1))
     else:

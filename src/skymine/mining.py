@@ -226,13 +226,6 @@ class MixtureModel:
             "mode": self.mode,
         }, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MixtureModel":
-        d = json.loads(text)
-        return cls(np.asarray(d["weights"]), np.asarray(d["means"]),
-                   np.asarray(d["covariances"]), d["log_likelihoods"],
-                   d["n_iter"], d.get("seed"), d.get("mode", "exact"))
-
 
 @dataclass
 class KdTreeStats:

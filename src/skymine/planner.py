@@ -58,7 +58,6 @@ class AcquisitionSpec:
     camera_gigapixels: float = 5.0
     exposure_seconds: float = 60.0
     night_hours: float = 8.0
-    nights_per_year: float = 200.0
 
     def __post_init__(self):
         _require_positive(self, *(f.name for f in fields(self)))

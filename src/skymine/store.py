@@ -56,9 +56,6 @@ MASTER_DTYPE = np.dtype([
 ])
 MASTER_CSV_FORMAT = "%d,%.9f,%.9f,%d,%.6f,%.6f,%.6f,%.6f"
 
-MASTER_CLASSES = ("unclassified", "static", "variable", "transient",
-                  "mover-candidate", "defect")
-
 
 @dataclass
 class PartitionInfo:

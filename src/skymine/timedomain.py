@@ -196,30 +196,25 @@ def _fit(lc: LightCurve, constant: tuple[float, float], freqs: np.ndarray | None
 
 
 def fit_lightcurves(lcs: list[LightCurve],
-                    freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000),
-                    *, classes_only: bool = False) -> list[LightCurveFit]:
+                    freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000)
+                    ) -> list[LightCurveFit]:
     """Fit every light curve, in input order: a weighted constant fit plus,
     for series of 3+ points, a floating-mean sinusoid search over a uniform
-    frequency grid.
+    frequency grid. The grid is checked first, whatever the curves.
 
     Curves of 3+ points are searched in groups that share an epoch vector,
     so the trig work is done once per distinct epoch vector, not per curve.
     The result does not depend on how curves are grouped.
-
-    With `classes_only`, a curve that is static by its chi^2/dof alone is not
-    searched and comes back as a short curve does (no best frequency, power
-    0); its classification is the one the search would give. The grid is
-    checked whenever a curve of 3+ points is given, searched or not.
     """
+    freqs = _frequency_grid(freq_grid)
     constants = [_weighted_constant(lc) for lc in lcs]
     fits: list[LightCurveFit | None] = [None] * len(lcs)
     groups: dict[bytes, list[int]] = {}
     for i, lc in enumerate(lcs):
-        if len(lc) < 3 or (classes_only and _static(lc, constants[i][1])):
+        if len(lc) < 3:
             fits[i] = _fit(lc, constants[i], None, None)
         else:
             groups.setdefault(lc.epochs.tobytes(), []).append(i)
-    freqs = _frequency_grid(freq_grid) if any(len(lc) >= 3 for lc in lcs) else None
     for members in groups.values():
         spectra = _periodograms([lcs[i] for i in members], freqs)
         for i, spectrum in zip(members, spectra):
@@ -227,35 +222,39 @@ def fit_lightcurves(lcs: list[LightCurve],
     return fits
 
 
-def is_burst(lc: LightCurve, survey_span_days: float | None) -> bool:
-    """True when a survey span is given and the curve spans less than
-    TRANSIENT_SPAN_FRACTION of it: such a chain is a transient, whatever its
-    fit."""
-    if not (survey_span_days and survey_span_days > 0 and len(lc) >= 2):
-        return False
-    span = float(lc.epochs[-1] - lc.epochs[0])
-    return span < TRANSIENT_SPAN_FRACTION * survey_span_days
+def classify_chains(master_ids: np.ndarray, chains: list[np.ndarray],
+                    freq_grid: tuple[float, float, int],
+                    survey_span_days: float | None = None) -> list[str]:
+    """Class of each master's detection chain (records in `mjd` order), in
+    input order; the grid is checked first, whatever the chains.
 
-
-def classify_chain(n_detections: int, flags_any: bool, lc: LightCurve | None,
-                   fit: LightCurveFit | None, survey_span_days: float | None = None) -> str:
-    """Classify a master's detection chain.
-
-    Single flagged detections are defects; single clean detections are
-    mover candidates (nothing else revisits a location exactly once).
-    Short contiguous chains against a known survey span are transients
-    (`is_burst`; they need no fit); everything else falls to the
-    light-curve fit.
+    A single detection is a `defect` if flagged, else a `mover-candidate`.
+    Given a survey span, a chain spanning less than TRANSIENT_SPAN_FRACTION
+    of it is a `transient`. A chain static by chi^2/dof alone is `static`.
+    Only the remaining chains are fitted, and they take their fit's class.
+    Every multi-detection chain becomes a LightCurve before any search, so a
+    repeated epoch is rejected whatever the chain's class.
     """
-    if n_detections == 1:
-        return "defect" if flags_any else "mover-candidate"
-    if lc is None:
-        raise ValidationError("multi-detection chains need a light curve")
-    if is_burst(lc, survey_span_days):
-        return "transient"
-    if fit is None:
-        raise ValidationError("multi-detection chains that are not bursts need a fit")
-    return fit.classification
+    _frequency_grid(freq_grid)
+    # epochs strictly increase, so no chain is a burst against 0
+    burst_span = (TRANSIENT_SPAN_FRACTION * survey_span_days
+                  if survey_span_days and survey_span_days > 0 else 0.0)
+    classes: list[str | None] = [None] * len(chains)
+    searched: dict[int, LightCurve] = {}
+    for i, (master_id, chain) in enumerate(zip(master_ids, chains)):
+        if len(chain) == 1:
+            classes[i] = "defect" if chain["flags"][0] != 0 else "mover-candidate"
+            continue
+        lc = LightCurve.from_chain(master_id, chain)
+        if lc.epochs[-1] - lc.epochs[0] < burst_span:
+            classes[i] = "transient"
+        elif _static(lc, _weighted_constant(lc)[1]):
+            classes[i] = "static"
+        else:
+            searched[i] = lc
+    for i, fit in zip(searched, fit_lightcurves(list(searched.values()), freq_grid)):
+        classes[i] = fit.classification
+    return classes
 
 
 # ---------------------------------------------------------------------------

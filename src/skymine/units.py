@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 
 from .errors import ValidationError
+from .sphere import ARCSEC_PER_DEG
 
 _SIZE_FACTORS = {
     "": 1.0,
@@ -21,8 +22,6 @@ _SIZE_FACTORS = {
 }
 
 _SIZE_RE = re.compile(r"^\s*([0-9.eE+-]+)\s*([A-Za-z]*)\s*$")
-
-ARCSEC_PER_DEG = 3600.0
 
 
 def parse_bytes(text: str) -> float:
@@ -56,17 +55,23 @@ def parse_bits_per_second(text: str) -> float:
     if not m:
         raise ValidationError(f"cannot parse bit rate {text!r}")
     factors = {"": 1.0, "K": 1e3, "M": 1e6, "G": 1e9, "T": 1e12}
-    return float(m.group(1)) * factors[m.group(2).upper()]
+    try:
+        value = float(m.group(1))
+    except ValueError:
+        raise ValidationError(f"cannot parse bit rate {text!r}") from None
+    return value * factors[m.group(2).upper()]
 
 
 def parse_angle_deg(text: str) -> float:
     """Parse an angle with an explicit unit suffix: '5d' degrees, '60s' arcsec."""
     t = text.strip()
-    if t.endswith("d"):
-        return float(t[:-1])
-    if t.endswith("s"):
-        return float(t[:-1]) / ARCSEC_PER_DEG
-    raise ValidationError(f"angle {text!r} needs a unit suffix ('d' or 's')")
+    if not t.endswith(("d", "s")):
+        raise ValidationError(f"angle {text!r} needs a unit suffix ('d' or 's')")
+    try:
+        value = float(t[:-1])
+    except ValueError:
+        raise ValidationError(f"cannot parse angle {text!r}") from None
+    return value if t.endswith("d") else value / ARCSEC_PER_DEG
 
 
 def fmt_bytes(n: float) -> str:

@@ -7,6 +7,10 @@ from skymine import cli, store, timedomain
 from skymine.errors import EXIT_IO, EXIT_OK, EXIT_VALIDATION
 
 
+# every class `classify` prints
+CLASSES = ("static", "variable", "transient", "mover-candidate", "defect")
+
+
 def run(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
@@ -92,6 +96,13 @@ class TestPlanCommands:
     def test_bad_unit_suffix(self, capsys):
         code, _, err = run(capsys, "plan", "scan", "--db", "120TBx")
         assert code == EXIT_VALIDATION
+
+    def test_nights_option_removed(self, capsys):
+        # nights per year never entered the acquisition arithmetic
+        code, out, err = run(capsys, "plan", "acquisition", "--nights", "100")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "--nights" in err
 
 
 class TestLifecycle:
@@ -302,7 +313,7 @@ class TestQueries:
         lines = out.strip().splitlines()
         assert lines[0] == "master_id,n_detections,classification"
         classes = {ln.split(",")[2] for ln in lines[1:]}
-        assert classes <= set(store.MASTER_CLASSES)
+        assert classes <= set(CLASSES)
 
     def test_trigger_self_stream(self, capsys, survey_store):
         code, out, _ = run(capsys, "trigger", "--store", str(survey_store),
@@ -350,6 +361,57 @@ class TestQueries:
         code, _, _ = run(capsys, "em", "--store", str(survey_store),
                          "--features", "bogus", "--seed", "1")
         assert code == EXIT_VALIDATION
+
+
+# each malformed or out-of-range number is named in the error, not raised as
+# a traceback
+@pytest.mark.parametrize("argv, bad", [
+    (["neighbors", "--store", "{store}", "--theta", "abcs"], "abcs"),
+    (["query", "--store", "{store}", "--cone", "1d,2d,xd"], "xd"),
+    (["corr", "--store", "{store}", "--bins-deg", "1,x,5", "--seed", "1"], "1,x,5"),
+    (["corr", "--store", "{store}", "--bins-deg", "1,5,-2", "--seed", "1"], "1,5,-2"),
+    (["gen", "--objects", "1", "--passes", "1", "--seed", "1", "--pos-noise", "0.1.2s",
+      "--out", "{store}/never"], "0.1.2s"),
+    (["plan", "transfer", "--link-rate", "1.2.3Mbit/s"], "1.2.3Mbit/s"),
+], ids=["neighbors-theta", "query-cone", "corr-bins", "corr-negative-bins", "gen-pos-noise",
+        "plan-link-rate"])
+def test_malformed_number_is_validation_error(capsys, survey_store, argv, bad):
+    code, out, err = run(capsys, *(a.format(store=survey_store) for a in argv))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert repr(bad) in err
+
+
+@pytest.fixture(scope="module")
+def short_chain_store(tmp_path_factory):
+    """A two-pass survey: no chain has the 3 points a search needs."""
+    out = tmp_path_factory.mktemp("cli") / "short"
+    assert cli.run(["gen", "--objects", "30", "--passes", "2", "--seed", "5",
+                    "--out", str(out)]) == EXIT_OK
+    assert cli.run(["index", "--store", str(out)]) == EXIT_OK
+    assert cli.run(["master", "--store", str(out), "--radius", "1s"]) == EXIT_OK
+    assert store.read_masters(out)["n_detections"].max() < 3
+    return out
+
+
+class TestBadGrid:
+    """An invalid frequency grid is an error whatever the store holds, also
+    when no chain would be searched."""
+
+    @pytest.mark.parametrize("fixture, argv", [
+        ("short_chain_store", ["lc"]),
+        ("short_chain_store", ["classify"]),
+        # against 20 days every chain of the reference store is a burst
+        ("reference_store", ["classify", "--span-days", "20"]),
+    ], ids=["lc-short", "classify-short", "classify-all-bursts"])
+    @pytest.mark.parametrize("grid", [["--fmin", "2", "--fmax", "1"], ["--steps", "1"]],
+                             ids=["fmin-above-fmax", "one-step"])
+    def test_rejected(self, request, capsys, fixture, argv, grid):
+        path = request.getfixturevalue(fixture)
+        code, out, err = run(capsys, argv[0], "--store", str(path), *argv[1:], *grid)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "frequency grid" in err
 
 
 def _merged_pair(tmp_path_factory, name, pair_fluxes):

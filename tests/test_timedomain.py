@@ -1,4 +1,4 @@
-import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -251,11 +251,14 @@ class TestGroupedFitEquivalence:
         assert len(constant) == 2
         assert all(not periodogram(lc, freqs)[0].any() for lc in constant)
 
-    def test_bad_grid_only_checked_when_searched(self):
-        short = [make_lc([0, 1], [1.0, 2.0], [1.0, 1.0])]
-        assert timedomain.fit_lightcurves(short, (2.0, 1.0, 10))[0].best_frequency is None
-        with pytest.raises(ValidationError):
-            timedomain.fit_lightcurves(short + [sinusoid_lc(2.0)], (2.0, 1.0, 10))
+    def test_bad_grid_rejected_for_short_only_curves(self):
+        short = [make_lc([0, 1], [1.0, 2.0], [1.0, 1.0]), make_lc([0], [1.0], [1.0])]
+        for bad in [(2.0, 1.0, 10), (0.5, 1.0, 1), (0.0, 1.0, 10)]:
+            with pytest.raises(ValidationError, match="frequency grid"):
+                timedomain.fit_lightcurves(short, bad)
+            with pytest.raises(ValidationError, match="frequency grid"):
+                timedomain.fit_lightcurves([], bad)
+        assert timedomain.fit_lightcurves(short, (0.5, 1.0, 2))[0].best_frequency is None
 
     def test_group_chains_sorts_by_master_then_mjd(self):
         recs = np.zeros(6, dtype=store.DET_DTYPE)
@@ -270,27 +273,69 @@ class TestGroupedFitEquivalence:
             make_lc([1, 3, 3], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], master_id=9)
 
 
+CHAIN_DTYPE = np.dtype([("mjd", "<f8"), ("flux", "<f8"), ("flux_err", "<f8"),
+                        ("flags", "<u4")])
+
+
+def chain_of(lc, flags=0):
+    """A detection chain holding `lc`'s points; float64 fluxes, so that no
+    value is rounded as the store's float32 columns would round it."""
+    chain = np.zeros(len(lc), CHAIN_DTYPE)
+    chain["mjd"], chain["flux"], chain["flux_err"] = lc.epochs, lc.fluxes, lc.flux_errs
+    chain["flags"] = flags
+    return chain
+
+
+def oracle_classes(chains, grid, span=None):
+    """Each chain's class from the full fit of every multi-detection chain,
+    plus the single-detection and burst rules."""
+    lcs = [LightCurve.from_chain(i, c) for i, c in enumerate(chains) if len(c) > 1]
+    fits = iter(timedomain.fit_lightcurves(lcs, grid))
+    classes = []
+    for c in chains:
+        if len(c) == 1:
+            classes.append("defect" if c["flags"][0] else "mover-candidate")
+            continue
+        fit = next(fits)
+        burst = span and c["mjd"][-1] - c["mjd"][0] < timedomain.TRANSIENT_SPAN_FRACTION * span
+        classes.append("transient" if burst else fit.classification)
+    return classes
+
+
+def classify(chains, grid, span=None):
+    """`classify_chains` on chains numbered 0, 1, ...; returns the classes and
+    the sorted numbers of the chains that `_periodograms` searched."""
+    seen = []
+    real = timedomain._periodograms
+
+    def spy(lcs, freqs):
+        seen.extend(lc.master_id for lc in lcs)
+        return real(lcs, freqs)
+
+    with mock.patch.object(timedomain, "_periodograms", spy):
+        classes = timedomain.classify_chains(np.arange(len(chains)), chains, grid, span)
+    return classes, sorted(seen)
+
+
 class TestClassesOnly:
-    """With `classes_only`, curves that are static by chi^2/dof alone are not
-    searched; every classification equals the full fit's, and every other
-    field equals it too, apart from the skipped curves' search results."""
+    """`classify_chains` searches only the chains whose class can depend on a
+    spectrum: not single detections, bursts, or curves static by chi^2/dof
+    alone. Every class equals the oracle's, from the full fit of every
+    chain."""
 
     GRID = (0.01, 2.0, 200)
 
-    def check(self, curves):
+    def check(self, curves, span=None):
+        chains = [chain_of(lc, flags=k % 2) for k, lc in enumerate(curves)]
+        classes, seen = classify(chains, self.GRID, span)
+        assert classes == oracle_classes(chains, self.GRID, span)
         full = timedomain.fit_lightcurves(curves, self.GRID)
-        brief = timedomain.fit_lightcurves(curves, self.GRID, classes_only=True)
-        skipped = 0
-        for lc, f, b in zip(curves, full, brief):
-            assert b.classification == f.classification
-            if len(lc) >= 3 and f.chi2_const / f.dof <= timedomain.VARIABILITY_CHI2_DOF:
-                assert b == dataclasses.replace(f, best_frequency=None,
-                                                periodic_power=0.0,
-                                                amplitude_fraction=0.0)
-                skipped += 1
-            else:
-                assert b == f
-        return full, skipped
+        static = [len(lc) >= 3 and f.chi2_const / f.dof <= timedomain.VARIABILITY_CHI2_DOF
+                  for lc, f in zip(curves, full)]
+        cut = timedomain.TRANSIENT_SPAN_FRACTION * span if span else -np.inf
+        assert seen == [k for k, lc in enumerate(curves) if len(lc) >= 3 and not static[k]
+                        and lc.epochs[-1] - lc.epochs[0] >= cut]
+        return full, sum(static)
 
     # chi^2/dof is exactly 3 for each: the weighted mean is exactly 100 and
     # every square and sum is exact
@@ -331,44 +376,57 @@ class TestClassesOnly:
         self.check([make_lc(t, 100.0 + dev, err)])
 
     def test_mixed_curves_in_one_call(self):
-        _, skipped = self.check(equivalence_curves())
-        assert skipped > 0
+        curves = equivalence_curves()
+        for span in [None, 20.0, 40.0]:
+            _, skipped = self.check(curves, span)
+            assert skipped > 0
+        chains = [chain_of(lc) for lc in curves]
+        assert classify(chains, self.GRID, 40.0)[0].count("transient") \
+            > classify(chains, self.GRID)[0].count("transient")
 
 
 class TestClassifyChain:
+    GRID = (0.01, 2.0, 4000)
+    # a variable chain spanning 3 days: a burst against a 50-day survey
+    BURST = make_lc([0, 1, 2, 3], [50, 55, 52, 48], [1, 1, 1, 1])
+
     def test_single_flagged_is_defect(self):
-        assert timedomain.classify_chain(1, True, None, None) == "defect"
+        chains = [chain_of(make_lc([0], [10.0], [1.0]), flags=4)]
+        assert classify(chains, self.GRID) == (["defect"], [])
+        assert oracle_classes(chains, self.GRID) == ["defect"]
 
     def test_single_clean_is_mover_candidate(self):
-        assert timedomain.classify_chain(1, False, None, None) == "mover-candidate"
+        chains = [chain_of(make_lc([0], [10.0], [1.0]))]
+        assert classify(chains, self.GRID) == (["mover-candidate"], [])
+        assert oracle_classes(chains, self.GRID) == ["mover-candidate"]
 
     def test_short_chain_is_transient(self):
-        lc = make_lc([0, 1, 2, 3], [50, 55, 52, 48], [1, 1, 1, 1])
-        fit = fit_lightcurve(lc)
-        assert timedomain.classify_chain(4, False, lc, fit,
-                                         survey_span_days=50.0) == "transient"
+        chains = [chain_of(self.BURST)]
+        assert classify(chains, self.GRID, 50.0)[0] == ["transient"]
+        assert oracle_classes(chains, self.GRID, 50.0) == ["transient"]
+        assert fit_lightcurve(self.BURST).classification != "transient"
 
     def test_full_span_static(self):
         n = 20
-        lc = make_lc(np.arange(n, dtype=float), np.full(n, 50.0), np.full(n, 1.0))
-        fit = fit_lightcurve(lc)
-        assert timedomain.classify_chain(n, False, lc, fit,
-                                         survey_span_days=20.0) == "static"
-
-    def test_missing_fit_rejected(self):
-        with pytest.raises(ValidationError):
-            timedomain.classify_chain(5, False, None, None)
-        lc = make_lc([0, 1, 2, 3], [50, 55, 52, 48], [1, 1, 1, 1])
-        with pytest.raises(ValidationError):
-            timedomain.classify_chain(4, False, lc, None, survey_span_days=5.0)
+        chains = [chain_of(make_lc(np.arange(n, dtype=float), np.full(n, 50.0),
+                                   np.full(n, 1.0)))]
+        assert classify(chains, self.GRID, 20.0) == (["static"], [])
+        assert oracle_classes(chains, self.GRID, 20.0) == ["static"]
 
     def test_burst_needs_no_fit(self):
-        lc = make_lc([0, 1, 2, 3], [50, 55, 52, 48], [1, 1, 1, 1])
-        assert timedomain.is_burst(lc, 50.0)
-        assert not timedomain.is_burst(lc, 5.0)
-        assert not timedomain.is_burst(lc, None)
-        assert timedomain.classify_chain(4, False, lc, None,
-                                         survey_span_days=50.0) == "transient"
+        chains = [chain_of(self.BURST)]
+        assert classify(chains, self.GRID, 50.0) == (["transient"], [])
+        # against a 5-day span, or none, the chain is no burst and is searched
+        for span in [5.0, None, 0.0, -50.0]:
+            classes, seen = classify(chains, self.GRID, span)
+            assert seen == [0]
+            assert classes == oracle_classes(chains, self.GRID, span) == ["variable"]
+
+    def test_bad_grid_rejected_whatever_the_chains(self):
+        for chains in [[], [chain_of(make_lc([0], [1.0], [1.0]))], [chain_of(self.BURST)]]:
+            with pytest.raises(ValidationError, match="frequency grid"):
+                timedomain.classify_chains(np.arange(len(chains)), chains,
+                                           (2.0, 1.0, 10), 50.0)
 
 
 def survey_with_masters(tmp_path, **kw):
