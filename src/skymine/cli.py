@@ -428,7 +428,14 @@ def corr_cmd(store_dir, bins_deg, randoms, seed, use_masters):
         raise ValidationError(f"--bins-deg must be lo,hi,n[,log], got {bins_deg!r}") from None
     if nbins < 1:
         raise ValidationError(f"--bins-deg needs at least one bin, got {bins_deg!r}")
-    if len(parts) == 4 and parts[3] == "log":
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValidationError(f"--bins-deg needs finite lo < hi, got {bins_deg!r}")
+    log = len(parts) == 4
+    if log and parts[3] != "log":
+        raise ValidationError(f"--bins-deg scale must be 'log' if given, got {bins_deg!r}")
+    if log and lo <= 0:
+        raise ValidationError(f"--bins-deg log bins need lo > 0, got {bins_deg!r}")
+    if log:
         edges = np.radians(np.logspace(np.log10(lo), np.log10(hi), nbins + 1))
     else:
         edges = np.radians(np.linspace(lo, hi, nbins + 1))

@@ -6,6 +6,7 @@ reconciles in decimal units. Angles accept `d` (degrees) or `s` (arcseconds).
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ValidationError
@@ -63,7 +64,8 @@ def parse_bits_per_second(text: str) -> float:
 
 
 def parse_angle_deg(text: str) -> float:
-    """Parse an angle with an explicit unit suffix: '5d' degrees, '60s' arcsec."""
+    """Parse a finite angle with an explicit unit suffix: '5d' degrees, '60s'
+    arcsec."""
     t = text.strip()
     if not t.endswith(("d", "s")):
         raise ValidationError(f"angle {text!r} needs a unit suffix ('d' or 's')")
@@ -71,6 +73,8 @@ def parse_angle_deg(text: str) -> float:
         value = float(t[:-1])
     except ValueError:
         raise ValidationError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"angle {text!r} must be finite")
     return value if t.endswith("d") else value / ARCSEC_PER_DEG
 
 

@@ -382,6 +382,40 @@ def test_malformed_number_is_validation_error(capsys, survey_store, argv, bad):
     assert repr(bad) in err
 
 
+# every option that takes an angle rejects a non-finite one before any work
+ANGLE_OPTIONS = {
+    "gen": ["gen", "--objects", "1", "--passes", "1", "--seed", "1",
+            "--out", "{store}/never", "--pos-noise"],
+    "index": ["index", "--store", "{store}", "--zone-height"],
+    "master": ["master", "--store", "{store}", "--radius"],
+    "query": ["query", "--store", "{store}", "--cone"],
+    "neighbors": ["neighbors", "--store", "{store}", "--theta"],
+    "trigger": ["trigger", "--store", "{store}", "--stream", "{store}", "--radius"],
+    "movers": ["movers", "--store", "{store}", "--residual-max"],
+}
+
+
+@pytest.mark.parametrize("angle", ["nans", "infd", "-infs"])
+@pytest.mark.parametrize("command", sorted(ANGLE_OPTIONS))
+def test_non_finite_angle_is_validation_error(capsys, survey_store, command, angle):
+    argv = [a.format(store=survey_store) for a in ANGLE_OPTIONS[command]]
+    value = f"1d,2d,{angle}" if command == "query" else angle
+    code, out, err = run(capsys, *argv, value)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert f"angle {angle!r} must be finite" in err
+
+
+@pytest.mark.parametrize("bins", ["nan,5,3", "1,inf,3", "5,1,3", "2,2,3",
+                                  "0,5,3,log", "-1,5,3,log", "1,5,3,lin"])
+def test_bad_corr_bins_are_validation_errors(capsys, survey_store, bins):
+    code, out, err = run(capsys, "corr", "--store", str(survey_store),
+                         "--bins-deg", bins, "--seed", "1")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert repr(bins) in err
+
+
 @pytest.fixture(scope="module")
 def short_chain_store(tmp_path_factory):
     """A two-pass survey: no chain has the 3 points a search needs."""

@@ -58,6 +58,11 @@ class TestParseAngle:
         with pytest.raises(ValidationError):
             units.parse_angle_deg("5")
 
+    @pytest.mark.parametrize("text", ["nand", "nans", "infd", "-infs", "1e400s"])
+    def test_rejects_non_finite(self, text):
+        with pytest.raises(ValidationError, match="must be finite"):
+            units.parse_angle_deg(text)
+
     @given(st.floats(0, 1e6, allow_nan=False))
     def test_round_trip_arcsec(self, arcsec):
         deg = units.parse_angle_deg(f"{arcsec!r}s")
