@@ -90,57 +90,81 @@ def group_chains(recs: np.ndarray):
     return master_ids, np.split(recs, starts[1:])
 
 
-def _trig_basis(freqs: np.ndarray, t: np.ndarray):
-    """cos, sin, cos^2, sin^2 and cos*sin of 2 pi f t, one row per trial
-    frequency; shared by every light curve observed at epochs t."""
+def _trig_basis(freqs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """cos, sin, cos^2, sin^2 and cos*sin of 2 pi f t, stacked as five
+    (frequency x epoch) blocks of one array; shared by every light curve
+    observed at epochs t."""
+    basis = np.empty((5, len(freqs), len(t)))
+    c, s, c2, s2, c_s = basis
     omega_t = 2.0 * np.pi * freqs[:, None] * t[None, :]
-    c = np.cos(omega_t)
-    s = np.sin(omega_t)
-    return c, s, c * c, s * s, c * s
+    np.cos(omega_t, out=c)
+    np.sin(omega_t, out=s)
+    np.multiply(c, c, out=c2)
+    np.multiply(s, s, out=s2)
+    np.multiply(c, s, out=c_s)
+    return basis.reshape(-1, len(t))
+
+
+# curves x grid steps that one block of `_periodograms` holds (a block has at
+# least one curve), which bounds the memory of its arrays at any number of
+# curves and keeps it about constant as the grid grows
+_PERIODOGRAM_BLOCK = 1 << 16
 
 
 def _periodograms(lcs: list[LightCurve], freqs: np.ndarray):
-    """Yield power and amplitude per trial frequency for light curves that
-    share one epoch vector. Power is the fraction of weighted variance that
-    the best-fit floating-mean sinusoid explains, in [0, 1]; amplitude is
-    that sinusoid's.
+    """Yield (power, best, amplitude) for each of the light curves, which
+    share one epoch vector: the power at each trial frequency, the index of
+    its maximum, and the amplitude of the best-fit sinusoid there. Power is
+    the fraction of weighted variance that the best-fit floating-mean
+    sinusoid explains, in [0, 1] (the generalised Lomb-Scargle periodogram of
+    Zechmeister & Kuerster, A&A 496, 577, 2009).
 
-    The trig basis is computed once for the group. Each curve's reductions
-    use the same operands and calls as a lone curve would, so results do not
-    depend on how curves are grouped.
+    The trig basis is computed once for the group. Curves are taken in
+    blocks of at most _PERIODOGRAM_BLOCK curves x grid steps, and a block's
+    seven weighted sums over the basis come from two matrix-matrix products.
+    A curve's results do not depend on which curves share its block: a lone
+    curve is padded to two rows, because numpy computes a one-row product
+    with a matrix-vector kernel, whose rounding differs.
     """
     nf = len(freqs)
-    basis = None
-    for lc in lcs:
-        w = 1.0 / lc.flux_errs ** 2
-        w = w / np.sum(w)
-        t = lc.epochs
-        y = lc.fluxes
-        ybar = np.sum(w * y)
-        yy = np.sum(w * (y - ybar) ** 2)
-        if yy <= 0:
-            yield np.zeros(nf), np.zeros(nf)
-            continue
-        if basis is None:
-            basis = _trig_basis(freqs, t)
-        c, s, c2, s2, c_s = basis
-        cbar = c @ w
-        sbar = s @ w
-        yc = (c * (w * y)) @ np.ones_like(t) - ybar * cbar
-        ys = (s * (w * y)) @ np.ones_like(t) - ybar * sbar
-        cc = c2 @ w - cbar ** 2
-        ss = s2 @ w - sbar ** 2
-        cs = c_s @ w - cbar * sbar
+    basis = _trig_basis(freqs, lcs[0].epochs)
+    step = max(1, _PERIODOGRAM_BLOCK // nf)
+    for lo in range(0, len(lcs), step):
+        block = lcs[lo:lo + step]
+        k = len(block)
+        w = 1.0 / np.stack([lc.flux_errs for lc in block]) ** 2
+        w = w / np.sum(w, axis=1, keepdims=True)
+        y = np.stack([lc.fluxes for lc in block])
+        wy = w * y
+        ybar = np.sum(wy, axis=1)
+        yy = np.sum(w * (y - ybar[:, None]) ** 2, axis=1)
+        if k == 1:
+            w, wy = np.repeat(w, 2, axis=0), np.repeat(wy, 2, axis=0)
+        sums = w @ basis.T
+        ysums = wy @ basis[:2 * nf].T
+        cbar, sbar, cc, ss, cs = (sums[:k, i * nf:(i + 1) * nf] for i in range(5))
+        yc, ys = ysums[:k, :nf], ysums[:k, nf:]
+        # centre the sums on the weighted means, in place
+        ybar = ybar[:, None]
+        yc -= ybar * cbar
+        ys -= ybar * sbar
+        cc -= cbar ** 2
+        ss -= sbar ** 2
+        cs -= cbar * sbar
         d = cc * ss - cs ** 2
-        safe = np.abs(d) > 1e-15
-        # every entry is computed, but entries are independent, so the safe
-        # ones equal a computation on the safe entries alone
+        # a constant curve (yy = 0) explains nothing
+        safe = (np.abs(d) > 1e-15) & (yy[:, None] > 0)
         with np.errstate(all="ignore"):
-            a = np.where(safe, (yc * ss - ys * cs) / d, 0.0)
-            b = np.where(safe, (ys * cc - yc * cs) / d, 0.0)
-            power = np.where(safe, (ss * yc ** 2 + cc * ys ** 2
-                                    - 2.0 * cs * yc * ys) / (yy * d), 0.0)
-        yield np.clip(power, 0.0, 1.0), np.hypot(a, b)
+            power = (ss * yc ** 2 + cc * ys ** 2 - 2.0 * cs * yc * ys) / (yy[:, None] * d)
+        np.copyto(power, 0.0, where=~safe)
+        np.clip(power, 0.0, 1.0, out=power)
+        best = np.argmax(power, axis=1)
+        at = (np.arange(k), best)
+        yc, ys, cc, ss, cs, d = yc[at], ys[at], cc[at], ss[at], cs[at], d[at]
+        with np.errstate(all="ignore"):
+            a = np.where(safe[at], (yc * ss - ys * cs) / d, 0.0)
+            b = np.where(safe[at], (ys * cc - yc * cs) / d, 0.0)
+        yield from zip(power, best.tolist(), np.hypot(a, b).tolist())
 
 
 def _transient_shape(lc: LightCurve) -> bool:
@@ -170,18 +194,18 @@ def _static(lc: LightCurve, chi2: float) -> bool:
 
 
 def _fit(lc: LightCurve, constant: tuple[float, float], freqs: np.ndarray | None,
-         spectrum: tuple[np.ndarray, np.ndarray] | None) -> LightCurveFit:
+         spectrum: tuple[np.ndarray, int, float] | None) -> LightCurveFit:
     """Classification from the curve's weighted constant fit (mean, chi2) and
-    its (power, amplitude) on `freqs`, or None for curves not searched."""
+    its (power, best, amplitude) on `freqs` from `_periodograms`, or None for
+    curves not searched."""
     mean, chi2 = constant
     if spectrum is None:
         cls = "static" if _static(lc, chi2) else "variable"
         return LightCurveFit(chi2, len(lc) - 1, mean, None, 0.0, 0.0, cls)
-    power, amp = spectrum
-    best = int(np.argmax(power))
+    power, best, amplitude = spectrum
     best_frequency = float(freqs[best])
     periodic_power = float(power[best])
-    amplitude_fraction = float(amp[best] / abs(mean)) if mean != 0 else 0.0
+    amplitude_fraction = amplitude / abs(mean) if mean != 0 else 0.0
 
     if _static(lc, chi2):
         cls = "static"
@@ -207,7 +231,12 @@ def fit_lightcurves(lcs: list[LightCurve],
     The result does not depend on how curves are grouped.
     """
     freqs = _frequency_grid(freq_grid)
-    constants = [_weighted_constant(lc) for lc in lcs]
+    return _fit_all(lcs, [_weighted_constant(lc) for lc in lcs], freqs)
+
+
+def _fit_all(lcs: list[LightCurve], constants: list[tuple[float, float]],
+             freqs: np.ndarray) -> list[LightCurveFit]:
+    """`fit_lightcurves` given each curve's weighted constant fit."""
     fits: list[LightCurveFit | None] = [None] * len(lcs)
     groups: dict[bytes, list[int]] = {}
     for i, lc in enumerate(lcs):
@@ -235,12 +264,14 @@ def classify_chains(master_ids: np.ndarray, chains: list[np.ndarray],
     Every multi-detection chain becomes a LightCurve before any search, so a
     repeated epoch is rejected whatever the chain's class.
     """
-    _frequency_grid(freq_grid)
+    freqs = _frequency_grid(freq_grid)
     # epochs strictly increase, so no chain is a burst against 0
     burst_span = (TRANSIENT_SPAN_FRACTION * survey_span_days
                   if survey_span_days and survey_span_days > 0 else 0.0)
     classes: list[str | None] = [None] * len(chains)
-    searched: dict[int, LightCurve] = {}
+    searched: list[int] = []
+    lcs: list[LightCurve] = []
+    constants: list[tuple[float, float]] = []
     for i, (master_id, chain) in enumerate(zip(master_ids, chains)):
         if len(chain) == 1:
             classes[i] = "defect" if chain["flags"][0] != 0 else "mover-candidate"
@@ -248,11 +279,15 @@ def classify_chains(master_ids: np.ndarray, chains: list[np.ndarray],
         lc = LightCurve.from_chain(master_id, chain)
         if lc.epochs[-1] - lc.epochs[0] < burst_span:
             classes[i] = "transient"
-        elif _static(lc, _weighted_constant(lc)[1]):
+            continue
+        constant = _weighted_constant(lc)
+        if _static(lc, constant[1]):
             classes[i] = "static"
         else:
-            searched[i] = lc
-    for i, fit in zip(searched, fit_lightcurves(list(searched.values()), freq_grid)):
+            searched.append(i)
+            lcs.append(lc)
+            constants.append(constant)
+    for i, fit in zip(searched, _fit_all(lcs, constants, freqs)):
         classes[i] = fit.classification
     return classes
 

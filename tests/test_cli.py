@@ -562,6 +562,35 @@ class TestClassifySearch:
         assert seen == [m for m, c in self.chains(reference_store) if len(c) >= 3]
 
 
+class TestLcRows:
+    """A chain's `lc` row does not depend on which chains are fitted with it
+    or how `_periodograms` blocks them."""
+
+    @staticmethod
+    def rows(capsys, reference_store, *extra):
+        code, out, _ = run(capsys, "lc", "--store", str(reference_store), *extra)
+        assert code == EXIT_OK
+        return out.splitlines()
+
+    def test_master_row_equals_full_run(self, capsys, reference_store):
+        full = self.rows(capsys, reference_store)
+        searched = [ln for ln in full[1:] if int(ln.split(",")[1]) >= 3]
+        # every tenth searched chain, and each of the short ones, which share
+        # their epoch vector with few others
+        picked = searched[::10] + [ln for ln in searched if int(ln.split(",")[1]) < 12]
+        assert len(picked) > 40
+        for line in picked:
+            assert self.rows(capsys, reference_store, "--master", line.split(",")[0]) \
+                == [full[0], line]
+
+    @pytest.mark.parametrize("block", [1, 7 * 4000])
+    def test_block_size_leaves_output_unchanged(self, monkeypatch, capsys,
+                                                reference_store, block):
+        want = self.rows(capsys, reference_store)
+        monkeypatch.setattr(timedomain, "_PERIODOGRAM_BLOCK", block)
+        assert self.rows(capsys, reference_store) == want
+
+
 class TestBench20:
     def test_all_twenty_queries_pass(self, capsys, survey_store):
         code, out, _ = run(capsys, "bench20", "--store", str(survey_store))
