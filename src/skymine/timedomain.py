@@ -90,12 +90,31 @@ def group_chains(recs: np.ndarray):
     return master_ids, np.split(recs, starts[1:])
 
 
+# every matrix product in `_periodograms` has a multiple of this many rows
+# and columns. OpenBLAS computes the rows and columns past such a multiple
+# with other kernels, and small products with other kernels again, whose
+# rounding differs; with no partial tile, a curve's results do not depend on
+# which curves share its block or how many there are
+_TILE = 16
+
+# curves x grid steps that one block of `_periodograms` holds (a block has
+# at least _TILE curves), which bounds the memory of its arrays at any
+# number of curves and keeps it about constant as the grid grows
+_PERIODOGRAM_BLOCK = 1 << 16
+
+
+def _tiles(n: int) -> int:
+    """n rounded up to a whole number of _TILE."""
+    return -(-n // _TILE) * _TILE
+
+
 def _trig_basis(freqs: np.ndarray, t: np.ndarray) -> np.ndarray:
     """cos, sin, cos^2, sin^2 and cos*sin of 2 pi f t, stacked as five
-    (frequency x epoch) blocks of one array; shared by every light curve
-    observed at epochs t."""
-    basis = np.empty((5, len(freqs), len(t)))
-    c, s, c2, s2, c_s = basis
+    (frequency x epoch) blocks of one array, each padded with zero rows to
+    whole tiles; shared by every light curve observed at epochs t."""
+    nf = len(freqs)
+    basis = np.zeros((5, _tiles(nf), len(t)))
+    c, s, c2, s2, c_s = basis[:, :nf]
     omega_t = 2.0 * np.pi * freqs[:, None] * t[None, :]
     np.cos(omega_t, out=c)
     np.sin(omega_t, out=s)
@@ -103,12 +122,6 @@ def _trig_basis(freqs: np.ndarray, t: np.ndarray) -> np.ndarray:
     np.multiply(s, s, out=s2)
     np.multiply(c, s, out=c_s)
     return basis.reshape(-1, len(t))
-
-
-# curves x grid steps that one block of `_periodograms` holds (a block has at
-# least one curve), which bounds the memory of its arrays at any number of
-# curves and keeps it about constant as the grid grows
-_PERIODOGRAM_BLOCK = 1 << 16
 
 
 def _periodograms(lcs: list[LightCurve], freqs: np.ndarray):
@@ -120,30 +133,30 @@ def _periodograms(lcs: list[LightCurve], freqs: np.ndarray):
     Zechmeister & Kuerster, A&A 496, 577, 2009).
 
     The trig basis is computed once for the group. Curves are taken in
-    blocks of at most _PERIODOGRAM_BLOCK curves x grid steps, and a block's
-    seven weighted sums over the basis come from two matrix-matrix products.
-    A curve's results do not depend on which curves share its block: a lone
-    curve is padded to two rows, because numpy computes a one-row product
-    with a matrix-vector kernel, whose rounding differs.
+    blocks of about _PERIODOGRAM_BLOCK curves x grid steps. A block's
+    weights and weighted fluxes are the rows of one matrix, padded with
+    zero rows to whole tiles, and its product with the basis gives the
+    seven weighted sums of every curve at every frequency.
     """
     nf = len(freqs)
     basis = _trig_basis(freqs, lcs[0].epochs)
-    step = max(1, _PERIODOGRAM_BLOCK // nf)
+    width = len(basis) // 5
+    step = max(_TILE, _PERIODOGRAM_BLOCK // nf // _TILE * _TILE)
     for lo in range(0, len(lcs), step):
         block = lcs[lo:lo + step]
         k = len(block)
         w = 1.0 / np.stack([lc.flux_errs for lc in block]) ** 2
         w = w / np.sum(w, axis=1, keepdims=True)
         y = np.stack([lc.fluxes for lc in block])
-        wy = w * y
+        rows = _tiles(k)
+        lhs = np.zeros((2 * rows, w.shape[1]))
+        lhs[:k] = w
+        wy = np.multiply(w, y, out=lhs[rows:rows + k])
         ybar = np.sum(wy, axis=1)
         yy = np.sum(w * (y - ybar[:, None]) ** 2, axis=1)
-        if k == 1:
-            w, wy = np.repeat(w, 2, axis=0), np.repeat(wy, 2, axis=0)
-        sums = w @ basis.T
-        ysums = wy @ basis[:2 * nf].T
-        cbar, sbar, cc, ss, cs = (sums[:k, i * nf:(i + 1) * nf] for i in range(5))
-        yc, ys = ysums[:k, :nf], ysums[:k, nf:]
+        sums = lhs @ basis.T
+        cbar, sbar, cc, ss, cs = (sums[:k, i * width:i * width + nf] for i in range(5))
+        yc, ys = sums[rows:rows + k, :nf], sums[rows:rows + k, width:width + nf]
         # centre the sums on the weighted means, in place
         ybar = ybar[:, None]
         yc -= ybar * cbar

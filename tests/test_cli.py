@@ -583,7 +583,8 @@ class TestLcRows:
             assert self.rows(capsys, reference_store, "--master", line.split(",")[0]) \
                 == [full[0], line]
 
-    @pytest.mark.parametrize("block", [1, 7 * 4000])
+    # blocks of 16 (the smallest), 48 and 256 chains at 4,000 steps
+    @pytest.mark.parametrize("block", [1, 48 * 4000, 1 << 20])
     def test_block_size_leaves_output_unchanged(self, monkeypatch, capsys,
                                                 reference_store, block):
         want = self.rows(capsys, reference_store)

@@ -259,11 +259,20 @@ def check_best(lc, freqs, best, power, amplitude, scale=1.0):
     assert abs(amplitude - want) <= rel * want, lc.master_id
 
 
-# `_PERIODOGRAM_BLOCK` values: the default, one curve per block, and a few
-# curves per block on the test grids
-BLOCK_SIZES = [timedomain._PERIODOGRAM_BLOCK, 1, 1000]
+def crowd_curves():
+    """40 curves on one 50-point epoch vector: enough to fill several blocks
+    and several tiles of a block."""
+    rng = np.random.Generator(np.random.PCG64(78))
+    t = np.sort(rng.uniform(0, 30, 50))
+    return [make_lc(t, 100 + rng.normal(0, 3.0, 50), rng.uniform(0.5, 2.0, 50),
+                    master_id=1000 + k) for k in range(40)]
+
+
+# `_PERIODOGRAM_BLOCK` values: the default, the smallest block (one tile of
+# curves) and one block per group on the test grids
+BLOCK_SIZES = [timedomain._PERIODOGRAM_BLOCK, 1, 1 << 20]
 each_block_size = pytest.mark.parametrize("block", BLOCK_SIZES,
-                                          ids=["default", "one-curve", "few-curves"])
+                                          ids=["default", "smallest", "largest"])
 
 
 class TestGroupedFitEquivalence:
@@ -274,7 +283,7 @@ class TestGroupedFitEquivalence:
     def test_fits_within_contract(self, monkeypatch, grid, block):
         monkeypatch.setattr(timedomain, "_PERIODOGRAM_BLOCK", block)
         freqs = np.linspace(*grid)
-        curves = equivalence_curves()
+        curves = equivalence_curves() + crowd_curves()
         fits = timedomain.fit_lightcurves(curves, grid)
         assert len(fits) == len(curves)
         for lc, fit in zip(curves, fits):
@@ -296,11 +305,11 @@ class TestGroupedFitEquivalence:
     def test_periodogram_within_contract(self, monkeypatch, grid, block):
         monkeypatch.setattr(timedomain, "_PERIODOGRAM_BLOCK", block)
         freqs = np.linspace(*grid)
-        curves = [lc for lc in equivalence_curves() if len(lc) >= 3]
+        curves = [lc for lc in equivalence_curves() + crowd_curves() if len(lc) >= 3]
         groups = {}
         for lc in curves:
             groups.setdefault(lc.epochs.tobytes(), []).append(lc)
-        assert max(map(len, groups.values())) > 2
+        assert max(map(len, groups.values())) > 2 * timedomain._TILE
         for group in groups.values():
             for lc, (power, best, amp) in zip(group, timedomain._periodograms(group, freqs)):
                 want_power, _ = oracle_periodogram(lc, freqs)
@@ -325,14 +334,23 @@ class TestGroupedFitEquivalence:
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_results_independent_of_block(self, monkeypatch, grid):
-        """Every curve's fit is the same bits whatever curves share its
-        group or block, also fitted alone."""
-        curves = equivalence_curves()
+        """Every curve's fit and spectrum are the same bits whatever curves
+        share its group or block, also fitted alone."""
+        freqs = np.linspace(*grid)
+        curves = equivalence_curves() + crowd_curves()
+        crowd = crowd_curves()
+
+        def spectra(group):
+            return [(p.tolist(), b, a) for p, b, a in timedomain._periodograms(group, freqs)]
+
         want = timedomain.fit_lightcurves(curves, grid)
-        for block in BLOCK_SIZES:
+        want_crowd = [spectra([lc])[0] for lc in crowd]
+        for block in BLOCK_SIZES + [20 * grid[2], 33 * grid[2]]:
             monkeypatch.setattr(timedomain, "_PERIODOGRAM_BLOCK", block)
             assert timedomain.fit_lightcurves(curves, grid) == want
             assert timedomain.fit_lightcurves(curves[::-1], grid) == want[::-1]
+            assert spectra(crowd) == want_crowd
+            assert spectra(crowd[::-1]) == want_crowd[::-1]
         assert [timedomain.fit_lightcurves([lc], grid)[0] for lc in curves] == want
 
     def test_three_point_curve_fits_exactly(self):
@@ -530,6 +548,22 @@ class TestClassifyChain:
             classes, seen = classify(chains, self.GRID, span)
             assert seen == [0]
             assert classes == oracle_classes(chains, self.GRID, span) == ["variable"]
+
+    def test_one_constant_fit_per_chain(self, monkeypatch):
+        """Every multi-detection chain that is no burst gets one weighted
+        constant fit, searched or not."""
+        fitted = []
+        real = timedomain._weighted_constant
+
+        def spy(lc):
+            fitted.append(lc.master_id)
+            return real(lc)
+
+        monkeypatch.setattr(timedomain, "_weighted_constant", spy)
+        chains = [chain_of(lc) for lc in equivalence_curves()]
+        _, seen = classify(chains, self.GRID)
+        assert sorted(fitted) == [k for k, c in enumerate(chains) if len(c) > 1]
+        assert seen
 
     def test_bad_grid_rejected_whatever_the_chains(self):
         for chains in [[], [chain_of(make_lc([0], [1.0], [1.0]))], [chain_of(self.BURST)]]:
