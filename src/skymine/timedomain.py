@@ -97,9 +97,9 @@ def group_chains(recs: np.ndarray):
 # which curves share its block or how many there are
 _TILE = 16
 
-# curves x grid steps that one block of `_periodograms` holds (a block has
-# at least _TILE curves), which bounds the memory of its arrays at any
-# number of curves and keeps it about constant as the grid grows
+# curves x grid steps that one block of `_periodograms` holds, so that its
+# arrays stay about this size whatever the number of curves and, up to 4,096
+# grid steps, the grid; a block holds at least _TILE curves
 _PERIODOGRAM_BLOCK = 1 << 16
 
 
@@ -140,7 +140,7 @@ def _periodograms(lcs: list[LightCurve], freqs: np.ndarray):
     """
     nf = len(freqs)
     basis = _trig_basis(freqs, lcs[0].epochs)
-    width = len(basis) // 5
+    width = _tiles(nf)
     step = max(_TILE, _PERIODOGRAM_BLOCK // nf // _TILE * _TILE)
     for lo in range(0, len(lcs), step):
         block = lcs[lo:lo + step]
