@@ -320,11 +320,22 @@ def neighbors_cmd(store_dir, theta, use_masters):
     click.echo(f"pairs={len(table)} distance_evaluations={evals}", err=True)
 
 
-def _chains(store_dir):
+def _chains(store_dir, master_id=None):
+    """The store's records (only master `master_id`'s, when given) grouped
+    into chains by `timedomain.group_chains`."""
     recs = store.read_all(store_dir)
     if not np.any(recs["master_id"] > 0):
         raise ValidationError("store has no master assignments; run `master` first")
+    if master_id is not None:
+        recs = recs[recs["master_id"] == master_id]
+        if not len(recs):
+            raise ValidationError(f"master {master_id} not found")
     return timedomain.group_chains(recs)
+
+
+def _chain_heads(recs, starts):
+    """Each chain's (master_id, number of records)."""
+    return zip(recs["master_id"][starts].tolist(), np.diff(starts, append=len(recs)).tolist())
 
 
 @cli.command("lc")
@@ -336,16 +347,11 @@ def _chains(store_dir):
 @click.option("--steps", default=4000, show_default=True)
 def lc_cmd(store_dir, master_id, limit, fmin, fmax, steps):
     """Light-curve fits per master chain; CSV on stdout."""
-    master_ids, chains = _chains(store_dir)
-    if master_id is not None:
-        pos = int(np.searchsorted(master_ids, master_id))
-        if pos == len(master_ids) or master_ids[pos] != master_id:
-            raise ValidationError(f"master {master_id} not found")
-        master_ids, chains = master_ids[pos:pos + 1], chains[pos:pos + 1]
-    lcs = [timedomain.LightCurve.from_chain(m, c)
-           for m, c in zip(master_ids[:limit], chains[:limit])]
-    fits = timedomain.fit_lightcurves(lcs, (fmin, fmax, steps))
-    rows = [(lc.master_id, len(lc), *vars(fit).values()) for lc, fit in zip(lcs, fits)]
+    recs, starts = _chains(store_dir, master_id)
+    if limit is not None and limit < len(starts):
+        recs, starts = recs[:starts[limit]], starts[:limit]
+    fits = timedomain.fit_lightcurves(recs, starts, (fmin, fmax, steps))
+    rows = [(*head, *vars(fit).values()) for head, fit in zip(_chain_heads(recs, starts), fits)]
     _echo(csvio.blocks("master_id,n,chi2_const,dof,mean_flux,best_frequency,"
                        "periodic_power,amplitude_fraction,classification",
                        "%d,%d,%.4f,%d,%.4f,%.6f,%.4f,%.4f,%s", rows))
@@ -360,9 +366,9 @@ def lc_cmd(store_dir, master_id, limit, fmin, fmax, steps):
 @click.option("--steps", default=4000, show_default=True)
 def classify_cmd(store_dir, span_days, fmin, fmax, steps):
     """Classify every master chain; CSV master_id,classification."""
-    master_ids, chains = _chains(store_dir)
-    classes = timedomain.classify_chains(master_ids, chains, (fmin, fmax, steps), span_days)
-    rows = list(zip(master_ids.tolist(), map(len, chains), classes))
+    recs, starts = _chains(store_dir)
+    classes = timedomain.classify_chains(recs, starts, (fmin, fmax, steps), span_days)
+    rows = [(*head, c) for head, c in zip(_chain_heads(recs, starts), classes)]
     _echo(csvio.blocks("master_id,n_detections,classification", "%d,%d,%s", rows))
 
 

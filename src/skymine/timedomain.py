@@ -17,40 +17,6 @@ from .sphere import ARCSEC_PER_DEG
 
 
 @dataclass
-class LightCurve:
-    master_id: int
-    epochs: np.ndarray
-    fluxes: np.ndarray
-    flux_errs: np.ndarray
-
-    def __post_init__(self):
-        self.epochs = np.asarray(self.epochs, dtype=np.float64)
-        self.fluxes = np.asarray(self.fluxes, dtype=np.float64)
-        self.flux_errs = np.asarray(self.flux_errs, dtype=np.float64)
-        if not (len(self.epochs) == len(self.fluxes) == len(self.flux_errs)):
-            raise ValidationError("light-curve arrays must have equal length")
-        if len(self.epochs) < 1:
-            raise ValidationError("light curve needs at least one point")
-        bad = np.flatnonzero(np.diff(self.epochs) <= 0)
-        if len(bad):
-            prev, cur = self.epochs[bad[0]], self.epochs[bad[0] + 1]
-            where = (f"mjd {cur:.6f} repeats" if cur == prev
-                     else f"mjd {cur:.6f} follows {prev:.6f}")
-            raise ValidationError("light-curve epochs must strictly increase: "
-                                  f"master {self.master_id}, {where}")
-        if np.any(self.flux_errs <= 0):
-            raise ValidationError("flux errors must be > 0")
-
-    def __len__(self):
-        return len(self.epochs)
-
-    @classmethod
-    def from_chain(cls, master_id: int, chain: np.ndarray) -> "LightCurve":
-        """Light curve of one master's detection records, in `mjd` order."""
-        return cls(int(master_id), chain["mjd"], chain["flux"], chain["flux_err"])
-
-
-@dataclass
 class LightCurveFit:
     chi2_const: float
     dof: int
@@ -72,22 +38,61 @@ TRANSIENT_SPAN_FRACTION = 0.6
 DEBRIS_RATE_CUT = 1.0
 
 
-def _weighted_constant(lc: LightCurve):
-    w = 1.0 / lc.flux_errs ** 2
-    mean = float(np.sum(w * lc.fluxes) / np.sum(w))
-    chi2 = float(np.sum(w * (lc.fluxes - mean) ** 2))
-    return mean, chi2
-
-
 def group_chains(recs: np.ndarray):
-    """Split detection records into per-master chains with one sort.
+    """Sort detection records into per-master chains, the form in which
+    `fit_lightcurves` and `classify_chains` take them.
 
-    Returns (master_ids, chains): the distinct `master_id` values in
-    ascending order, and for each a view of its records in `mjd` order.
+    Returns (recs, starts): the records sorted by (master_id, mjd), and the
+    offset of each master's first record, in ascending master_id.
     """
     recs = recs[np.lexsort((recs["mjd"], recs["master_id"]))]
-    master_ids, starts = np.unique(recs["master_id"], return_index=True)
-    return master_ids, np.split(recs, starts[1:])
+    return recs, np.unique(recs["master_id"], return_index=True)[1]
+
+
+def _check_chains(recs: np.ndarray) -> None:
+    """Reject a chain that repeats an epoch or has a flux error not > 0,
+    naming the lowest such master; within a master, a repeated epoch first."""
+    master, t = recs["master_id"], recs["mjd"]
+    repeats = np.flatnonzero((master[1:] == master[:-1]) & (t[1:] == t[:-1])) + 1
+    bad = np.flatnonzero(recs["flux_err"] <= 0)
+    if len(repeats) and not (len(bad) and master[bad[0]] < master[repeats[0]]):
+        i = repeats[0]
+        raise ValidationError("light-curve epochs must strictly increase: "
+                              f"master {master[i]}, mjd {t[i]:.6f} repeats")
+    if len(bad):
+        raise ValidationError(f"flux errors must be > 0: master {master[bad[0]]}, "
+                              f"mjd {t[bad[0]]:.6f}")
+
+
+def _by_length(starts: np.ndarray, counts: np.ndarray, chains: np.ndarray):
+    """For each length n among the chains numbered in `chains`: those of n
+    records, and their record indices as the rows of a (k x n) matrix."""
+    for n in np.unique(counts[chains]).tolist():
+        same = chains[counts[chains] == n]
+        yield same, starts[same, None] + np.arange(n)
+
+
+def _constant_fits(recs: np.ndarray, starts: np.ndarray):
+    """Check every chain, then fit each a weighted constant: returns each
+    chain's length and the fit's mean and chi^2. The chains of one length are
+    the rows of one C-contiguous matrix, whose row sums have the bits of each
+    row's own np.sum; np.add.reduceat over the records' flat columns would
+    not."""
+    _check_chains(recs)
+    counts = np.diff(starts, append=len(recs))
+    mean, chi2 = np.empty(len(starts)), np.empty(len(starts))
+    for chains, index in _by_length(starts, counts, np.arange(len(starts))):
+        w = 1.0 / recs["flux_err"][index].astype(np.float64) ** 2
+        y = recs["flux"][index].astype(np.float64)
+        m = np.sum(w * y, axis=1) / np.sum(w, axis=1)
+        mean[chains], chi2[chains] = m, np.sum(w * (y - m[:, None]) ** 2, axis=1)
+    return counts, mean, chi2
+
+
+def _static(counts: np.ndarray, chi2: np.ndarray) -> np.ndarray:
+    """True where the constant fit's chi^2/dof is within the variability cut;
+    such a chain is static whatever its spectrum."""
+    return chi2 / np.maximum(counts - 1, 1) <= VARIABILITY_CHI2_DOF
 
 
 # every matrix product in `_periodograms` has a multiple of this many rows
@@ -124,30 +129,31 @@ def _trig_basis(freqs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return basis.reshape(-1, len(t))
 
 
-def _periodograms(lcs: list[LightCurve], freqs: np.ndarray):
-    """Yield (power, best, amplitude) for each of the light curves, which
-    share one epoch vector: the power at each trial frequency, the index of
-    its maximum, and the amplitude of the best-fit sinusoid there. Power is
-    the fraction of weighted variance that the best-fit floating-mean
-    sinusoid explains, in [0, 1] (the generalised Lomb-Scargle periodogram of
-    Zechmeister & Kuerster, A&A 496, 577, 2009).
+def _periodograms(recs: np.ndarray, index: np.ndarray, freqs: np.ndarray):
+    """Yield (power, best, amplitude) for blocks of the chains whose record
+    indices are the rows of `index`, chains that share one epoch vector: each
+    chain's power at every trial frequency, the index of its maximum, and
+    the amplitude of the best-fit sinusoid there. Power is the fraction of
+    weighted variance that the best-fit floating-mean sinusoid explains, in
+    [0, 1] (the generalised Lomb-Scargle periodogram of Zechmeister &
+    Kuerster, A&A 496, 577, 2009).
 
-    The trig basis is computed once for the group. Curves are taken in
-    blocks of about _PERIODOGRAM_BLOCK curves x grid steps. A block's
+    The trig basis is computed once for the group. Chains are taken in
+    blocks of about _PERIODOGRAM_BLOCK chains x grid steps. A block's
     weights and weighted fluxes are the rows of one matrix, padded with
     zero rows to whole tiles, and its product with the basis gives the
-    seven weighted sums of every curve at every frequency.
+    seven weighted sums of every chain at every frequency.
     """
     nf = len(freqs)
-    basis = _trig_basis(freqs, lcs[0].epochs)
+    basis = _trig_basis(freqs, recs["mjd"][index[0]])
     width = _tiles(nf)
     step = max(_TILE, _PERIODOGRAM_BLOCK // nf // _TILE * _TILE)
-    for lo in range(0, len(lcs), step):
-        block = lcs[lo:lo + step]
+    for lo in range(0, len(index), step):
+        block = index[lo:lo + step]
         k = len(block)
-        w = 1.0 / np.stack([lc.flux_errs for lc in block]) ** 2
+        w = 1.0 / recs["flux_err"][block].astype(np.float64) ** 2
         w = w / np.sum(w, axis=1, keepdims=True)
-        y = np.stack([lc.fluxes for lc in block])
+        y = recs["flux"][block].astype(np.float64)
         rows = _tiles(k)
         lhs = np.zeros((2 * rows, w.shape[1]))
         lhs[:k] = w
@@ -177,132 +183,114 @@ def _periodograms(lcs: list[LightCurve], freqs: np.ndarray):
         with np.errstate(all="ignore"):
             a = np.where(safe[at], (yc * ss - ys * cs) / d, 0.0)
             b = np.where(safe[at], (ys * cc - yc * cs) / d, 0.0)
-        yield from zip(power, best.tolist(), np.hypot(a, b).tolist())
+        yield power, best, np.hypot(a, b)
 
 
-def _transient_shape(lc: LightCurve) -> bool:
-    """True when the significant points form one contiguous run and the rest
-    of the series is consistent with zero flux."""
-    sig = lc.fluxes > TRANSIENT_SIGMA * lc.flux_errs
-    quiet = np.abs(lc.fluxes) < 2.0 * lc.flux_errs
-    if not sig.any() or not (~sig).any():
-        return False
-    runs = np.flatnonzero(sig)
-    contiguous = runs[-1] - runs[0] + 1 == len(runs)
-    return bool(contiguous and len(runs) >= TRANSIENT_MIN_RUN
-                and quiet[~sig].all())
+def _transient_shape(y: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """For each row of fluxes y with errors err: True when its significant
+    points form one contiguous run, short of the whole row, and the rest of
+    the row is consistent with zero flux."""
+    sig = y > TRANSIENT_SIGMA * err
+    n_sig = np.count_nonzero(sig, axis=1)
+    first = np.argmax(sig, axis=1)
+    last = sig.shape[1] - 1 - np.argmax(sig[:, ::-1], axis=1)
+    quiet = sig | (np.abs(y) < 2.0 * err)
+    return ((n_sig >= TRANSIENT_MIN_RUN) & (n_sig < sig.shape[1])
+            & (last - first + 1 == n_sig) & quiet.all(axis=1))
+
+
+def _search(recs: np.ndarray, starts: np.ndarray, counts: np.ndarray,
+            chains: np.ndarray, freqs: np.ndarray):
+    """Search the chains numbered in `chains`, each of 3+ records. Returns
+    (best, power, amplitude, shape) for every chain: the index of its best
+    frequency, the power and the best-fit amplitude there, and whether its
+    points have a transient's shape; 0 and False for chains not searched.
+
+    Chains that share an epoch vector form a group that one `_periodograms`
+    call searches, so the trig work is done once per distinct epoch vector,
+    not per chain. The result does not depend on how chains are grouped.
+    """
+    best = np.zeros(len(starts), np.int64)
+    power, amplitude = np.zeros(len(starts)), np.zeros(len(starts))
+    shape = np.zeros(len(starts), bool)
+    for same, index in _by_length(starts, counts, chains):
+        shape[same] = _transient_shape(recs["flux"][index].astype(np.float64),
+                                       recs["flux_err"][index].astype(np.float64))
+        group = np.unique(recs["mjd"][index], axis=0, return_inverse=True)[1]
+        for g in range(group.max() + 1):
+            members = np.flatnonzero(group == g)
+            got = [(b, p[np.arange(len(b)), b], a)
+                   for p, b, a in _periodograms(recs, index[members], freqs)]
+            best[same[members]], power[same[members]], amplitude[same[members]] = \
+                map(np.concatenate, zip(*got))
+    return best, power, amplitude, shape
+
+
+def _classes(static: np.ndarray, power: np.ndarray, shape: np.ndarray) -> np.ndarray:
+    """Each chain's class from its fit: static by chi^2/dof, else variable if
+    periodic, else transient if its points have that shape, else variable."""
+    return np.select([static, power > PERIODIC_POWER, shape],
+                     ["static", "variable", "transient"], "variable")
 
 
 def _frequency_grid(freq_grid: tuple[float, float, int]) -> np.ndarray:
     f_min, f_max, n_steps = freq_grid
-    if not (0 < f_min < f_max and n_steps >= 2):
-        raise ValidationError("frequency grid must satisfy 0 < f_min < f_max, n_steps >= 2")
+    if not (0 < f_min < f_max < np.inf and n_steps >= 2):
+        raise ValidationError("frequency grid must satisfy 0 < f_min < f_max < inf, "
+                              "n_steps >= 2")
     return np.linspace(f_min, f_max, int(n_steps))
 
 
-def _static(lc: LightCurve, chi2: float) -> bool:
-    """True when the constant fit's chi^2/dof is within the variability cut;
-    such a curve is static whatever its spectrum."""
-    return chi2 / max(len(lc) - 1, 1) <= VARIABILITY_CHI2_DOF
-
-
-def _fit(lc: LightCurve, constant: tuple[float, float], freqs: np.ndarray | None,
-         spectrum: tuple[np.ndarray, int, float] | None) -> LightCurveFit:
-    """Classification from the curve's weighted constant fit (mean, chi2) and
-    its (power, best, amplitude) on `freqs` from `_periodograms`, or None for
-    curves not searched."""
-    mean, chi2 = constant
-    if spectrum is None:
-        cls = "static" if _static(lc, chi2) else "variable"
-        return LightCurveFit(chi2, len(lc) - 1, mean, None, 0.0, 0.0, cls)
-    power, best, amplitude = spectrum
-    best_frequency = float(freqs[best])
-    periodic_power = float(power[best])
-    amplitude_fraction = amplitude / abs(mean) if mean != 0 else 0.0
-
-    if _static(lc, chi2):
-        cls = "static"
-    elif periodic_power > PERIODIC_POWER:
-        cls = "variable"
-    elif _transient_shape(lc):
-        cls = "transient"
-    else:
-        cls = "variable"
-    return LightCurveFit(chi2, len(lc) - 1, mean, best_frequency, periodic_power,
-                         amplitude_fraction, cls)
-
-
-def fit_lightcurves(lcs: list[LightCurve],
+def fit_lightcurves(recs: np.ndarray, starts: np.ndarray,
                     freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000)
                     ) -> list[LightCurveFit]:
-    """Fit every light curve, in input order: a weighted constant fit plus,
-    for series of 3+ points, a floating-mean sinusoid search over a uniform
-    frequency grid. The grid is checked first, whatever the curves.
-
-    Curves of 3+ points are searched in groups that share an epoch vector,
-    so the trig work is done once per distinct epoch vector, not per curve.
-    The result does not depend on how curves are grouped.
+    """Fit every chain of records as `group_chains` returns them, in order: a
+    weighted constant fit plus, for chains of 3+ points, a floating-mean
+    sinusoid search over a uniform frequency grid. The grid is checked
+    first, whatever the chains, and then every chain, before any fit.
     """
     freqs = _frequency_grid(freq_grid)
-    return _fit_all(lcs, [_weighted_constant(lc) for lc in lcs], freqs)
+    counts, mean, chi2 = _constant_fits(recs, starts)
+    searched = counts >= 3
+    best, power, amplitude, shape = _search(recs, starts, counts, np.flatnonzero(searched),
+                                            freqs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fraction = np.where(mean != 0, amplitude / np.abs(mean), 0.0)
+    best_frequency = [f if s else None for f, s in zip(freqs[best].tolist(), searched.tolist())]
+    classes = _classes(_static(counts, chi2), power, shape)
+    return [LightCurveFit(*fit) for fit in zip(
+        chi2.tolist(), (counts - 1).tolist(), mean.tolist(), best_frequency, power.tolist(),
+        fraction.tolist(), classes.tolist())]
 
 
-def _fit_all(lcs: list[LightCurve], constants: list[tuple[float, float]],
-             freqs: np.ndarray) -> list[LightCurveFit]:
-    """`fit_lightcurves` given each curve's weighted constant fit."""
-    fits: list[LightCurveFit | None] = [None] * len(lcs)
-    groups: dict[bytes, list[int]] = {}
-    for i, lc in enumerate(lcs):
-        if len(lc) < 3:
-            fits[i] = _fit(lc, constants[i], None, None)
-        else:
-            groups.setdefault(lc.epochs.tobytes(), []).append(i)
-    for members in groups.values():
-        spectra = _periodograms([lcs[i] for i in members], freqs)
-        for i, spectrum in zip(members, spectra):
-            fits[i] = _fit(lcs[i], constants[i], freqs, spectrum)
-    return fits
-
-
-def classify_chains(master_ids: np.ndarray, chains: list[np.ndarray],
+def classify_chains(recs: np.ndarray, starts: np.ndarray,
                     freq_grid: tuple[float, float, int],
                     survey_span_days: float | None = None) -> list[str]:
-    """Class of each master's detection chain (records in `mjd` order), in
-    input order; the grid is checked first, whatever the chains.
+    """Class of each chain of records as `group_chains` returns them, in
+    order. The grid and the span are checked first, whatever the chains, and
+    then every chain, whatever its class.
 
     A single detection is a `defect` if flagged, else a `mover-candidate`.
     Given a survey span, a chain spanning less than TRANSIENT_SPAN_FRACTION
     of it is a `transient`. A chain static by chi^2/dof alone is `static`.
-    Only the remaining chains are fitted, and they take their fit's class.
-    Every multi-detection chain becomes a LightCurve before any search, so a
-    repeated epoch is rejected whatever the chain's class.
+    Only the remaining chains are searched, and each takes its fit's class.
+    A missing, zero or negative span finds no bursts.
     """
     freqs = _frequency_grid(freq_grid)
-    # epochs strictly increase, so no chain is a burst against 0
+    if survey_span_days is not None and not np.isfinite(survey_span_days):
+        raise ValidationError("survey span must be finite")
+    counts, _, chi2 = _constant_fits(recs, starts)
+    # epochs strictly increase, so no multi-detection chain is a burst against 0
     burst_span = (TRANSIENT_SPAN_FRACTION * survey_span_days
                   if survey_span_days and survey_span_days > 0 else 0.0)
-    classes: list[str | None] = [None] * len(chains)
-    searched: list[int] = []
-    lcs: list[LightCurve] = []
-    constants: list[tuple[float, float]] = []
-    for i, (master_id, chain) in enumerate(zip(master_ids, chains)):
-        if len(chain) == 1:
-            classes[i] = "defect" if chain["flags"][0] != 0 else "mover-candidate"
-            continue
-        lc = LightCurve.from_chain(master_id, chain)
-        if lc.epochs[-1] - lc.epochs[0] < burst_span:
-            classes[i] = "transient"
-            continue
-        constant = _weighted_constant(lc)
-        if _static(lc, constant[1]):
-            classes[i] = "static"
-        else:
-            searched.append(i)
-            lcs.append(lc)
-            constants.append(constant)
-    for i, fit in zip(searched, _fit_all(lcs, constants, freqs)):
-        classes[i] = fit.classification
-    return classes
+    t = recs["mjd"]
+    burst = t[starts + counts - 1] - t[starts] < burst_span
+    static = _static(counts, chi2)
+    _, power, _, shape = _search(recs, starts, counts,
+                                 np.flatnonzero((counts >= 3) & ~burst & ~static), freqs)
+    classes = np.where(burst, "transient", _classes(static, power, shape))
+    single = np.where(recs["flags"][starts] != 0, "defect", "mover-candidate")
+    return np.where(counts == 1, single, classes).tolist()
 
 
 # ---------------------------------------------------------------------------

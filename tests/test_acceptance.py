@@ -183,13 +183,15 @@ def test_lightcurve_period_and_false_variable_rate(clean_master_survey):
     rng = np.random.Generator(np.random.PCG64(40))
     t = np.sort(rng.uniform(0, 40, 40))
     model = 100.0 * (1 + 0.4 * np.sin(2 * np.pi * t / 2.5))
-    lc = timedomain.LightCurve(1, t, model + rng.normal(0, 1.0, 40), np.full(40, 1.0))
-    fit = timedomain.fit_lightcurves([lc])[0]
+    chain = np.zeros(40, [("master_id", "<u8"), ("mjd", "<f8"), ("flux", "<f8"),
+                          ("flux_err", "<f8")])
+    chain["master_id"], chain["mjd"], chain["flux_err"] = 1, t, 1.0
+    chain["flux"] = model + rng.normal(0, 1.0, 40)
+    fit = timedomain.fit_lightcurves(*timedomain.group_chains(chain))[0]
     assert 1.0 / fit.best_frequency == pytest.approx(2.5, rel=0.01)
 
-    master_ids, chains = timedomain.group_chains(store.read_all(clean_master_survey["dir"]))
     fits = timedomain.fit_lightcurves(
-        [timedomain.LightCurve.from_chain(m, c) for m, c in zip(master_ids, chains)])
+        *timedomain.group_chains(store.read_all(clean_master_survey["dir"])))
     false_variable = sum(fit.classification != "static" for fit in fits)
     n_curves = len(fits)
     assert n_curves == 1000

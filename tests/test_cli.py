@@ -438,8 +438,9 @@ class TestBadGrid:
         # against 20 days every chain of the reference store is a burst
         ("reference_store", ["classify", "--span-days", "20"]),
     ], ids=["lc-short", "classify-short", "classify-all-bursts"])
-    @pytest.mark.parametrize("grid", [["--fmin", "2", "--fmax", "1"], ["--steps", "1"]],
-                             ids=["fmin-above-fmax", "one-step"])
+    @pytest.mark.parametrize("grid", [["--fmin", "2", "--fmax", "1"], ["--steps", "1"],
+                                      ["--fmax", "inf"], ["--fmin", "nan"]],
+                             ids=["fmin-above-fmax", "one-step", "fmax-inf", "fmin-nan"])
     def test_rejected(self, request, capsys, fixture, argv, grid):
         path = request.getfixturevalue(fixture)
         code, out, err = run(capsys, argv[0], "--store", str(path), *argv[1:], *grid)
@@ -448,24 +449,43 @@ class TestBadGrid:
         assert "frequency grid" in err
 
 
-def _merged_pair(tmp_path_factory, name, pair_fluxes):
-    """An isolated source plus two sources 0.3 arcsec apart, all seen in every
-    pass; a 1 arcsec master radius merges the pair into master 2, which then
-    holds two detections per epoch."""
+@pytest.mark.parametrize("span", ["inf", "-inf", "nan"])
+def test_classify_rejects_non_finite_span(capsys, reference_store, span):
+    code, out, err = run(capsys, "classify", "--store", str(reference_store),
+                         "--span-days", span)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "survey span must be finite" in err
+
+
+def _mastered(tmp_path_factory, name, sources):
+    """A store of sources at dec 5, each an (ra, passes, flux) seen at mjd
+    59000 + pass, mastered at a 1 arcsec radius; det_ids in (pass, source)
+    order."""
     out = tmp_path_factory.mktemp("cli") / name
-    passes = 5
-    recs = np.zeros(3 * passes, dtype=store.DET_DTYPE)
-    recs["det_id"] = np.arange(1, 3 * passes + 1)
-    recs["pass_id"] = np.repeat(np.arange(passes), 3)
+    rows = sorted((p, k) for k, (_, passes, _) in enumerate(sources) for p in passes)
+    recs = np.zeros(len(rows), dtype=store.DET_DTYPE)
+    recs["det_id"] = np.arange(1, len(rows) + 1)
+    recs["pass_id"] = [p for p, _ in rows]
     recs["mjd"] = 59000.0 + recs["pass_id"]
-    recs["ra"] = np.tile([10.0, 50.0, 50.0 + 0.3 / 3600.0], passes)
+    recs["ra"] = [sources[k][0] for _, k in rows]
     recs["dec"] = 5.0
-    recs["flux"] = np.tile([100.0, *pair_fluxes], passes)
+    recs["flux"] = [sources[k][2] for _, k in rows]
     recs["flux_err"] = 1.0
     store.ingest_detections(recs, 2, out)
     assert cli.run(["index", "--store", str(out)]) == EXIT_OK
     assert cli.run(["master", "--store", str(out), "--radius", "1s"]) == EXIT_OK
     return out
+
+
+def _merged_pair(tmp_path_factory, name, pair_fluxes):
+    """An isolated source plus two sources 0.3 arcsec apart, all seen in every
+    pass; a 1 arcsec master radius merges the pair into master 2, which then
+    holds two detections per epoch."""
+    every = range(5)
+    return _mastered(tmp_path_factory, name, [
+        (10.0, every, 100.0), (50.0, every, pair_fluxes[0]),
+        (50.0 + 0.3 / 3600.0, every, pair_fluxes[1])])
 
 
 @pytest.fixture(scope="module")
@@ -479,6 +499,19 @@ def merged_static_store(tmp_path_factory):
     """The merged chain is flat at 100: static by chi^2/dof alone, so
     `classify` would not search it."""
     return _merged_pair(tmp_path_factory, "merged_static", (100.0, 100.0))
+
+
+@pytest.fixture(scope="module")
+def two_merged_store(tmp_path_factory):
+    """Two merged pairs. Master 2 holds a source of every pass and, from pass
+    3, its companion: 7 records, first repeating mjd 59003. Master 3 holds
+    both sources of passes 1 to 4: 8 records, first repeating mjd 59001."""
+    out = _mastered(tmp_path_factory, "two_merged", [
+        (10.0, range(5), 100.0), (50.0, range(5), 80.0),
+        (50.0 + 0.3 / 3600.0, range(3, 5), 120.0),
+        (70.0, range(1, 5), 80.0), (70.0 + 0.3 / 3600.0, range(1, 5), 120.0)])
+    assert store.read_masters(out)["n_detections"].tolist() == [5, 7, 8]
+    return out
 
 
 class TestRepeatedEpochs:
@@ -498,6 +531,15 @@ class TestRepeatedEpochs:
         assert "master 2" in err
         assert "mjd 59000.000000 repeats" in err
 
+    @pytest.mark.parametrize("command", ["lc", "classify"])
+    def test_lowest_master_named(self, capsys, two_merged_store, command):
+        """The one array pass over all chains names the master that a
+        per-chain loop in master order would meet first."""
+        code, out, err = run(capsys, command, "--store", str(two_merged_store))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "master 2, mjd 59003.000000 repeats" in err
+
     def test_other_master_still_fits(self, capsys, merged_pair_store):
         code, out, _ = run(capsys, "lc", "--store", str(merged_pair_store),
                            "--master", "1")
@@ -514,9 +556,9 @@ class TestClassifySearch:
         seen = []
         real = timedomain._periodograms
 
-        def spy(lcs, freqs):
-            seen.extend(lc.master_id for lc in lcs)
-            return real(lcs, freqs)
+        def spy(recs, index, freqs):
+            seen.extend(recs["master_id"][index[:, 0]].tolist())
+            return real(recs, index, freqs)
 
         monkeypatch.setattr(timedomain, "_periodograms", spy)
         code, out, _ = run(capsys, *argv)
@@ -526,8 +568,8 @@ class TestClassifySearch:
 
     @staticmethod
     def chains(reference_store):
-        ids, chains = timedomain.group_chains(store.read_all(reference_store))
-        return [(int(m), c) for m, c in zip(ids, chains)]
+        recs, starts = timedomain.group_chains(store.read_all(reference_store))
+        return [(int(c["master_id"][0]), c) for c in np.split(recs, starts[1:])]
 
     # against a 12-day span the 12 chains of 3+ points spanning 3-6 days are
     # bursts; against 20 days every chain is

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -7,23 +8,64 @@ from scipy.sparse.csgraph import connected_components
 
 from skymine import skygen, sphere, store, timedomain
 from skymine.errors import ValidationError
-from skymine.timedomain import LightCurve
 
 
-def make_lc(epochs, fluxes, errs, master_id=1):
-    return LightCurve(master_id, np.asarray(epochs, float),
-                      np.asarray(fluxes, float), np.asarray(errs, float))
+@dataclass
+class Curve:
+    """One light curve's points, in the form the per-curve oracles below take."""
+    epochs: np.ndarray
+    fluxes: np.ndarray
+    flux_errs: np.ndarray
+
+    def __len__(self):
+        return len(self.epochs)
+
+
+def make_lc(epochs, fluxes, errs):
+    return Curve(np.asarray(epochs, float), np.asarray(fluxes, float), np.asarray(errs, float))
+
+
+CHAIN_DTYPE = np.dtype([("master_id", "<u8"), ("mjd", "<f8"), ("flux", "<f8"),
+                        ("flux_err", "<f8"), ("flags", "<u4")])
+
+
+def records(curves, flags=0):
+    """The curves as the chains of masters 0, 1, ... in list order, with the
+    given flags, grouped by `group_chains`: (records, starts). Fluxes are
+    float64, so that no value is rounded as the store's float32 columns
+    would round it."""
+    lengths = [len(lc) for lc in curves]
+    recs = np.zeros(sum(lengths), CHAIN_DTYPE)
+    recs["master_id"] = np.repeat(np.arange(len(curves)), lengths)
+    recs["flags"] = np.repeat(np.broadcast_to(flags, len(curves)), lengths)
+    for name, field in [("mjd", "epochs"), ("flux", "fluxes"), ("flux_err", "flux_errs")]:
+        recs[name] = np.concatenate([np.empty(0)] + [getattr(lc, field) for lc in curves])
+    return timedomain.group_chains(recs)
+
+
+def fits_of(curves, freq_grid):
+    """`fit_lightcurves` on the curves, in list order."""
+    return timedomain.fit_lightcurves(*records(curves), freq_grid)
 
 
 def fit_lightcurve(lc, freq_grid=(0.01, 2.0, 4000)):
     """One curve's fit, through `fit_lightcurves`."""
-    return timedomain.fit_lightcurves([lc], freq_grid)[0]
+    return fits_of([lc], freq_grid)[0]
+
+
+def spectra(curves, freqs):
+    """Each curve's (power per frequency, best index, amplitude there), from
+    one `_periodograms` call on curves that share an epoch vector."""
+    recs, starts = records(curves)
+    index = starts[:, None] + np.arange(len(curves[0]))
+    return [(p, int(b), float(a))
+            for block in timedomain._periodograms(recs, index, freqs) for p, b, a in zip(*block)]
 
 
 def periodogram(lc, freqs):
     """One curve's (power per frequency, best index, amplitude there),
     through the grouped kernel `fit_lightcurves` uses."""
-    return next(timedomain._periodograms([lc], freqs))
+    return spectra([lc], freqs)[0]
 
 
 def sinusoid_lc(period, n=40, amp=0.4, base=100.0, sigma=1.0, seed=0, span=40.0):
@@ -35,21 +77,41 @@ def sinusoid_lc(period, n=40, amp=0.4, base=100.0, sigma=1.0, seed=0, span=40.0)
 
 
 class TestLightCurveValidation:
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            make_lc([1, 2], [1.0], [1.0])
+    """Both entry points check every chain, in one array pass before any fit,
+    and name the lowest master at fault; within a master, a repeated epoch
+    comes first. Records cannot form a chain of unequal columns or of no
+    points, so there is no check for either."""
+
+    GRID = (0.01, 2.0, 100)
+    OK = make_lc([0, 1, 2], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+    REPEAT = make_lc([0, 1, 2, 4, 4], [1.0, 2.0, 3.0, 4.0, 5.0], np.ones(5))
+    ZERO_ERROR = make_lc([0, 2], [1.0, 2.0], [1.0, 0.0])
+    BOTH = make_lc([1, 1], [1.0, 2.0], [0.0, 1.0])
+
+    def check(self, curves, message):
+        for entry in [timedomain.fit_lightcurves, timedomain.classify_chains]:
+            with pytest.raises(ValidationError, match=message):
+                entry(*records(curves), self.GRID)
 
     def test_nonincreasing_epochs(self):
-        with pytest.raises(ValidationError):
-            make_lc([1, 1], [1.0, 2.0], [1.0, 1.0])
+        self.check([self.REPEAT], "master 0, mjd 4.000000 repeats")
 
     def test_zero_errors(self):
-        with pytest.raises(ValidationError):
-            make_lc([1, 2], [1.0, 2.0], [1.0, 0.0])
+        self.check([self.ZERO_ERROR], "flux errors must be > 0: master 0, mjd 2.000000")
 
-    def test_empty(self):
-        with pytest.raises(ValidationError):
-            make_lc([], [], [])
+    @pytest.mark.parametrize("curves, message", [
+        ([OK, REPEAT, BOTH], "master 1, mjd 4.000000 repeats"),
+        ([OK, BOTH, REPEAT], "master 1, mjd 1.000000 repeats"),
+        ([OK, ZERO_ERROR, REPEAT], "flux errors must be > 0: master 1, mjd 2.000000"),
+        ([REPEAT, ZERO_ERROR, OK], "master 0, mjd 4.000000 repeats"),
+    ], ids=["repeat-before-both", "both", "error-before-repeat", "repeat-before-error"])
+    def test_lowest_master_named(self, curves, message):
+        self.check(curves, message)
+
+    def test_chains_may_share_epochs(self):
+        recs, starts = records([self.OK, self.OK])
+        assert len(timedomain.fit_lightcurves(recs, starts, self.GRID)) == 2
+        assert len(timedomain.classify_chains(recs, starts, self.GRID)) == 2
 
 
 class TestFits:
@@ -159,6 +221,17 @@ def oracle_periodogram(lc, freqs):
     return np.clip(power, 0.0, 1.0), amp
 
 
+def oracle_transient_shape(lc):
+    sig = lc.fluxes > timedomain.TRANSIENT_SIGMA * lc.flux_errs
+    quiet = np.abs(lc.fluxes) < 2.0 * lc.flux_errs
+    if not sig.any() or not (~sig).any():
+        return False
+    runs = np.flatnonzero(sig)
+    contiguous = runs[-1] - runs[0] + 1 == len(runs)
+    return bool(contiguous and len(runs) >= timedomain.TRANSIENT_MIN_RUN
+                and quiet[~sig].all())
+
+
 def oracle_fit(lc, freq_grid):
     w = 1.0 / lc.flux_errs ** 2
     mean = float(np.sum(w * lc.fluxes) / np.sum(w))
@@ -177,7 +250,7 @@ def oracle_fit(lc, freq_grid):
         cls = "static"
     elif periodic_power > timedomain.PERIODIC_POWER:
         cls = "variable"
-    elif timedomain._transient_shape(lc):
+    elif oracle_transient_shape(lc):
         cls = "transient"
     else:
         cls = "variable"
@@ -187,7 +260,8 @@ def oracle_fit(lc, freq_grid):
 
 def equivalence_curves():
     """Curves on shared and distinct epoch vectors, of 1, 2, 3 and many
-    points, constant ones, and ones sampled at integer days, whose design
+    points, of lengths on both sides of numpy's summation blocks (8 and 128
+    terms), constant ones, and ones sampled at integer days, whose design
     matrix is near singular at integer frequencies; interleaved so that input
     order differs from epoch-group order."""
     rng = np.random.Generator(np.random.PCG64(77))
@@ -199,7 +273,7 @@ def equivalence_curves():
         n = len(t)
         flux = 100 + rng.normal(0, 3.0, n) if flux is None else flux
         err = rng.uniform(0.5, 2.0, n) if err is None else err
-        curves.append(make_lc(t, flux, err, master_id=len(curves) + 1))
+        curves.append(make_lc(t, flux, err))
 
     for k in range(6):
         add(shared)
@@ -207,6 +281,8 @@ def equivalence_curves():
         add(np.sort(rng.uniform(0, 30, 4 + k)))              # distinct vector
         add(shared + 0.5 * (k + 1))                           # distinct, same length
         add(shared[: k % 3 + 1])                              # 1-, 2-, 3-point
+    for n in [8, 9, 128, 129]:
+        add(np.sort(rng.uniform(0, 30, n)))
     # constant flux, with weights for which the weighted variance is exactly 0
     add(shared[:16], np.full(16, 42.0), np.full(16, 1.0))
     add(integer_days, np.zeros(12), rng.uniform(0.5, 2.0, 12))
@@ -252,11 +328,11 @@ def check_best(lc, freqs, best, power, amplitude, scale=1.0):
     want_power, want_amp = oracle_periodogram(lc, freqs)
     tol = contract_bound(lc, freqs, POWER_ABS, POWER_SINGULAR)
     top = int(np.argmax(want_power))
-    assert want_power[best] >= want_power[top] - tol[best] - tol[top], lc.master_id
-    assert abs(power - want_power[best]) <= tol[best], lc.master_id
+    assert want_power[best] >= want_power[top] - tol[best] - tol[top]
+    assert abs(power - want_power[best]) <= tol[best]
     rel = contract_bound(lc, freqs, AMPLITUDE_ABS, AMPLITUDE_SINGULAR)[best]
     want = want_amp[best] / scale
-    assert abs(amplitude - want) <= rel * want, lc.master_id
+    assert abs(amplitude - want) <= rel * want
 
 
 def check_spectra(lcs, freqs):
@@ -268,10 +344,10 @@ def check_spectra(lcs, freqs):
         if len(lc) >= 3:
             groups.setdefault(lc.epochs.tobytes(), []).append(lc)
     for group in groups.values():
-        for lc, (power, best, amp) in zip(group, timedomain._periodograms(group, freqs)):
+        for lc, (power, best, amp) in zip(group, spectra(group, freqs), strict=True):
             want_power, _ = oracle_periodogram(lc, freqs)
             tol = contract_bound(lc, freqs, POWER_ABS, POWER_SINGULAR)
-            assert np.all(np.abs(power - want_power) <= tol), lc.master_id
+            assert np.all(np.abs(power - want_power) <= tol)
             assert best == np.argmax(power)
             check_best(lc, freqs, best, power[best], amp)
     return groups
@@ -282,8 +358,8 @@ def crowd_curves():
     and several tiles of a block."""
     rng = np.random.Generator(np.random.PCG64(78))
     t = np.sort(rng.uniform(0, 30, 50))
-    return [make_lc(t, 100 + rng.normal(0, 3.0, 50), rng.uniform(0.5, 2.0, 50),
-                    master_id=1000 + k) for k in range(40)]
+    return [make_lc(t, 100 + rng.normal(0, 3.0, 50), rng.uniform(0.5, 2.0, 50))
+            for _ in range(40)]
 
 
 # `_PERIODOGRAM_BLOCK` values: the default, the smallest block (one tile of
@@ -302,7 +378,7 @@ class TestGroupedFitEquivalence:
         monkeypatch.setattr(timedomain, "_PERIODOGRAM_BLOCK", block)
         freqs = np.linspace(*grid)
         curves = equivalence_curves() + crowd_curves()
-        fits = timedomain.fit_lightcurves(curves, grid)
+        fits = fits_of(curves, grid)
         assert len(fits) == len(curves)
         for lc, fit in zip(curves, fits):
             want = oracle_fit(lc, grid)
@@ -326,9 +402,9 @@ class TestGroupedFitEquivalence:
         assert max(map(len, groups.values())) > 2 * timedomain._TILE
 
     def test_reference_store_within_contract(self, reference_store):
-        ids, chains = timedomain.group_chains(store.read_all(reference_store))
-        lcs = [LightCurve.from_chain(m, c) for m, c in zip(ids, chains)]
-        assert len(check_spectra(lcs, np.linspace(0.01, 2.0, 4000))) > 1
+        recs, starts = timedomain.group_chains(store.read_all(reference_store))
+        curves = [make_lc(c["mjd"], c["flux"], c["flux_err"]) for c in np.split(recs, starts[1:])]
+        assert len(check_spectra(curves, np.linspace(0.01, 2.0, 4000))) > 1
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_results_independent_of_block(self, monkeypatch, grid):
@@ -338,18 +414,18 @@ class TestGroupedFitEquivalence:
         curves = equivalence_curves() + crowd_curves()
         crowd = crowd_curves()
 
-        def spectra(group):
-            return [(p.tolist(), b, a) for p, b, a in timedomain._periodograms(group, freqs)]
+        def bits(group):
+            return [(p.tolist(), b, a) for p, b, a in spectra(group, freqs)]
 
-        want = timedomain.fit_lightcurves(curves, grid)
-        want_crowd = [spectra([lc])[0] for lc in crowd]
+        want = fits_of(curves, grid)
+        want_crowd = [bits([lc])[0] for lc in crowd]
         for block in BLOCK_SIZES + [20 * grid[2], 33 * grid[2]]:
             monkeypatch.setattr(timedomain, "_PERIODOGRAM_BLOCK", block)
-            assert timedomain.fit_lightcurves(curves, grid) == want
-            assert timedomain.fit_lightcurves(curves[::-1], grid) == want[::-1]
-            assert spectra(crowd) == want_crowd
-            assert spectra(crowd[::-1]) == want_crowd[::-1]
-        assert [timedomain.fit_lightcurves([lc], grid)[0] for lc in curves] == want
+            assert fits_of(curves, grid) == want
+            assert fits_of(curves[::-1], grid) == want[::-1]
+            assert bits(crowd) == want_crowd
+            assert bits(crowd[::-1]) == want_crowd[::-1]
+        assert [fits_of([lc], grid)[0] for lc in curves] == want
 
     def test_three_point_curve_fits_exactly(self):
         """Three points fix a floating-mean sinusoid's three parameters, so
@@ -378,67 +454,56 @@ class TestGroupedFitEquivalence:
 
     def test_bad_grid_rejected_for_short_only_curves(self):
         short = [make_lc([0, 1], [1.0, 2.0], [1.0, 1.0]), make_lc([0], [1.0], [1.0])]
-        for bad in [(2.0, 1.0, 10), (0.5, 1.0, 1), (0.0, 1.0, 10)]:
+        for bad in [(2.0, 1.0, 10), (0.5, 1.0, 1), (0.0, 1.0, 10), (0.5, np.inf, 10)]:
             with pytest.raises(ValidationError, match="frequency grid"):
-                timedomain.fit_lightcurves(short, bad)
+                fits_of(short, bad)
             with pytest.raises(ValidationError, match="frequency grid"):
-                timedomain.fit_lightcurves([], bad)
-        assert timedomain.fit_lightcurves(short, (0.5, 1.0, 2))[0].best_frequency is None
+                fits_of([], bad)
+        assert fits_of(short, (0.5, 1.0, 2))[0].best_frequency is None
 
     def test_group_chains_sorts_by_master_then_mjd(self):
         recs = np.zeros(6, dtype=store.DET_DTYPE)
         recs["master_id"] = [3, 1, 3, 2, 1, 3]
         recs["mjd"] = [5.0, 2.0, 1.0, 4.0, 1.0, 3.0]
-        ids, chains = timedomain.group_chains(recs)
-        assert ids.tolist() == [1, 2, 3]
-        assert [c["mjd"].tolist() for c in chains] == [[1.0, 2.0], [4.0], [1.0, 3.0, 5.0]]
+        recs, starts = timedomain.group_chains(recs)
+        assert recs["master_id"].tolist() == [1, 1, 2, 3, 3, 3]
+        assert recs["mjd"].tolist() == [1.0, 2.0, 4.0, 1.0, 3.0, 5.0]
+        assert starts.tolist() == [0, 2, 3]
 
     def test_repeated_epoch_names_master_and_mjd(self):
+        curves = [make_lc([0], [1.0], [1.0])] * 9 + [make_lc([1, 3, 3], [1.0, 2.0, 3.0],
+                                                             [1.0, 1.0, 1.0])]
         with pytest.raises(ValidationError, match="master 9, mjd 3.000000 repeats"):
-            make_lc([1, 3, 3], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0], master_id=9)
+            fits_of(curves, (0.01, 2.0, 100))
 
 
-CHAIN_DTYPE = np.dtype([("mjd", "<f8"), ("flux", "<f8"), ("flux_err", "<f8"),
-                        ("flags", "<u4")])
-
-
-def chain_of(lc, flags=0):
-    """A detection chain holding `lc`'s points; float64 fluxes, so that no
-    value is rounded as the store's float32 columns would round it."""
-    chain = np.zeros(len(lc), CHAIN_DTYPE)
-    chain["mjd"], chain["flux"], chain["flux_err"] = lc.epochs, lc.fluxes, lc.flux_errs
-    chain["flags"] = flags
-    return chain
-
-
-def oracle_classes(chains, grid, span=None):
-    """Each chain's class from the full fit of every multi-detection chain,
-    plus the single-detection and burst rules."""
-    lcs = [LightCurve.from_chain(i, c) for i, c in enumerate(chains) if len(c) > 1]
-    fits = iter(timedomain.fit_lightcurves(lcs, grid))
+def oracle_classes(curves, grid, span=None, flags=0):
+    """Each curve's class from the full fit of every curve, plus the
+    single-detection and burst rules."""
     classes = []
-    for c in chains:
-        if len(c) == 1:
-            classes.append("defect" if c["flags"][0] else "mover-candidate")
+    for lc, fit, flag in zip(curves, fits_of(curves, grid),
+                             np.broadcast_to(flags, len(curves)).tolist()):
+        if len(lc) == 1:
+            classes.append("defect" if flag else "mover-candidate")
             continue
-        fit = next(fits)
-        burst = span and c["mjd"][-1] - c["mjd"][0] < timedomain.TRANSIENT_SPAN_FRACTION * span
+        burst = span and lc.epochs[-1] - lc.epochs[0] < timedomain.TRANSIENT_SPAN_FRACTION * span
         classes.append("transient" if burst else fit.classification)
     return classes
 
 
-def classify(chains, grid, span=None):
-    """`classify_chains` on chains numbered 0, 1, ...; returns the classes and
-    the sorted numbers of the chains that `_periodograms` searched."""
+def classify(curves, grid, span=None, flags=0):
+    """`classify_chains` on the curves as masters 0, 1, ...; returns the
+    classes and the sorted numbers of the masters that `_periodograms`
+    searched."""
     seen = []
     real = timedomain._periodograms
 
-    def spy(lcs, freqs):
-        seen.extend(lc.master_id for lc in lcs)
-        return real(lcs, freqs)
+    def spy(recs, index, freqs):
+        seen.extend(recs["master_id"][index[:, 0]].tolist())
+        return real(recs, index, freqs)
 
     with mock.patch.object(timedomain, "_periodograms", spy):
-        classes = timedomain.classify_chains(np.arange(len(chains)), chains, grid, span)
+        classes = timedomain.classify_chains(*records(curves, flags), grid, span)
     return classes, sorted(seen)
 
 
@@ -451,10 +516,10 @@ class TestClassesOnly:
     GRID = (0.01, 2.0, 200)
 
     def check(self, curves, span=None):
-        chains = [chain_of(lc, flags=k % 2) for k, lc in enumerate(curves)]
-        classes, seen = classify(chains, self.GRID, span)
-        assert classes == oracle_classes(chains, self.GRID, span)
-        full = timedomain.fit_lightcurves(curves, self.GRID)
+        flags = np.arange(len(curves)) % 2
+        classes, seen = classify(curves, self.GRID, span, flags)
+        assert classes == oracle_classes(curves, self.GRID, span, flags)
+        full = fits_of(curves, self.GRID)
         static = [len(lc) >= 3 and f.chi2_const / f.dof <= timedomain.VARIABILITY_CHI2_DOF
                   for lc, f in zip(curves, full)]
         cut = timedomain.TRANSIENT_SPAN_FRACTION * span if span else -np.inf
@@ -505,9 +570,8 @@ class TestClassesOnly:
         for span in [None, 20.0, 40.0]:
             _, skipped = self.check(curves, span)
             assert skipped > 0
-        chains = [chain_of(lc) for lc in curves]
-        assert classify(chains, self.GRID, 40.0)[0].count("transient") \
-            > classify(chains, self.GRID)[0].count("transient")
+        assert classify(curves, self.GRID, 40.0)[0].count("transient") \
+            > classify(curves, self.GRID)[0].count("transient")
 
 
 class TestClassifyChain:
@@ -516,58 +580,56 @@ class TestClassifyChain:
     BURST = make_lc([0, 1, 2, 3], [50, 55, 52, 48], [1, 1, 1, 1])
 
     def test_single_flagged_is_defect(self):
-        chains = [chain_of(make_lc([0], [10.0], [1.0]), flags=4)]
-        assert classify(chains, self.GRID) == (["defect"], [])
-        assert oracle_classes(chains, self.GRID) == ["defect"]
+        curves = [make_lc([0], [10.0], [1.0])]
+        assert classify(curves, self.GRID, flags=4) == (["defect"], [])
+        assert oracle_classes(curves, self.GRID, flags=4) == ["defect"]
 
     def test_single_clean_is_mover_candidate(self):
-        chains = [chain_of(make_lc([0], [10.0], [1.0]))]
-        assert classify(chains, self.GRID) == (["mover-candidate"], [])
-        assert oracle_classes(chains, self.GRID) == ["mover-candidate"]
+        curves = [make_lc([0], [10.0], [1.0])]
+        assert classify(curves, self.GRID) == (["mover-candidate"], [])
+        assert oracle_classes(curves, self.GRID) == ["mover-candidate"]
 
     def test_short_chain_is_transient(self):
-        chains = [chain_of(self.BURST)]
-        assert classify(chains, self.GRID, 50.0)[0] == ["transient"]
-        assert oracle_classes(chains, self.GRID, 50.0) == ["transient"]
+        curves = [self.BURST]
+        assert classify(curves, self.GRID, 50.0)[0] == ["transient"]
+        assert oracle_classes(curves, self.GRID, 50.0) == ["transient"]
         assert fit_lightcurve(self.BURST).classification != "transient"
 
     def test_full_span_static(self):
         n = 20
-        chains = [chain_of(make_lc(np.arange(n, dtype=float), np.full(n, 50.0),
-                                   np.full(n, 1.0)))]
-        assert classify(chains, self.GRID, 20.0) == (["static"], [])
-        assert oracle_classes(chains, self.GRID, 20.0) == ["static"]
+        curves = [make_lc(np.arange(n, dtype=float), np.full(n, 50.0), np.full(n, 1.0))]
+        assert classify(curves, self.GRID, 20.0) == (["static"], [])
+        assert oracle_classes(curves, self.GRID, 20.0) == ["static"]
 
     def test_burst_needs_no_fit(self):
-        chains = [chain_of(self.BURST)]
-        assert classify(chains, self.GRID, 50.0) == (["transient"], [])
+        curves = [self.BURST]
+        assert classify(curves, self.GRID, 50.0) == (["transient"], [])
         # against a 5-day span, or none, the chain is no burst and is searched
         for span in [5.0, None, 0.0, -50.0]:
-            classes, seen = classify(chains, self.GRID, span)
+            classes, seen = classify(curves, self.GRID, span)
             assert seen == [0]
-            assert classes == oracle_classes(chains, self.GRID, span) == ["variable"]
+            assert classes == oracle_classes(curves, self.GRID, span) == ["variable"]
 
     def test_one_constant_fit_per_chain(self, monkeypatch):
-        """Every multi-detection chain that is no burst gets one weighted
-        constant fit, searched or not."""
+        """One array pass fits every chain's weighted constant, searched or
+        not, and nothing fits one again."""
         fitted = []
-        real = timedomain._weighted_constant
+        real = timedomain._constant_fits
 
-        def spy(lc):
-            fitted.append(lc.master_id)
-            return real(lc)
+        def spy(recs, starts):
+            fitted.extend(recs["master_id"][starts].tolist())
+            return real(recs, starts)
 
-        monkeypatch.setattr(timedomain, "_weighted_constant", spy)
-        chains = [chain_of(lc) for lc in equivalence_curves()]
-        _, seen = classify(chains, self.GRID)
-        assert sorted(fitted) == [k for k, c in enumerate(chains) if len(c) > 1]
-        assert seen
+        monkeypatch.setattr(timedomain, "_constant_fits", spy)
+        curves = equivalence_curves()
+        _, seen = classify(curves, self.GRID)
+        assert fitted == list(range(len(curves)))
+        assert 0 < len(seen) < len(curves)
 
     def test_bad_grid_rejected_whatever_the_chains(self):
-        for chains in [[], [chain_of(make_lc([0], [1.0], [1.0]))], [chain_of(self.BURST)]]:
+        for curves in [[], [make_lc([0], [1.0], [1.0])], [self.BURST]]:
             with pytest.raises(ValidationError, match="frequency grid"):
-                timedomain.classify_chains(np.arange(len(chains)), chains,
-                                           (2.0, 1.0, 10), 50.0)
+                timedomain.classify_chains(*records(curves), (2.0, 1.0, 10), 50.0)
 
 
 def survey_with_masters(tmp_path, **kw):
