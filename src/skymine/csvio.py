@@ -1,10 +1,18 @@
 """The CSV codec: `blocks` writes every table skymine prints or stores, and
 `read` parses every table it reads back.
 
-Cells are Python scalars (`ndarray.tolist()` makes them), on which `%d`,
-`%.6f` and `%.9f` give the bytes of f-strings on the numpy values (float32,
-2^64-1, nan, inf and -0.0 included). Rows are formatted BLOCK_ROWS at a time,
-so a wide query holds one block of Python objects, not its whole result.
+`blocks` writes each cell as CPython's `%` does, BLOCK_ROWS rows at a time,
+so a wide table holds one block of text, never its whole result. A
+structured array whose cells are all `%d` on integer fields or `%.Nf`
+(N = 1..9) on float fields is written by whole-column array passes: each
+value becomes a decimal integer (the float scaled by 10^N and rounded), cut
+into 4-digit pieces whose ASCII bytes come from a table, with no Python
+object per row. A block with a NaN, an infinity or a float with
+|x|·10^N >= 2^52 in it, and every other table (tuples, `%s` or None cells),
+goes through `%` row by row. The array path is exact because Dekker's
+error-free product gives |x|·10^N as p + e with no rounding, so rint(p),
+moved by the sign of e where p is exactly halfway, is the half-even rounded
+integer that `%` prints; below 2^52 that integer and its digits are exact.
 """
 
 from __future__ import annotations
@@ -17,6 +25,24 @@ from .errors import ValidationError
 
 BLOCK_ROWS = 8192
 
+_CELL = re.compile(r"%d|%\.([1-9])f")
+
+# a piece is 4 decimal digits
+_PIECE = 10 ** 4
+
+
+def _piece_table() -> np.ndarray:
+    """Entry f * _PIECE + i: the 4 ASCII digits of i, most significant in the
+    lowest byte of a little-endian uint32, with each leading zero a 0 byte
+    unless it is one of the last f digits (f = 0..4)."""
+    i = np.arange(_PIECE)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    shown = (i >= place) | (np.arange(5)[:, None, None] > np.arange(3, -1, -1))
+    return np.where(shown, ord("0") + i // place % 10, 0).astype(np.uint8).view("<u4").ravel()
+
+
+_PIECES = _piece_table()
+
 
 def blocks(header: str | None, fmt: str, rows):
     """The header (when given), then the rows as strings of up to BLOCK_ROWS
@@ -24,16 +50,127 @@ def blocks(header: str | None, fmt: str, rows):
     sequence of tuples; a None cell is written empty."""
     if header is not None:
         yield header
+    fields = _array_fields(fmt, rows)
     for lo in range(0, len(rows), BLOCK_ROWS):
         block = rows[lo:lo + BLOCK_ROWS]
-        block = block.tolist() if isinstance(block, np.ndarray) else block
-        try:
-            yield "\n".join([fmt % row for row in block])
-        except TypeError:  # a None cell: format cell by cell
-            specs = fmt.split(",")
-            yield "\n".join([",".join(["" if v is None else s % v
-                                       for s, v in zip(specs, row, strict=True)])
-                             for row in block])
+        text = _array_block(block, fields) if fields else None
+        yield _percent_block(fmt, block) if text is None else text
+
+
+def _percent_block(fmt: str, block) -> str:
+    """The rows of `block` formatted by `%` one row at a time. In a block where
+    `%` rejects a None cell, every None cell is written empty: each row is
+    formatted with `%.0s` in place of the specs of its None cells."""
+    rows = block.tolist() if isinstance(block, np.ndarray) else block
+    try:
+        return "\n".join([fmt % row for row in rows])
+    except TypeError:
+        pass
+    keys, bits = [0] * len(rows), {}  # a bit per column that holds a None
+    for j, col in enumerate(zip(*rows)):
+        if None in col:
+            bit = bits[j] = 1 << len(bits)
+            keys = [k | bit if v is None else k for k, v in zip(keys, col)]
+    specs = fmt.split(",")
+    fmts = {k: ",".join(["%.0s" if k & bits.get(j, 0) else s for j, s in enumerate(specs)])
+            for k in set(keys)}
+    return "\n".join([fmts[k] % row for k, row in zip(keys, rows)])
+
+
+def _array_fields(fmt: str, rows):
+    """[(field name, N)] when `rows` is a structured array whose cells under
+    `fmt` are each `%d` on an integer field (N None) or `%.Nf` on a float
+    field of at most 64 bits; else None."""
+    names = rows.dtype.names if isinstance(rows, np.ndarray) else None
+    specs = fmt.split(",")
+    if not names or len(names) != len(specs):
+        return None
+    fields = []
+    for name, spec in zip(names, specs):
+        cell, field = _CELL.fullmatch(spec), rows.dtype[name]
+        if cell is None:
+            return None
+        places = None if cell[1] is None else int(cell[1])
+        if not (field.kind in "iu" if places is None
+                else field.kind == "f" and field.itemsize <= 8):
+            return None
+        fields.append((name, places))
+    return fields
+
+
+def _scaled(x: np.ndarray, places: int) -> np.ndarray | None:
+    """|x| * 10^places rounded half to even to a uint64, exactly as `%` rounds
+    it; None unless every |x| * 10^places is below 2^52 (NaN is not)."""
+    a, scale = np.abs(x), 10.0 ** places
+    with np.errstate(over="ignore"):
+        p = a * scale
+    if not (p < 2.0 ** 52).all():
+        return None
+    # Dekker's product: a = hi + lo in halves of at most 26 bits, and 10^places
+    # has at most 21 significant bits, so p + e == a * 10^places exactly
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    e = (hi * scale - p) + (a - hi) * scale
+    r = np.rint(p)
+    # only where p is halfway between integers can e move the rounding; e == 0
+    # is a true tie, which rint has rounded to even
+    half = p - r
+    r += (half == 0.5) & (e > 0)
+    r -= (half == -0.5) & (e < 0)
+    return r.astype(np.uint64)
+
+
+def _array_block(block: np.ndarray, fields) -> str | None:
+    """The rows of `block` as `%` writes them, formatted column by column, or
+    None if a float cell is out of `_scaled`'s range.
+
+    Each cell becomes a uint64 of its digits: an integer's magnitude, or a
+    float's scaled value with its integer part moved up one place, so that
+    the 0 left below it can become the point. The cell takes whole 4-byte
+    pieces, right-aligned, with room before its digits for the separator and
+    a sign. The pieces of a block are the rows of one uint32 array; its
+    transpose holds each text line in order, with 0 bytes for padding.
+    """
+    cells = []  # (digits, places always shown, negative rows or None, place of the point)
+    for name, places in fields:
+        col = block[name]
+        if places is None:
+            u = col.astype(np.uint64)
+            neg = col < 0 if col.dtype.kind == "i" else None
+            if neg is not None:
+                np.negative(u, out=u, where=neg)
+            cells.append((u, 1, neg, None))
+        else:
+            x = col.astype(np.float64)
+            m = _scaled(x, places)
+            if m is None:
+                return None
+            u = m + m // np.uint64(10 ** places) * np.uint64(9 * 10 ** places)
+            cells.append((u, places + 2, np.signbit(x), places))
+    widths = [-(-(max(len(str(int(u.max()))), shown) + 1 + (neg is not None)) // 4)
+              for u, shown, neg, _ in cells]
+    out = np.empty((sum(widths), len(block)), "<u4")
+    first = 0
+    for (u, shown, neg, point), width in zip(cells, widths):
+        rest = u
+        for k in range(width):  # the k-th piece from the right
+            above = rest // np.uint64(_PIECE)
+            index = (rest - above * np.uint64(_PIECE)).astype(np.intp)
+            # the piece's places always shown, or all 4 below a higher digit
+            # (no uint64 reaches 10^20)
+            forced = min(max(shown - 4 * k, 0), 4)
+            index += forced * _PIECE
+            if forced < 4 and 4 * k + 4 < 20:
+                index += (u >= np.uint64(10 ** (4 * k + 4))) * ((4 - forced) * _PIECE)
+            _PIECES.take(index, out=out[first + width - 1 - k])
+            rest = above
+        out[first] |= ord(",") if first else ord("\n")
+        if neg is not None:
+            out[first] |= neg * np.uint32(ord("-") << 8)
+        if point is not None:
+            out[first + width - 1 - point // 4] ^= (ord("0") ^ ord(".")) << 8 * (3 - point % 4)
+        first += width
+    return out.T.tobytes().translate(None, b"\0")[1:].decode("ascii")
 
 
 def text(header: str, fmt: str, rows) -> str:

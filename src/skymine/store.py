@@ -62,7 +62,7 @@ class PartitionInfo:
     name: str
     records: int
     crc32: int
-    zone_histogram: dict = field(default_factory=dict)
+    zone_histogram: dict = field(default_factory=dict)  # str(zone) -> records
     mjd_min: float | None = None
     mjd_max: float | None = None
 
@@ -86,8 +86,7 @@ class StoreManifest:
     @classmethod
     def from_json(cls, text: str) -> "StoreManifest":
         d = json.loads(text)
-        parts = [PartitionInfo(**{**p, "zone_histogram": {int(k): v for k, v in p["zone_histogram"].items()}})
-                 for p in d.pop("partitions")]
+        parts = [PartitionInfo(**p) for p in d.pop("partitions")]
         m = cls(**d)
         m.partitions = parts
         return m
@@ -269,7 +268,7 @@ def build_indexes(store, zone_height_deg: float) -> StoreManifest:
             if len(recs):
                 recs["zone"] = sphere.zone_of(recs["dec"], zone_height_deg)
                 zones, counts = np.unique(recs["zone"], return_counts=True)
-                info.zone_histogram = {int(z): int(c) for z, c in zip(zones, counts)}
+                info.zone_histogram = {str(z): c for z, c in zip(zones.tolist(), counts.tolist())}
                 info.mjd_min = float(recs["mjd"].min())
                 info.mjd_max = float(recs["mjd"].max())
             else:

@@ -233,12 +233,21 @@ def _classes(static: np.ndarray, power: np.ndarray, shape: np.ndarray) -> np.nda
                      ["static", "variable", "transient"], "variable")
 
 
-def _frequency_grid(freq_grid: tuple[float, float, int]) -> np.ndarray:
+def _frequency_grid(freq_grid: tuple[float, float, int], t: np.ndarray) -> np.ndarray:
+    """The trial frequencies, checked against the epochs t: the trig basis
+    needs 2 pi f t finite for every frequency and epoch."""
     f_min, f_max, n_steps = freq_grid
     if not (0 < f_min < f_max < np.inf and n_steps >= 2):
         raise ValidationError("frequency grid must satisfy 0 < f_min < f_max < inf, "
                               "n_steps >= 2")
-    return np.linspace(f_min, f_max, int(n_steps))
+    freqs = np.linspace(f_min, f_max, int(n_steps))
+    t_max = np.max(np.abs(t), initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        widest = 2.0 * np.pi * freqs.max() * t_max
+    if not np.isfinite(widest):
+        raise ValidationError(f"frequency grid overflows: 2 pi f t is not finite "
+                              f"for f = {f_max:g} and t = {t_max:g}")
+    return freqs
 
 
 def fit_lightcurves(recs: np.ndarray, starts: np.ndarray,
@@ -247,9 +256,10 @@ def fit_lightcurves(recs: np.ndarray, starts: np.ndarray,
     """Fit every chain of records as `group_chains` returns them, in order: a
     weighted constant fit plus, for chains of 3+ points, a floating-mean
     sinusoid search over a uniform frequency grid. The grid is checked
-    first, whatever the chains, and then every chain, before any fit.
+    first, against every epoch whatever the chains, and then every chain,
+    before any fit.
     """
-    freqs = _frequency_grid(freq_grid)
+    freqs = _frequency_grid(freq_grid, recs["mjd"])
     counts, mean, chi2 = _constant_fits(recs, starts)
     searched = counts >= 3
     best, power, amplitude, shape = _search(recs, starts, counts, np.flatnonzero(searched),
@@ -267,8 +277,8 @@ def classify_chains(recs: np.ndarray, starts: np.ndarray,
                     freq_grid: tuple[float, float, int],
                     survey_span_days: float | None = None) -> list[str]:
     """Class of each chain of records as `group_chains` returns them, in
-    order. The grid and the span are checked first, whatever the chains, and
-    then every chain, whatever its class.
+    order. The grid (against every epoch) and the span are checked first,
+    whatever the chains, and then every chain, whatever its class.
 
     A single detection is a `defect` if flagged, else a `mover-candidate`.
     Given a survey span, a chain spanning less than TRANSIENT_SPAN_FRACTION
@@ -276,7 +286,7 @@ def classify_chains(recs: np.ndarray, starts: np.ndarray,
     Only the remaining chains are searched, and each takes its fit's class.
     A missing, zero or negative span finds no bursts.
     """
-    freqs = _frequency_grid(freq_grid)
+    freqs = _frequency_grid(freq_grid, recs["mjd"])
     if survey_span_days is not None and not np.isfinite(survey_span_days):
         raise ValidationError("survey span must be finite")
     counts, _, chi2 = _constant_fits(recs, starts)

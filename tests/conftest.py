@@ -8,8 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from skymine import csvio, mining, skygen, store
+
+# `--hypothesis-profile=ci` runs each property test that sets no example
+# count of its own on many more examples
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 _acceptance_results: dict[str, str] = {}
 

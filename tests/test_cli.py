@@ -435,12 +435,16 @@ class TestBadGrid:
     @pytest.mark.parametrize("fixture, argv", [
         ("short_chain_store", ["lc"]),
         ("short_chain_store", ["classify"]),
+        ("reference_store", ["lc"]),
         # against 20 days every chain of the reference store is a burst
         ("reference_store", ["classify", "--span-days", "20"]),
-    ], ids=["lc-short", "classify-short", "classify-all-bursts"])
+    ], ids=["lc-short", "classify-short", "lc-searched", "classify-all-bursts"])
     @pytest.mark.parametrize("grid", [["--fmin", "2", "--fmax", "1"], ["--steps", "1"],
-                                      ["--fmax", "inf"], ["--fmin", "nan"]],
-                             ids=["fmin-above-fmax", "one-step", "fmax-inf", "fmin-nan"])
+                                      ["--fmax", "inf"], ["--fmin", "nan"],
+                                      # 2 pi f t overflows at the stores' epochs
+                                      ["--fmax", "1e307", "--steps", "10"]],
+                             ids=["fmin-above-fmax", "one-step", "fmax-inf", "fmin-nan",
+                                  "basis-overflows"])
     def test_rejected(self, request, capsys, fixture, argv, grid):
         path = request.getfixturevalue(fixture)
         code, out, err = run(capsys, argv[0], "--store", str(path), *argv[1:], *grid)

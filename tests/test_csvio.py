@@ -1,16 +1,19 @@
-"""The CSV codec against per-row f-strings and float().
+"""The CSV codec against per-row f-strings, `%` and float().
 
 The writer must give the bytes the old per-row f-string formatters gave
 (`reference_masters_csv` in test_master_oracle.py is that oracle for the
 master table; `reference_records_csv` below is the one for detection
-records), on edge values and at block boundaries. The reader must parse
-floats bit for bit as float() does, and integers exactly.
+records), on edge values and at block boundaries. Its array path must give
+the bytes of `%` on each row's Python scalars (`percent_lines`), and the
+tables skymine writes must take it. The reader must parse floats bit for bit
+as float() does, and integers exactly.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skymine import csvio, store
+from skymine import csvio, sphere, store
 from skymine.errors import ValidationError
 from test_master_oracle import reference_masters_csv
 
@@ -90,6 +93,176 @@ def test_empty_table_is_the_header():
 def test_none_cell_is_empty():
     rows = [(1, None, "x"), (2, 0.5, "y")]
     assert csvio.text("a,b,c", "%d,%.6f,%s", rows) == "a,b,c\n1,,x\n2,0.500000,y\n"
+
+
+def percent_lines(fmt: str, rows: np.ndarray) -> list[str]:
+    """`fmt % row` on each row's Python scalars: the array path's oracle."""
+    return [fmt % row for row in rows.tolist()]
+
+
+def written_lines(fmt: str, rows: np.ndarray) -> list[str]:
+    text = "\n".join(csvio.blocks(None, fmt, rows))
+    return text.split("\n") if len(rows) else []
+
+
+@pytest.fixture
+def array_only(monkeypatch):
+    """Fail any block that goes through `%` instead of the array path."""
+    def refuse(fmt, block):
+        raise AssertionError(f"{len(block)} rows went through %")
+    monkeypatch.setattr(csvio, "_percent_block", refuse)
+
+
+def column(values, dtype) -> np.ndarray:
+    rows = np.zeros(len(values), [("x", dtype)])
+    rows["x"] = values
+    return rows
+
+
+@pytest.mark.parametrize("places", [1, 3, 6, 9])
+def test_exact_ties_round_half_to_even(array_only, places):
+    # k * 2^-(places + 1) is exact in binary and ends in a 5 at place places + 1
+    rng = np.random.Generator(np.random.PCG64(places))
+    # odd k below 2^53 / 5^N keep |x| * 10^N = |k| * 5^N / 2 below 2^52
+    k = np.concatenate([np.arange(-300, 300),
+                        rng.integers(-2 ** 31, 2 ** 31, 300) * 2 + 1])
+    rows = column(k * 2.0 ** -(places + 1), "<f8")
+    fmt = f"%.{places}f"
+    assert written_lines(fmt, rows) == percent_lines(fmt, rows)
+    assert written_lines("%.6f", column([0.0078125, -0.0078125, 0.0234375], "<f8")) == \
+        ["0.007812", "-0.007812", "0.023438"]
+
+
+@pytest.mark.parametrize("dtype", ["<f8", "<f4"])
+def test_negative_zero_and_tiny_negatives(array_only, dtype):
+    values = [-0.0, 0.0, -1e-12, -5e-7, -4.9999e-7, -5.0001e-7, 5e-7, -1e-30, -1e-45, 1e-45]
+    if dtype == "<f8":
+        values += [-5e-324, 5e-324, -2.2250738585072014e-308]
+    rows = column(values, dtype)
+    assert written_lines("%.6f", rows) == percent_lines("%.6f", rows)
+    assert written_lines("%.6f", rows)[:3] == ["-0.000000", "0.000000", "-0.000000"]
+
+
+def just_below_bound(places: int) -> np.ndarray:
+    """200 floats just below |x| * 10^places = 2^52, and their negatives."""
+    below = np.nextafter(2.0 ** 52 / 10 ** places, 0) * (1 - 2.0 ** -40 * np.arange(200))
+    return np.concatenate([below, -below])
+
+
+@pytest.mark.parametrize("places", range(1, 10))
+def test_below_magnitude_bound(array_only, places):
+    rows, fmt = column(just_below_bound(places), "<f8"), f"%.{places}f"
+    assert written_lines(fmt, rows) == percent_lines(fmt, rows)
+
+
+@pytest.mark.parametrize("places", range(1, 10))
+def test_at_magnitude_bound(places):
+    """At and above the bound the block goes through `%`: same bytes."""
+    bound, fmt = 2.0 ** 52 / 10 ** places, f"%.{places}f"
+    for x in [np.nextafter(bound, 0), bound, np.nextafter(bound, np.inf), 2 * bound, -bound]:
+        rows = column(np.append(just_below_bound(places), x), "<f8")
+        assert written_lines(fmt, rows) == percent_lines(fmt, rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cell_sends_only_its_block_through_percent(monkeypatch, bad):
+    sent = []
+    percent = csvio._percent_block
+    monkeypatch.setattr(csvio, "_percent_block",
+                        lambda fmt, block: sent.append(len(block)) or percent(fmt, block))
+    n = 2 * csvio.BLOCK_ROWS + 5
+    rows = np.zeros(n, [("i", "<u8"), ("x", "<f8"), ("y", "<f4")])
+    rows["i"] = np.arange(n)
+    rows["x"] = np.linspace(-1e3, 1e3, n)
+    rows["y"] = np.linspace(5, -5, n)
+    rows["y"][csvio.BLOCK_ROWS + 7] = bad
+    fmt = "%d,%.9f,%.6f"
+    assert written_lines(fmt, rows) == percent_lines(fmt, rows)
+    assert sent == [csvio.BLOCK_ROWS]
+
+
+def test_integer_extremes(array_only):
+    dtypes = ["<u8", "<i8", "<u4", "<i4", "<u2", "<i2", "u1", "i1"]
+    rows = np.zeros(len(dtypes) * 2 + 6, [(t[-2:], t) for t in dtypes])
+    for j, t in enumerate(dtypes):
+        info = np.iinfo(t)
+        rows[t[-2:]][2 * j:2 * j + 2] = [info.min, info.max]
+    rows["u8"][-6:] = [10 ** 19, 10 ** 19 - 1, 9999, 10 ** 4, 10 ** 8, 99999999]
+    rows["i8"][-6:] = [-10 ** 18, -1, 1, -9999, -10 ** 4, 10 ** 16]
+    fmt = ",".join(["%d"] * len(dtypes))
+    lines = written_lines(fmt, rows)
+    assert lines == percent_lines(fmt, rows)
+    assert lines[1].startswith(f"{2 ** 64 - 1},0,") and lines[2].startswith(f"0,{-2 ** 63},")
+
+
+@pytest.mark.parametrize("n", [0, 1, csvio.BLOCK_ROWS - 1, csvio.BLOCK_ROWS,
+                               csvio.BLOCK_ROWS + 1, 2 * csvio.BLOCK_ROWS])
+def test_array_blocks_and_boundaries(array_only, n):
+    rows = np.zeros(n, [("i", "<i8"), ("x", "<f8")])
+    rows["i"] = np.arange(n) - n // 2
+    rows["x"] = (np.arange(n) - n / 3) * 0.37
+    got = list(csvio.blocks("i,x", "%d,%.4f", rows))
+    assert got[0] == "i,x"
+    assert [len(b.split("\n")) for b in got[1:]] == \
+        [min(csvio.BLOCK_ROWS, n - lo) for lo in range(0, n, csvio.BLOCK_ROWS)]
+    assert written_lines("%d,%.4f", rows) == percent_lines("%d,%.4f", rows)
+
+
+_FIELDS = [(t, "%d") for t in ("<u8", "<i8", "<u4", "<i4", "<i2", "u1", "i1")] + \
+          [(t, f"%.{n}f") for t in ("<f8", "<f4", "<f2") for n in range(1, 10)]
+
+
+def _cells(dtype: str):
+    if dtype[-2] in "ui":
+        info = np.iinfo(dtype)
+        return st.integers(int(info.min), int(info.max))
+    width, top = 8 * np.dtype(dtype).itemsize, min(1e7, float(np.finfo(dtype).max))
+    near_ties = st.builds(lambda k, e: k * 2.0 ** e, st.integers(-2 ** 40, 2 ** 40),
+                          st.integers(-40, 0))
+    return st.one_of(st.floats(-top, top, width=width), st.floats(width=width), near_ties)
+
+
+@st.composite
+def tables(draw):
+    fields = draw(st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=6))
+    dtype = np.dtype([(f"c{j}", t) for j, (t, _) in enumerate(fields)])
+    rows = draw(st.lists(st.tuples(*[_cells(t) for t, _ in fields]), max_size=40))
+    with np.errstate(over="ignore"):  # a float too wide for its field is inf
+        table = np.array(rows, dtype)
+    return ",".join(spec for _, spec in fields), table
+
+
+@settings(deadline=None)
+@given(tables())
+def test_array_path_matches_percent(table):
+    fmt, rows = table
+    assert written_lines(fmt, rows) == percent_lines(fmt, rows)
+    fields = csvio._array_fields(fmt, rows)
+    floats = [rows[name].astype(np.float64) for name, places in fields if places is not None]
+    if len(rows) and all((np.abs(x) < 1e6).all() for x in floats):  # in range
+        assert csvio._array_block(rows, fields) is not None
+
+
+def in_range(table: np.ndarray) -> np.ndarray:
+    """`table` with every float that is not finite or not below 10^6 set to
+    -0.0, so that every cell is in the array path's range."""
+    for name in table.dtype.names:
+        if table.dtype[name].kind == "f":
+            table[name][~(np.abs(table[name]) < 1e6)] = -0.0
+    return table
+
+
+@pytest.mark.parametrize("n", [1, csvio.BLOCK_ROWS + 1])
+def test_written_tables_take_the_array_path(array_only, n):
+    masters = in_range(edge_masters(n))
+    assert store._masters_csv(masters) == reference_masters_csv(masters)
+    records = in_range(edge_records(n))
+    assert "\n".join(store.records_to_csv_lines(records)) + "\n" == \
+        reference_records_csv(records)
+    rng = np.random.Generator(np.random.PCG64(n))
+    table, _ = sphere.neighbors_join(masters["master_id"], rng.uniform(0, 360, n),
+                                     rng.uniform(-90, 90, n), 3600.0 * 5)
+    assert written_lines("%d,%d,%.6f", table) == percent_lines("%d,%d,%.6f", table)
 
 
 def test_floats_parse_as_float_does():

@@ -196,6 +196,12 @@ class TestIndexes:
         assert manifest.zone_height_deg == 1.0
         assert manifest.index_overhead_fraction > 0
 
+    def test_built_manifest_equals_read_manifest(self, tmp_path):
+        store.ingest_detections(make_records(500), 4, tmp_path)
+        built = store.build_indexes(tmp_path, 1.0)
+        assert all(p.zone_histogram for p in built.partitions)
+        assert built == store.read_manifest(tmp_path)
+
     def test_mjd_range(self, small_store):
         path, recs = small_store
         manifest = store.read_manifest(path)
