@@ -272,7 +272,72 @@ class TestZones:
         assert np.all(zones == np.minimum(np.floor((dec + 90) / 2.5), 71))
 
 
+def reference_cell_pairs(keys, query):
+    """`sphere.cell_pairs` with one pass per neighbouring column: the order
+    oracle. Keys are sorted by `lexsort` on (x, y) column, then z, and
+    queries by (x, y, z). For each of the 9 columns (dx, dy) in turn, the
+    queries whose column holds keys take the keys of their z range
+    [z-1, z+1], in key order."""
+    if not len(keys) or not len(query):
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    shift = sphere._KEY_SHIFT
+    col = (keys[:, 0] + shift) << 31 | (keys[:, 1] + shift)
+    order = np.lexsort((keys[:, 2], col))
+    cols, rank = np.unique(col[order], return_inverse=True)
+    code = rank.astype(np.int64) << 31 | (keys[order, 2] + shift)
+    qorder = np.lexsort((query[:, 2], query[:, 1], query[:, 0]))
+    query = query[qorder]
+    qs, los, his = [], [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            c = (query[:, 0] + (dx + shift)) << 31 | (query[:, 1] + (dy + shift))
+            r = np.minimum(np.searchsorted(cols, c), len(cols) - 1)
+            q = np.flatnonzero(cols[r] == c)
+            z = r[q].astype(np.int64) << 31 | (query[q, 2] + shift)
+            qs.append(q)
+            los.append(np.searchsorted(code, z - 1))
+            his.append(np.searchsorted(code, z + 1, side="right"))
+    q, lo, hi = (np.concatenate(a) for a in (qs, los, his))
+    n = hi - lo
+    start = np.repeat(lo - (np.cumsum(n) - n), n)
+    return qorder[np.repeat(q, n)], order[start + np.arange(n.sum())]
+
+
+# |floor(v / edge)| for |v| <= 1 at the smallest edge, 1e-9, is at most 1e9
+_KEY_BOUND = 10 ** 9
+
+
+@st.composite
+def key_sets(draw):
+    """(keys, query), each (n, 3) int64 with 0 to 40 rows. Each axis spans
+    9 cells around 0, around -5 (negative keys and the sign change), or
+    against either key bound, so keys repeat and neighbour each other."""
+    axes = []
+    for _ in range(3):
+        base = draw(st.sampled_from([0, -5, _KEY_BOUND - 2, 2 - _KEY_BOUND]))
+        axes.append(st.integers(base - 4, base + 4))
+    rows = st.lists(st.tuples(*axes), max_size=40)
+    return tuple(np.array(draw(rows), dtype=np.int64).reshape(-1, 3) for _ in range(2))
+
+
 class TestCellPairs:
+    @settings(deadline=None)
+    @given(key_sets())
+    def test_pairs_in_reference_order(self, sides):
+        keys, query = sides
+        q, t = sphere.cell_pairs(keys, query)
+        ref_q, ref_t = reference_cell_pairs(keys, query)
+        assert q.tolist() == ref_q.tolist()
+        assert t.tolist() == ref_t.tolist()
+
+    @pytest.mark.parametrize("edge", [1e-9, 1e-3, 0.05])
+    def test_catalog_pairs_in_reference_order(self, edge):
+        pts = random_catalog(21, 5000)
+        keys = sphere.cell_keys(pts, edge)
+        query = sphere.cell_keys(pts[:2000] + 0.3 * edge, edge)
+        for got, want in zip(sphere.cell_pairs(keys, query), reference_cell_pairs(keys, query)):
+            assert got.tolist() == want.tolist()
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_radius_matches_brute_force(self, seed):
