@@ -192,9 +192,9 @@ def zone_of(dec_deg, zone_height_deg: float) -> np.ndarray:
 # takes as candidates the points in the 27 cells around each query. With
 # edge >= the search chord, every point within the chord of a query is a
 # candidate; the caller applies its own exact distance cut. This is the Zones
-# design of Gray, Szalay et al. (arXiv cs/0408031), in 3-d. The cost is one
-# sort of the keys, 9 column and 18 range binary searches per query, and
-# the candidates themselves, about 27 cells' worth of points per query.
+# design of Gray, Szalay et al. (arXiv cs/0408031), in 3-d. The cost is a
+# sort of the keys and one of the queries, 9 column and 18 range binary
+# searches per query, and the candidates, about 27 cells' worth per query.
 
 # |v| <= 1 and edge >= 1e-9, so |key| <= 1e9 + 2 < 2^30: shifted keys fit in
 # 31 bits and two of them in one int64.
@@ -207,35 +207,43 @@ def cell_keys(v: np.ndarray, edge: float) -> np.ndarray:
     return np.floor(v / edge).astype(np.int64)
 
 
+def _column_sort(keys: np.ndarray):
+    """(distinct (x, y) columns in order, the rows in (x, y, z) order with
+    ties in row order, their sorted codes rank(x, y) * 2^31 + z). A quicksort
+    of the codes and a sort of (run of equal codes, row) numbers give the
+    stable order in about half the time of a stable argsort."""
+    col = (keys[:, 0] + _KEY_SHIFT) << 31 | (keys[:, 1] + _KEY_SHIFT)
+    cols, rank = np.unique(col, return_inverse=True)
+    code = rank.astype(np.int64) << 31 | (keys[:, 2] + _KEY_SHIFT)
+    order = np.argsort(code)
+    code = code[order]
+    run = np.cumsum(np.concatenate(([0], code[1:] != code[:-1])))
+    return cols, np.sort(run * len(keys) + order) % len(keys), code
+
+
 def cell_pairs(keys: np.ndarray, query: np.ndarray):
     """(query row, key row) for every key within 1 cell of a query on every
-    axis, i.e. the keys in the 27 cells around each query.
+    axis, i.e. the keys in the 27 cells around each query, by column offset
+    (dx, dy), then query key, then key (x, y, z), ties by row.
 
-    Keys are sorted by (x, y) column, then z. Each of the 9 neighbouring
-    columns of a query is found by `searchsorted` on the distinct columns,
-    and its z range [z-1, z+1] by `searchsorted` on codes rank(x, y) * 2^31 + z.
+    One `searchsorted` on the distinct key columns finds all 9 neighbouring
+    columns of every query, and one pair of `searchsorted`s on the codes
+    finds each column's z range [z-1, z+1].
     """
     if not len(keys) or not len(query):
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    col = (keys[:, 0] + _KEY_SHIFT) << 31 | (keys[:, 1] + _KEY_SHIFT)
-    order = np.lexsort((keys[:, 2], col))
-    cols, rank = np.unique(col[order], return_inverse=True)
-    code = rank.astype(np.int64) << 31 | (keys[order, 2] + _KEY_SHIFT)
-    # queries in key order make every search below run on sorted needles
-    qorder = np.lexsort((query[:, 2], query[:, 1], query[:, 0]))
+    cols, order, code = _column_sort(keys)
+    qorder = _column_sort(query)[1]
     query = query[qorder]
-    qs, los, his = [], [], []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            c = (query[:, 0] + (dx + _KEY_SHIFT)) << 31 | (query[:, 1] + (dy + _KEY_SHIFT))
-            r = np.minimum(np.searchsorted(cols, c), len(cols) - 1)
-            q = np.flatnonzero(cols[r] == c)
-            z = r[q].astype(np.int64) << 31 | (query[q, 2] + _KEY_SHIFT)
-            qs.append(q)
-            los.append(np.searchsorted(code, z - 1))
-            his.append(np.searchsorted(code, z + 1, side="right"))
-    q, lo, hi = (np.concatenate(a) for a in (qs, los, his))
-    n = hi - lo
+    # needles (dx, dy, query): hits come out offset-major, each offset sorted
+    d = np.arange(-1, 2) + _KEY_SHIFT
+    c = ((query[:, 0] + d[:, None, None]) << 31 | (query[:, 1] + d[:, None])).ravel()
+    r = np.minimum(np.searchsorted(cols, c), len(cols) - 1)
+    hit = np.flatnonzero(cols[r] == c)
+    q = hit % len(query)
+    z = r[hit] << 31 | (query[q, 2] + _KEY_SHIFT)
+    lo = np.searchsorted(code, z - 1)
+    n = np.searchsorted(code, z + 1, side="right") - lo
     start = np.repeat(lo - (np.cumsum(n) - n), n)
     return qorder[np.repeat(q, n)], order[start + np.arange(n.sum())]
 

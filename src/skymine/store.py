@@ -422,8 +422,7 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
 # 1e-9 of the nearest distance) or found a new master. A master's position is
 # the normalized sum of its member unit vectors; a new master sits at its first
 # detection. Candidates are the masters in the 27 cells around a detection,
-# with cells of edge max(chord, 1e-9) keyed by floor(v / edge) per axis, found
-# by the sorted cell-key search of `sphere.cell_pairs`.
+# with cells of edge max(chord, 1e-9) keyed by floor(v / edge) per axis.
 #
 # Each pass is matched as one batch against the master positions frozen at
 # its start. Within a pass, a detection e can change what another detection
@@ -437,6 +436,11 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
 # within 4 cells form the conflict set and run the rule one at a time, in
 # order, against the current state; the others are independent of each
 # other and of the conflict set.
+#
+# One `sphere.cell_pairs` search per pass, at coarse cells of 4 cells' edge
+# (keys >> 2), finds both: masters within 1 cell of a detection on every
+# axis are its candidates, detections within 4 its conflict neighbours.
+# `_nearest` takes minima only, so the order of the candidates is free.
 
 _CONFLICT_CELLS = 4
 _NO_MASTER = np.iinfo(np.int64).max
@@ -454,15 +458,6 @@ def _master_state(size: int) -> dict:
         "first": np.zeros(size),
         "last": np.zeros(size),
     }
-
-
-def _near_pairs(keys: np.ndarray):
-    """(later row, earlier row) for every two rows whose keys are within
-    _CONFLICT_CELLS cells on every axis. Such rows sit in the same or
-    adjacent coarse cells of 4 cells' edge."""
-    q, t = sphere.cell_pairs(keys >> 2, keys >> 2)
-    near = (t < q) & (np.abs(keys[q] - keys[t]).max(axis=1) <= _CONFLICT_CELLS)
-    return q[near], t[near]
 
 
 def _nearest(pos: np.ndarray, v: np.ndarray, q: np.ndarray, t: np.ndarray,
@@ -538,9 +533,15 @@ def build_master(store, match_radius_arcsec: float):
                 col[:n_masters] = state[name][:n_masters]
             state = grown
         v, k, pflux, pmjd = unit[rows], keys[rows], flux[rows], mjd[rows]
-        q, t = sphere.cell_pairs(state["key"][:n_masters], k)
+        both = np.concatenate((state["key"][:n_masters], k))
+        q, t = sphere.cell_pairs(both >> 2, k >> 2)
+        d = np.abs(both.take(t, axis=0) - k.take(q, axis=0))
+        gap = np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2])  # in fine cells
+        near = (t >= n_masters) & (t < q + n_masters) & (gap <= _CONFLICT_CELLS)
+        later, earlier = q[near], t[near] - n_masters
+        cand = (t < n_masters) & (gap <= 1)
+        q, t = q[cand], t[cand]
         match = _nearest(state["pos"], v, q, t, chord)
-        later, earlier = _near_pairs(k)
         conflict = np.zeros(len(rows), dtype=bool)
         conflict[later] = conflict[earlier] = True
         founded = (match < 0) & ~conflict

@@ -293,3 +293,57 @@ def test_master_changes_cell_during_a_pass(tmp_path):
 
 def test_empty_store(tmp_path):
     assert_matches_oracle(tmp_path, np.zeros(0, dtype=store.DET_DTYPE), RADIUS)
+
+
+def on_axis(axis, value):
+    """(ra, dec) in degrees of the unit vector with `value` on `axis`, the
+    rest on the next axis (x for z), and 0 on the third."""
+    v = np.zeros(3)
+    v[axis], v[(axis + 1) % 3] = value, np.sqrt(1.0 - value * value)
+    ra, dec = sphere.unit_to_radec(v)
+    return float(ra), float(dec)
+
+
+def stored_keys(recs):
+    return sphere.cell_keys(sphere.radec_to_unit(recs["ra"], recs["dec"]), EDGE)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("lo,gap", [(-9, 4), (-8, 4), (-8, 5), (-9, 5)])
+def test_same_pass_pair_across_a_coarse_boundary(tmp_path, axis, lo, gap):
+    """Two detections of one pass `gap` cells apart on one axis, in negative
+    cells on either side of a coarse cell (key >> 2) boundary: 4 cells apart
+    they are a conflict pair, 5 apart they are not. Each joins a master of
+    the pass before, half a chord away in its own cell."""
+    cells = [lo, lo + gap]
+    rows = [(p, *on_axis(axis, (c + f) * EDGE)) for p, f in ((0, 0.2), (1, 0.7)) for c in cells]
+    recs = detections(rows)
+    keys = stored_keys(recs)
+    assert keys[:, axis].tolist() == cells + cells
+    assert keys[0, axis] >> 2 != keys[1, axis] >> 2
+    others = np.delete(keys, axis, axis=1)
+    assert (others == others[0]).all()
+    stored, assignment = assert_matches_oracle(tmp_path, recs, RADIUS)
+    assert by_det_id(stored, assignment) == {1: 1, 2: 2, 3: 1, 4: 2}
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("cells", [1, 2])
+def test_master_across_a_coarse_boundary(tmp_path, axis, cells):
+    """Master A lies `cells` cells below detection d on one axis, across a
+    coarse cell boundary at negative keys; master B lies in d's cell, just
+    inside the radius. 1 cell away, A is a candidate and the nearer. 2 cells
+    away, A lies just outside the radius but within the 1e-9 tie tolerance,
+    and would win on its lower index if it were a candidate."""
+    y_d = -4 * EDGE + 0.1e-9
+    y_a = y_d - 0.5 * CHORD if cells == 1 else y_d - CHORD - 0.5e-9
+    y_b = y_d + CHORD - 0.2e-9
+    recs = detections([(0, *on_axis(axis, y_a)), (1, *on_axis(axis, y_b)),
+                       (2, *on_axis(axis, y_d))])
+    keys = stored_keys(recs)
+    assert keys[:, axis].tolist() == [-4 - cells, -4, -4]
+    assert (keys[:, axis] >> 2).tolist() == [-2, -1, -1]
+    others = np.delete(keys, axis, axis=1)
+    assert (others == others[0]).all()
+    stored, assignment = assert_matches_oracle(tmp_path, recs, RADIUS)
+    assert by_det_id(stored, assignment)[3] == (1 if cells == 1 else 2)
