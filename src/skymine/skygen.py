@@ -205,7 +205,7 @@ def write_survey(config: SurveyConfig, out_dir, partition_count: int = 4):
 
     names = [n for n in TRUTH_DTYPE.names if n != "phase"]
     (out / "truth.csv").write_text(csvio.text(",".join(names), TRUTH_CSV_FORMAT, truth[names]))
-    label_rows = list(zip(detections["det_id"].tolist(), labels.tolist()))
+    label_rows = np.rec.fromarrays((detections["det_id"], labels), dtype=LABEL_DTYPE)
     (out / "labels.csv").write_text(csvio.text("det_id,truth_id", "%d,%d", label_rows))
 
     kinds, counts = (np.unique(truth["kind"], return_counts=True)
