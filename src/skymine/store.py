@@ -438,7 +438,7 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
 # other and of the conflict set.
 #
 # One `sphere.cell_pairs` search per pass, at coarse cells of 4 cells' edge
-# (keys >> 2), finds both: masters within 1 cell of a detection on every
+# (keys >> 2), finds both sets: masters within 1 cell of a detection on every
 # axis are its candidates, detections within 4 its conflict neighbours.
 # `_nearest` takes minima only, so the order of the candidates is free.
 

@@ -335,11 +335,11 @@ def test_master_across_a_coarse_boundary(tmp_path, axis, cells):
     inside the radius. 1 cell away, A is a candidate and the nearer. 2 cells
     away, A lies just outside the radius but within the 1e-9 tie tolerance,
     and would win on its lower index if it were a candidate."""
-    y_d = -4 * EDGE + 0.1e-9
-    y_a = y_d - 0.5 * CHORD if cells == 1 else y_d - CHORD - 0.5e-9
-    y_b = y_d + CHORD - 0.2e-9
-    recs = detections([(0, *on_axis(axis, y_a)), (1, *on_axis(axis, y_b)),
-                       (2, *on_axis(axis, y_d))])
+    c_d = -4 * EDGE + 0.1e-9
+    c_a = c_d - 0.5 * CHORD if cells == 1 else c_d - CHORD - 0.5e-9
+    c_b = c_d + CHORD - 0.2e-9
+    recs = detections([(0, *on_axis(axis, c_a)), (1, *on_axis(axis, c_b)),
+                       (2, *on_axis(axis, c_d))])
     keys = stored_keys(recs)
     assert keys[:, axis].tolist() == [-4 - cells, -4, -4]
     assert (keys[:, axis] >> 2).tolist() == [-2, -1, -1]
