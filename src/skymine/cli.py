@@ -333,11 +333,6 @@ def _chains(store_dir, master_id=None):
     return timedomain.group_chains(recs)
 
 
-def _chain_heads(recs, starts):
-    """Each chain's (master_id, number of records)."""
-    return zip(recs["master_id"][starts].tolist(), np.diff(starts, append=len(recs)).tolist())
-
-
 @cli.command("lc")
 @click.option("--store", "store_dir", required=True, type=click.Path(exists=True))
 @click.option("--master", "master_id", default=None, type=int)
@@ -351,10 +346,17 @@ def lc_cmd(store_dir, master_id, limit, fmin, fmax, steps):
     if limit is not None and limit < len(starts):
         recs, starts = recs[:starts[limit]], starts[:limit]
     fits = timedomain.fit_lightcurves(recs, starts, (fmin, fmax, steps))
-    rows = [(*head, *vars(fit).values()) for head, fit in zip(_chain_heads(recs, starts), fits)]
-    _echo(csvio.blocks("master_id,n,chi2_const,dof,mean_flux,best_frequency,"
-                       "periodic_power,amplitude_fraction,classification",
-                       "%d,%d,%.4f,%d,%.4f,%.6f,%.4f,%.4f,%s", rows))
+    # `%` on each searched chain's frequency, so exact; empty where no search ran
+    searched = ~np.isnan(fits.best_frequency)
+    cells = np.char.mod("%.6f", fits.best_frequency[searched])
+    freq = np.zeros(len(fits), cells.dtype)
+    freq[searched] = cells
+    rows = np.rec.fromarrays(
+        (recs["master_id"][starts], np.diff(starts, append=len(recs)), fits.chi2_const, fits.dof,
+         fits.mean_flux, freq, fits.periodic_power, fits.amplitude_fraction,
+         fits.classification), names="master_id,n,chi2_const,dof,mean_flux,best_frequency,"
+                                     "periodic_power,amplitude_fraction,classification")
+    _echo(csvio.blocks(",".join(rows.dtype.names), "%d,%d,%.4f,%d,%.4f,%s,%.4f,%.4f,%s", rows))
 
 
 @cli.command("classify")
@@ -368,8 +370,9 @@ def classify_cmd(store_dir, span_days, fmin, fmax, steps):
     """Classify every master chain; CSV master_id,classification."""
     recs, starts = _chains(store_dir)
     classes = timedomain.classify_chains(recs, starts, (fmin, fmax, steps), span_days)
-    rows = [(*head, c) for head, c in zip(_chain_heads(recs, starts), classes)]
-    _echo(csvio.blocks("master_id,n_detections,classification", "%d,%d,%s", rows))
+    rows = np.rec.fromarrays((recs["master_id"][starts], np.diff(starts, append=len(recs)),
+                              classes), names="master_id,n_detections,classification")
+    _echo(csvio.blocks(",".join(rows.dtype.names), "%d,%d,%s", rows))
 
 
 @cli.command("trigger")
@@ -387,9 +390,7 @@ def trigger_cmd(store_dir, stream_dir, radius, k_sigma):
     alerts = timedomain.run_trigger(
         stream, masters, units.parse_angle_deg(radius) * sphere.ARCSEC_PER_DEG,
         k_sigma)
-    rows = [tuple(vars(a).values()) for a in alerts]
-    _echo(csvio.blocks("kind,mjd,ra,dec,flux,deviation_sigmas,nearest_master_id",
-                       "%s,%.6f,%.9f,%.9f,%.6f,%.3f,%d", rows))
+    _echo(csvio.blocks(",".join(alerts.dtype.names), "%s,%.6f,%.9f,%.9f,%.6f,%.3f,%d", alerts))
     click.echo(f"alerts={len(alerts)} stream={len(stream)}", err=True)
 
 
@@ -457,10 +458,10 @@ def corr_cmd(store_dir, bins_deg, randoms, seed, use_masters):
     rand_unit = np.stack([np.sqrt(1 - z ** 2) * np.cos(phi),
                           np.sqrt(1 - z ** 2) * np.sin(phi), z], axis=1)
     est = mining.correlation_ls(unit, rand_unit, edges)
-    cols = (np.degrees(est.bin_edges_rad[:-1]), np.degrees(est.bin_edges_rad[1:]),
-            est.dd, est.dr, est.rr, est.w, est.err)
-    _echo(csvio.blocks("bin_lo_deg,bin_hi_deg,dd,dr,rr,w,err", "%.6f,%.6f,%d,%d,%d,%.6f,%.6f",
-                       list(zip(*(c.tolist() for c in cols)))))
+    rows = np.rec.fromarrays((np.degrees(est.bin_edges_rad[:-1]),
+                              np.degrees(est.bin_edges_rad[1:]), est.dd, est.dr, est.rr, est.w,
+                              est.err), names="bin_lo_deg,bin_hi_deg,dd,dr,rr,w,err")
+    _echo(csvio.blocks(",".join(rows.dtype.names), "%.6f,%.6f,%d,%d,%d,%.6f,%.6f", rows))
 
 
 @cli.command("em")
@@ -488,9 +489,9 @@ def em_cmd(store_dir, features, k, mode, seed, tol, max_iter, tau, scores):
     model, stats = mining.em_fit(pts, k, mode=mode, tol=tol, max_iter=max_iter,
                                  seed=seed, tau=tau)
     if scores:
-        vals = mining.outlier_scores(model, pts)
-        _echo(csvio.blocks("master_id,score", "%d,%.6f",
-                           list(zip(masters["master_id"].tolist(), vals.tolist()))))
+        rows = np.rec.fromarrays((masters["master_id"], mining.outlier_scores(model, pts)),
+                                 names="master_id,score")
+        _echo(csvio.blocks(",".join(rows.dtype.names), "%d,%.6f", rows))
     else:
         click.echo(model.to_json())
     click.echo(f"iters={model.n_iter} evals={stats.responsibility_evaluations} "

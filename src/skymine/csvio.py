@@ -3,16 +3,19 @@
 
 `blocks` writes each cell as CPython's `%` does, BLOCK_ROWS rows at a time,
 so a wide table holds one block of text, never its whole result. A
-structured array whose cells are all `%d` on integer fields or `%.Nf`
-(N = 1..9) on float fields is written by whole-column array passes: each
-value becomes a decimal integer (the float scaled by 10^N and rounded), cut
-into 4-digit pieces whose ASCII bytes come from a table, with no Python
-object per row. A block with a NaN, an infinity or a float with
-|x|·10^N >= 2^52 in it, and every other table (tuples, `%s` or None cells),
-goes through `%` row by row. The array path is exact because Dekker's
-error-free product gives |x|·10^N as p + e with no rounding, so rint(p),
-moved by the sign of e where p is exactly halfway, is the half-even rounded
-integer that `%` prints; below 2^52 that integer and its digits are exact.
+structured array whose cells are all `%d` on integer fields, `%.Nf`
+(N = 1..9) on float fields or `%s` on fixed-width text (`U`) fields is
+written by whole-column array passes, with no Python object per row. A
+number becomes a decimal integer (a float scaled by 10^N and rounded), cut
+into 4-digit pieces whose ASCII bytes come from a table; a text cell is its
+UCS-4 code units, one piece per character. A block with a NaN, an infinity,
+a float with |x|·10^N >= 2^52, or a text cell that is not ASCII or holds a
+NUL before its last character, and every other table (tuples, or other
+specs or fields), goes through `%` row by row. The array path is exact because
+Dekker's error-free product gives |x|·10^N as p + e with no rounding, so
+rint(p), moved by the sign of e where p is exactly halfway, is the
+half-even rounded integer that `%` prints; below 2^52 that integer and its
+digits are exact.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import ValidationError
 
 BLOCK_ROWS = 8192
 
-_CELL = re.compile(r"%d|%\.([1-9])f")
+_CELL = re.compile(r"%[ds]|%\.([1-9])f")
 
 # a piece is 4 decimal digits
 _PIECE = 10 ** 4
@@ -47,7 +50,7 @@ _PIECES = _piece_table()
 def blocks(header: str | None, fmt: str, rows):
     """The header (when given), then the rows as strings of up to BLOCK_ROWS
     lines each, without the final newline. `rows` is a structured array or a
-    sequence of tuples; a None cell is written empty."""
+    sequence of tuples."""
     if header is not None:
         yield header
     fields = _array_fields(fmt, rows)
@@ -58,29 +61,15 @@ def blocks(header: str | None, fmt: str, rows):
 
 
 def _percent_block(fmt: str, block) -> str:
-    """The rows of `block` formatted by `%` one row at a time. In a block where
-    `%` rejects a None cell, every None cell is written empty: each row is
-    formatted with `%.0s` in place of the specs of its None cells."""
+    """The rows of `block` formatted by `%` one row at a time."""
     rows = block.tolist() if isinstance(block, np.ndarray) else block
-    try:
-        return "\n".join([fmt % row for row in rows])
-    except TypeError:
-        pass
-    keys, bits = [0] * len(rows), {}  # a bit per column that holds a None
-    for j, col in enumerate(zip(*rows)):
-        if None in col:
-            bit = bits[j] = 1 << len(bits)
-            keys = [k | bit if v is None else k for k, v in zip(keys, col)]
-    specs = fmt.split(",")
-    fmts = {k: ",".join(["%.0s" if k & bits.get(j, 0) else s for j, s in enumerate(specs)])
-            for k in set(keys)}
-    return "\n".join([fmts[k] % row for k, row in zip(keys, rows)])
+    return "\n".join([fmt % row for row in rows])
 
 
 def _array_fields(fmt: str, rows):
     """[(field name, N)] when `rows` is a structured array whose cells under
-    `fmt` are each `%d` on an integer field (N None) or `%.Nf` on a float
-    field of at most 64 bits; else None."""
+    `fmt` are each `%d` on an integer field or `%s` on a `U` field (N None),
+    or `%.Nf` on a float field of at most 64 bits; else None."""
     names = rows.dtype.names if isinstance(rows, np.ndarray) else None
     specs = fmt.split(",")
     if not names or len(names) != len(specs):
@@ -91,8 +80,13 @@ def _array_fields(fmt: str, rows):
         if cell is None:
             return None
         places = None if cell[1] is None else int(cell[1])
-        if not (field.kind in "iu" if places is None
-                else field.kind == "f" and field.itemsize <= 8):
+        if spec == "%s":
+            fits = field.kind == "U"
+        elif places is None:
+            fits = field.kind in "iu"
+        else:
+            fits = field.kind == "f" and field.itemsize <= 8
+        if not fits:
             return None
         fields.append((name, places))
     return fields
@@ -122,19 +116,30 @@ def _scaled(x: np.ndarray, places: int) -> np.ndarray | None:
 
 def _array_block(block: np.ndarray, fields) -> str | None:
     """The rows of `block` as `%` writes them, formatted column by column, or
-    None if a float cell is out of `_scaled`'s range.
+    None if a float cell is out of `_scaled`'s range or a text cell is not
+    ASCII or holds a NUL before its last character.
 
-    Each cell becomes a uint64 of its digits: an integer's magnitude, or a
+    Each number becomes a uint64 of its digits: an integer's magnitude, or a
     float's scaled value with its integer part moved up one place, so that
     the 0 left below it can become the point. The cell takes whole 4-byte
     pieces, right-aligned, with room before its digits for the separator and
-    a sign. The pieces of a block are the rows of one uint32 array; its
-    transpose holds each text line in order, with 0 bytes for padding.
+    a sign. A `U<n>` cell takes one piece for the separator and then its n
+    code units, NUL past its end. The pieces of a block are the rows of one
+    uint32 array; its transpose holds each text line in order, with 0 bytes
+    for padding.
     """
-    cells = []  # (digits, places always shown, negative rows or None, place of the point)
+    # (digits, places always shown, negative rows or None, place of the point),
+    # or (code units, None, None, None) for text
+    cells = []
     for name, places in fields:
         col = block[name]
-        if places is None:
+        if col.dtype.kind == "U":
+            codes = np.frombuffer(col.astype(col.dtype.newbyteorder("<")).tobytes(), "<u4")
+            codes = codes.reshape(len(col), -1)
+            if (codes > 127).any() or ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any():
+                return None
+            cells.append((codes.T, None, None, None))
+        elif places is None:
             u = col.astype(np.uint64)
             neg = col < 0 if col.dtype.kind == "i" else None
             if neg is not None:
@@ -147,23 +152,28 @@ def _array_block(block: np.ndarray, fields) -> str | None:
                 return None
             u = m + m // np.uint64(10 ** places) * np.uint64(9 * 10 ** places)
             cells.append((u, places + 2, np.signbit(x), places))
-    widths = [-(-(max(len(str(int(u.max()))), shown) + 1 + (neg is not None)) // 4)
+    widths = [len(u) + 1 if shown is None
+              else -(-(max(len(str(int(u.max()))), shown) + 1 + (neg is not None)) // 4)
               for u, shown, neg, _ in cells]
     out = np.empty((sum(widths), len(block)), "<u4")
     first = 0
     for (u, shown, neg, point), width in zip(cells, widths):
-        rest = u
-        for k in range(width):  # the k-th piece from the right
-            above = rest // np.uint64(_PIECE)
-            index = (rest - above * np.uint64(_PIECE)).astype(np.intp)
-            # the piece's places always shown, or all 4 below a higher digit
-            # (no uint64 reaches 10^20)
-            forced = min(max(shown - 4 * k, 0), 4)
-            index += forced * _PIECE
-            if forced < 4 and 4 * k + 4 < 20:
-                index += (u >= np.uint64(10 ** (4 * k + 4))) * ((4 - forced) * _PIECE)
-            _PIECES.take(index, out=out[first + width - 1 - k])
-            rest = above
+        if shown is None:
+            out[first] = 0
+            out[first + 1:first + width] = u
+        else:
+            rest = u
+            for k in range(width):  # the k-th piece from the right
+                above = rest // np.uint64(_PIECE)
+                index = (rest - above * np.uint64(_PIECE)).astype(np.intp)
+                # the piece's places always shown, or all 4 below a higher
+                # digit (no uint64 reaches 10^20)
+                forced = min(max(shown - 4 * k, 0), 4)
+                index += forced * _PIECE
+                if forced < 4 and 4 * k + 4 < 20:
+                    index += (u >= np.uint64(10 ** (4 * k + 4))) * ((4 - forced) * _PIECE)
+                _PIECES.take(index, out=out[first + width - 1 - k])
+                rest = above
         out[first] |= ord(",") if first else ord("\n")
         if neg is not None:
             out[first] |= neg * np.uint32(ord("-") << 8)

@@ -48,11 +48,6 @@ def _bin_d2(d2: np.ndarray, edges2: np.ndarray, counts: np.ndarray) -> None:
         counts += np.bincount(k[valid], minlength=len(edges2) - 1)
 
 
-def _pairwise_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", d, d)
-
-
 def pair_count(points: np.ndarray, bin_edges_rad, others: np.ndarray | None = None,
                leaf_size: int = 32) -> PairCountHistogram:
     """Count point pairs per angular separation bin with a dual-tree walk:
@@ -133,8 +128,9 @@ def _compare_leaves(tree_a: KdTree, la: np.ndarray, tree_b: KdTree, lb: np.ndarr
                     edges2: np.ndarray, counts: np.ndarray, within: bool = False) -> int:
     """Bin the distance of every point pair of each leaf pair (la[i], lb[i]),
     or with `within` (la == lb) of every unordered pair inside each leaf.
-    Leaf pairs of one shape are compared together, with the same einsum
-    reduction as `_pairwise_d2`. Returns the number of distances computed."""
+    Leaf pairs of one shape are compared together: each squared distance is
+    the einsum "gijk,gijk->gij" of the coordinate differences. Returns the
+    number of distances computed."""
     if len(la) == 0:
         return 0
     sizes = np.stack([tree_a.node_end[la] - tree_a.node_start[la],

@@ -465,11 +465,11 @@ def _nearest(pos: np.ndarray, v: np.ndarray, q: np.ndarray, t: np.ndarray,
     """The master the rule picks for each row of v among its candidate pairs
     (q, t): the lowest index within 1e-9 of the nearest distance, or -1
     when the nearest lies beyond the chord."""
-    diff = pos[t] - v[q]
+    diff = pos.take(t, axis=0) - v.take(q, axis=0)
     d2 = np.einsum("ij,ij->i", diff, diff)
     best = np.full(len(v), np.inf)
     np.minimum.at(best, q, d2)
-    tie = np.sqrt(d2) <= np.sqrt(best[q]) + 1e-9
+    tie = np.sqrt(d2) <= np.sqrt(best.take(q)) + 1e-9
     pick = np.full(len(v), _NO_MASTER)
     np.minimum.at(pick, q[tie], t[tie])
     return np.where(best <= chord * chord, pick, -1)
@@ -490,7 +490,7 @@ def _found(state, ids, v, flux, mjd, edge):
 
 def _join(state, ids, v, flux, mjd, edge):
     """Add one detection to each of the distinct masters `ids`."""
-    s = state["sum"][ids] + v
+    s = state["sum"].take(ids, axis=0) + v
     pos = s / np.sqrt(sphere.row_dots(s, s))[:, None]
     state["sum"][ids] = s
     state["pos"][ids] = pos
@@ -498,8 +498,8 @@ def _join(state, ids, v, flux, mjd, edge):
     state["n"][ids] += 1
     state["flux_sum"][ids] += flux
     state["flux_sq"][ids] += flux * flux
-    state["first"][ids] = np.minimum(state["first"][ids], mjd)
-    state["last"][ids] = np.maximum(state["last"][ids], mjd)
+    state["first"][ids] = np.minimum(state["first"].take(ids), mjd)
+    state["last"][ids] = np.maximum(state["last"].take(ids), mjd)
 
 
 def build_master(store, match_radius_arcsec: float):
@@ -566,7 +566,7 @@ def build_master(store, match_radius_arcsec: float):
         n_new = 0
         for i, f_lo, f_hi, n_lo, n_hi in spans:
             cand = np.concatenate((ft[f_lo:f_hi], match[ne[n_lo:n_hi]]))
-            cand = cand[(np.abs(state["key"][cand] - k[i]) <= 1).all(axis=1)]
+            cand = cand[(np.abs(state["key"].take(cand, axis=0) - k[i]) <= 1).all(axis=1)]
             one = slice(i, i + 1)
             m = _nearest(state["pos"], v[one], np.zeros(len(cand), np.int64), cand, chord)[0]
             if m < 0:

@@ -16,17 +16,6 @@ from . import sphere
 from .sphere import ARCSEC_PER_DEG
 
 
-@dataclass
-class LightCurveFit:
-    chi2_const: float
-    dof: int
-    mean_flux: float
-    best_frequency: float | None
-    periodic_power: float
-    amplitude_fraction: float
-    classification: str
-
-
 # classification cuts
 VARIABILITY_CHI2_DOF = 3.0
 PERIODIC_POWER = 0.5
@@ -252,12 +241,16 @@ def _frequency_grid(freq_grid: tuple[float, float, int], t: np.ndarray) -> np.nd
 
 def fit_lightcurves(recs: np.ndarray, starts: np.ndarray,
                     freq_grid: tuple[float, float, int] = (0.01, 2.0, 4000)
-                    ) -> list[LightCurveFit]:
+                    ) -> np.recarray:
     """Fit every chain of records as `group_chains` returns them, in order: a
     weighted constant fit plus, for chains of 3+ points, a floating-mean
     sinusoid search over a uniform frequency grid. The grid is checked
     first, against every epoch whatever the chains, and then every chain,
     before any fit.
+
+    Returns one record per chain: chi2_const, dof, mean_flux, best_frequency
+    (NaN where no search ran), periodic_power, amplitude_fraction and
+    classification.
     """
     freqs = _frequency_grid(freq_grid, recs["mjd"])
     counts, mean, chi2 = _constant_fits(recs, starts)
@@ -266,16 +259,16 @@ def fit_lightcurves(recs: np.ndarray, starts: np.ndarray,
                                             freqs)
     with np.errstate(divide="ignore", invalid="ignore"):
         fraction = np.where(mean != 0, amplitude / np.abs(mean), 0.0)
-    best_frequency = [f if s else None for f, s in zip(freqs[best].tolist(), searched.tolist())]
-    classes = _classes(_static(counts, chi2), power, shape)
-    return [LightCurveFit(*fit) for fit in zip(
-        chi2.tolist(), (counts - 1).tolist(), mean.tolist(), best_frequency, power.tolist(),
-        fraction.tolist(), classes.tolist())]
+    return np.rec.fromarrays(
+        (chi2, counts - 1, mean, np.where(searched, freqs[best], np.nan), power, fraction,
+         _classes(_static(counts, chi2), power, shape)),
+        names="chi2_const,dof,mean_flux,best_frequency,periodic_power,amplitude_fraction,"
+              "classification")
 
 
 def classify_chains(recs: np.ndarray, starts: np.ndarray,
                     freq_grid: tuple[float, float, int],
-                    survey_span_days: float | None = None) -> list[str]:
+                    survey_span_days: float | None = None) -> np.ndarray:
     """Class of each chain of records as `group_chains` returns them, in
     order. The grid (against every epoch) and the span are checked first,
     whatever the chains, and then every chain, whatever its class.
@@ -300,29 +293,21 @@ def classify_chains(recs: np.ndarray, starts: np.ndarray,
                                  np.flatnonzero((counts >= 3) & ~burst & ~static), freqs)
     classes = np.where(burst, "transient", _classes(static, power, shape))
     single = np.where(recs["flags"][starts] != 0, "defect", "mover-candidate")
-    return np.where(counts == 1, single, classes).tolist()
+    return np.where(counts == 1, single, classes)
 
 
 # ---------------------------------------------------------------------------
 # streaming transient trigger
 
-@dataclass
-class Alert:
-    kind: str               # new-source | flux-anomaly
-    mjd: float
-    ra: float
-    dec: float
-    flux: float
-    deviation_sigmas: float
-    nearest_master_id: int  # 0 for new-source alerts
-
-
 def run_trigger(stream: np.ndarray, masters: np.ndarray, match_radius_arcsec: float,
-                k_sigma: float = 5.0) -> list[Alert]:
+                k_sigma: float = 5.0) -> np.recarray:
     """Match a (mjd, zone)-ordered detection stream against the predicted
     master catalog: unmatched positions raise new-source alerts, matched
     detections with flux deviating by more than k_sigma combined errors raise
     flux-anomaly alerts. Output order is input order.
+
+    Returns one record per alert: kind, the detection's mjd, ra, dec and
+    flux, deviation_sigmas and nearest_master_id (both 0 for a new source).
 
     A detection's match is the master of largest dot product (the lowest
     master index on ties); it is unmatched when that dot is below
@@ -359,23 +344,20 @@ def run_trigger(stream: np.ndarray, masters: np.ndarray, match_radius_arcsec: fl
     matched = best >= cos_limit
 
     dev = np.zeros(len(stream))
+    nearest = np.zeros(len(stream), masters["master_id"].dtype)
     m = masters[pick[matched]]
     err = stream["flux_err"][matched].astype(np.float64)
     combined = np.sqrt(err ** 2 + m["flux_variance"])
     combined = np.where(combined <= 0, err, combined)
     dev[matched] = np.abs(stream["flux"][matched] - m["mean_flux"]) / combined
+    nearest[matched] = m["master_id"]
 
-    alerts: list[Alert] = []
-    for i in np.flatnonzero(~matched | (dev > k_sigma)):
-        d = stream[i]
-        if matched[i]:
-            alerts.append(Alert("flux-anomaly", float(d["mjd"]), float(d["ra"]),
-                                float(d["dec"]), float(d["flux"]), float(dev[i]),
-                                int(masters["master_id"][pick[i]])))
-        else:
-            alerts.append(Alert("new-source", float(d["mjd"]), float(d["ra"]),
-                                float(d["dec"]), float(d["flux"]), 0.0, 0))
-    return alerts
+    alert = ~matched | (dev > k_sigma)
+    hits = stream[alert]
+    return np.rec.fromarrays(
+        (np.where(matched[alert], "flux-anomaly", "new-source"), hits["mjd"], hits["ra"],
+         hits["dec"], hits["flux"], dev[alert], nearest[alert]),
+        names="kind,mjd,ra,dec,flux,deviation_sigmas,nearest_master_id")
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,13 @@ def reference_store(tmp_path_factory):
     return out
 
 
+def pairwise_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every squared distance between a row of a and a row of b, by the same
+    einsum reduction as `mining.pair_count`'s leaf comparisons."""
+    d = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", d, d)
+
+
 def _naive_pair_count(points, bin_edges_rad) -> mining.PairCountHistogram:
     """Unordered pair counts per bin from every pairwise distance, chunked:
     the brute-force oracle for `mining.pair_count`."""
@@ -94,7 +101,7 @@ def _naive_pair_count(points, bin_edges_rad) -> mining.PairCountHistogram:
     chunk = max(1, int(2e7 // n))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        d2 = mining._pairwise_d2(points[lo:hi], points)
+        d2 = pairwise_d2(points[lo:hi], points)
         # keep strictly-upper-triangle pairs only
         rows, cols = np.meshgrid(np.arange(lo, hi), np.arange(n), indexing="ij")
         keep = cols > rows

@@ -171,7 +171,7 @@ def test_trigger_recall_precision(clean_master_survey):
     truth_pairs = {(float(stream["mjd"][r]), int(stream["master_id"][r]))
                    for r in injected}
     recall = len(hit_masters & truth_pairs) / len(truth_keys)
-    precision = (len(hit_masters & truth_pairs) / len(alerts)) if alerts else 0.0
+    precision = (len(hit_masters & truth_pairs) / len(alerts)) if len(alerts) else 0.0
     assert recall >= 0.95
     assert precision >= 0.95
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skymine import csvio, sphere, store
-from skymine.errors import ValidationError
+from skymine import cli, csvio, skygen, sphere, store
+from skymine.errors import EXIT_OK, ValidationError
 from test_master_oracle import reference_masters_csv
 
 EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-7, -5e-7, 123456789.123456789]
@@ -90,11 +90,6 @@ def test_empty_table_is_the_header():
     assert csvio.text("a,b", "%d,%d", []) == "a,b\n"
 
 
-def test_none_cell_is_empty():
-    rows = [(1, None, "x"), (2, 0.5, "y")]
-    assert csvio.text("a,b,c", "%d,%.6f,%s", rows) == "a,b,c\n1,,x\n2,0.500000,y\n"
-
-
 def percent_lines(fmt: str, rows: np.ndarray) -> list[str]:
     """`fmt % row` on each row's Python scalars: the array path's oracle."""
     return [fmt % row for row in rows.tolist()]
@@ -164,21 +159,40 @@ def test_at_magnitude_bound(places):
         assert written_lines(fmt, rows) == percent_lines(fmt, rows)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_cell_sends_only_its_block_through_percent(monkeypatch, bad):
+def blocks_through_percent(monkeypatch, name: str, bad) -> list[int]:
+    """Write three blocks with `bad` in one cell of field `name` (y: float32,
+    s: U4 text) of the second; returns the sizes of the blocks that went
+    through `%`, after checking the lines."""
     sent = []
     percent = csvio._percent_block
     monkeypatch.setattr(csvio, "_percent_block",
                         lambda fmt, block: sent.append(len(block)) or percent(fmt, block))
     n = 2 * csvio.BLOCK_ROWS + 5
-    rows = np.zeros(n, [("i", "<u8"), ("x", "<f8"), ("y", "<f4")])
+    rows = np.zeros(n, [("i", "<u8"), ("x", "<f8"), ("y", "<f4"), ("s", "<U4")])
     rows["i"] = np.arange(n)
     rows["x"] = np.linspace(-1e3, 1e3, n)
     rows["y"] = np.linspace(5, -5, n)
-    rows["y"][csvio.BLOCK_ROWS + 7] = bad
-    fmt = "%d,%.9f,%.6f"
+    rows["s"] = np.resize(["", "a", "b,cd", "~ 0\x7f"], n)
+    rows[name][csvio.BLOCK_ROWS + 7] = bad
+    fmt = "%d,%.9f,%.6f,%s"
     assert written_lines(fmt, rows) == percent_lines(fmt, rows)
-    assert sent == [csvio.BLOCK_ROWS]
+    return sent
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cell_sends_only_its_block_through_percent(monkeypatch, bad):
+    assert blocks_through_percent(monkeypatch, "y", bad) == [csvio.BLOCK_ROWS]
+
+
+@pytest.mark.parametrize("bad", ["\x80", "é", "\U0001f600", "\0a", "a\0b"],
+                         ids=["x80", "latin", "astral", "nul-first", "nul-inside"])
+def test_text_beyond_ascii_sends_only_its_block_through_percent(monkeypatch, bad):
+    assert blocks_through_percent(monkeypatch, "s", bad) == [csvio.BLOCK_ROWS]
+
+
+def test_trailing_nul_is_padding(array_only):
+    rows = column(["a\0", "\0", "ab"], "<U3")
+    assert written_lines("%s", rows) == percent_lines("%s", rows) == ["a", "", "ab"]
 
 
 def test_integer_extremes(array_only):
@@ -209,10 +223,15 @@ def test_array_blocks_and_boundaries(array_only, n):
 
 
 _FIELDS = [(t, "%d") for t in ("<u8", "<i8", "<u4", "<i4", "<i2", "u1", "i1")] + \
-          [(t, f"%.{n}f") for t in ("<f8", "<f4", "<f2") for n in range(1, 10)]
+          [(t, f"%.{n}f") for t in ("<f8", "<f4", "<f2") for n in range(1, 10)] + \
+          [(t, "%s") for t in ("<U1", "<U6", ">U3")]
 
 
 def _cells(dtype: str):
+    if dtype[1] == "U":  # ASCII, empty, or any text (non-ASCII, NULs)
+        size = int(dtype[2:])
+        ascii = st.characters(max_codepoint=127, exclude_characters="\0")
+        return st.one_of(st.text(ascii, max_size=size), st.just(""), st.text(max_size=size))
     if dtype[-2] in "ui":
         info = np.iinfo(dtype)
         return st.integers(int(info.min), int(info.max))
@@ -235,12 +254,16 @@ def tables(draw):
 @settings(deadline=None)
 @given(tables())
 def test_array_path_matches_percent(table):
-    fmt, rows = table
-    assert written_lines(fmt, rows) == percent_lines(fmt, rows)
+    fmt, rows = table  # a text cell may hold a newline, so whole texts are compared
+    assert "\n".join(csvio.blocks(None, fmt, rows)) == "\n".join(percent_lines(fmt, rows))
     fields = csvio._array_fields(fmt, rows)
     floats = [rows[name].astype(np.float64) for name, places in fields if places is not None]
-    if len(rows) and all((np.abs(x) < 1e6).all() for x in floats):  # in range
+    texts = [s for name, _ in fields if rows.dtype[name].kind == "U" for s in rows[name].tolist()]
+    plain = all(s.isascii() and "\0" not in s for s in texts)
+    if len(rows) and plain and all((np.abs(x) < 1e6).all() for x in floats):  # in range
         assert csvio._array_block(rows, fields) is not None
+    if not plain:
+        assert csvio._array_block(rows, fields) is None
 
 
 def in_range(table: np.ndarray) -> np.ndarray:
@@ -263,6 +286,30 @@ def test_written_tables_take_the_array_path(array_only, n):
     table, _ = sphere.neighbors_join(masters["master_id"], rng.uniform(0, 360, n),
                                      rng.uniform(-90, 90, n), 3600.0 * 5)
     assert written_lines("%d,%d,%.6f", table) == percent_lines("%d,%d,%.6f", table)
+    config = skygen.SurveyConfig(n_objects=n, passes=1, seed=n, periodic_fraction=0.3,
+                                 transient_fraction=0.2, mover_fraction=0.2)
+    truth = in_range(skygen.generate_truth(config, rng))
+    truth = truth[[name for name in truth.dtype.names if name != "phase"]]
+    assert written_lines(skygen.TRUTH_CSV_FORMAT, truth) == \
+        percent_lines(skygen.TRUTH_CSV_FORMAT, truth)
+
+
+@pytest.mark.parametrize("command", [
+    "lc --steps 500",
+    "classify --steps 500 --span-days 12",
+    "trigger --stream {store} --radius 2s --k-sigma 1",
+    "corr --bins-deg 1,10,5 --randoms 1000 --seed 7",
+    "em --features mean_flux,flux_variance --k 2 --seed 3 --scores",
+])
+def test_command_tables_take_the_array_path(array_only, capsys, reference_store, command):
+    """Tables of finite cells that commands print never go through `%`; the
+    golden digests check their bytes."""
+    name, *rest = command.format(store=reference_store).split()
+    assert cli.run([name, "--store", str(reference_store), *rest]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) > 5
+    if name == "lc":  # rows with and without a searched best_frequency
+        assert {line.split(",")[5] == "" for line in lines[1:]} == {True, False}
 
 
 def test_floats_parse_as_float_does():

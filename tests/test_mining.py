@@ -10,6 +10,8 @@ from skymine import cli, mining, skygen, sphere, store
 from skymine.errors import EXIT_OK, ValidationError
 from skymine.kdtree import KdTree
 
+from conftest import pairwise_d2
+
 
 def model_from_json(text):
     """The `MixtureModel` that `MixtureModel.to_json` (and `em`) wrote."""
@@ -83,7 +85,7 @@ class TestPairCounting:
         h = mining.pair_count(a, DEG_BINS, b)
         edges2 = mining._chord2_edges(DEG_BINS)
         counts = np.zeros(len(DEG_BINS) - 1, dtype=np.int64)
-        mining._bin_d2(mining._pairwise_d2(a, b).ravel(), edges2, counts)
+        mining._bin_d2(pairwise_d2(a, b).ravel(), edges2, counts)
         assert np.array_equal(h.counts, counts)
         assert h.total_pairs == 300 * 400
 
@@ -137,7 +139,7 @@ class TestCorrelation:
         dd = naive_pair_count(data, DEG_BINS).counts
         rr = naive_pair_count(randoms, DEG_BINS).counts
         dr = np.zeros(len(DEG_BINS) - 1, dtype=np.int64)
-        mining._bin_d2(mining._pairwise_d2(data, randoms).ravel(),
+        mining._bin_d2(pairwise_d2(data, randoms).ravel(),
                        mining._chord2_edges(DEG_BINS), dr)
         assert np.array_equal(a.dd, dd)
         assert np.array_equal(a.rr, rr)
@@ -415,7 +417,7 @@ def reference_pair_count(points, bin_edges_rad, others=None, leaf_size=32):
         a_leaf, b_leaf = _is_leaf(tree_a, na), _is_leaf(tree_b, nb)
         if a_leaf and b_leaf:
             ia, ib = tree_a.node_indices(na), tree_b.node_indices(nb)
-            d2 = mining._pairwise_d2(a_pts[ia], b_pts[ib]).ravel()
+            d2 = pairwise_d2(a_pts[ia], b_pts[ib]).ravel()
             evals[0] += len(ia) * len(ib)
             mining._bin_d2(d2, edges2, counts)
             return
@@ -431,7 +433,7 @@ def reference_pair_count(points, bin_edges_rad, others=None, leaf_size=32):
             idx = tree_a.node_indices(node)
             if len(idx) < 2:
                 return
-            d2 = mining._pairwise_d2(a_pts[idx], a_pts[idx])
+            d2 = pairwise_d2(a_pts[idx], a_pts[idx])
             iu = np.triu_indices(len(idx), k=1)
             evals[0] += len(iu[0])
             mining._bin_d2(d2[iu], edges2, counts)
@@ -575,7 +577,7 @@ class TestPairCountOracle:
     @pytest.mark.parametrize("leaf_size", [1, 4, 32])
     def test_points_on_bin_edges(self, leaf_size):
         pts, edges = edge_points()
-        d2 = mining._pairwise_d2(pts, pts)
+        d2 = pairwise_d2(pts, pts)
         assert np.isin(d2, mining._chord2_edges(edges)).sum() > 100
         assert_pair_counts_match(pts, edges, leaf_size=leaf_size)
         assert_pair_counts_match(pts[:90], edges, pts[90:], leaf_size=leaf_size)
