@@ -22,9 +22,11 @@ from .errors import EXIT_IO, EXIT_OK, EXIT_VALIDATION, StoreIOError, ValidationE
 
 
 def _echo(blocks):
-    """Print a table from `csvio.blocks`, one echo per block."""
+    """Print a table from `csvio.blocks`, one echo per block. No table holds
+    an escape code, so click's ANSI strip (a regex pass over every block when
+    stdout is not a terminal) is skipped."""
     for block in blocks:
-        click.echo(block)
+        click.echo(block, color=True)
 
 
 def _echo_pairs(pairs, fmt):
@@ -327,7 +329,7 @@ def _chains(store_dir, master_id=None):
     if not np.any(recs["master_id"] > 0):
         raise ValidationError("store has no master assignments; run `master` first")
     if master_id is not None:
-        recs = recs[recs["master_id"] == master_id]
+        recs = recs.take(np.flatnonzero(recs["master_id"] == master_id))
         if not len(recs):
             raise ValidationError(f"master {master_id} not found")
     return timedomain.group_chains(recs)
@@ -386,7 +388,7 @@ def trigger_cmd(store_dir, stream_dir, radius, k_sigma):
     """Stream detections against the master catalog; alert CSV on stdout."""
     masters = store.read_masters(store_dir)
     stream = store.read_all(stream_dir)
-    stream = stream[np.lexsort((stream["zone"], stream["mjd"]))]
+    stream = stream.take(np.lexsort((stream["zone"], stream["mjd"])))
     alerts = timedomain.run_trigger(
         stream, masters, units.parse_angle_deg(radius) * sphere.ARCSEC_PER_DEG,
         k_sigma)
@@ -406,7 +408,7 @@ def movers_cmd(store_dir, rate_max, residual_max, min_length):
     singles = masters["master_id"][masters["n_detections"] == 1]
     orphan_mask = np.isin(recs["master_id"], singles)
     tracks = timedomain.link_movers(
-        recs[orphan_mask], rate_max,
+        recs.take(np.flatnonzero(orphan_mask)), rate_max,
         units.parse_angle_deg(residual_max) * sphere.ARCSEC_PER_DEG, min_length)
     rows = [(t.track_id, len(t.det_ids), t.ref_mjd, t.ra, t.dec, t.rate_deg_day,
              t.position_angle_deg, t.rms_arcsec, t.debris_candidate,

@@ -100,17 +100,22 @@ def _scaled(x: np.ndarray, places: int) -> np.ndarray | None:
         p = a * scale
     if not (p < 2.0 ** 52).all():
         return None
-    # Dekker's product: a = hi + lo in halves of at most 26 bits, and 10^places
-    # has at most 21 significant bits, so p + e == a * 10^places exactly
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    e = (hi * scale - p) + (a - hi) * scale
     r = np.rint(p)
-    # only where p is halfway between integers can e move the rounding; e == 0
-    # is a true tie, which rint has rounded to even
-    half = p - r
-    r += (half == 0.5) & (e > 0)
-    r -= (half == -0.5) & (e < 0)
+    # only where p is halfway between integers can e move the rounding, so
+    # e is computed there alone; e == 0 is a true tie, which rint has rounded
+    # to even, and where e has the sign of p - r the exact product lies past
+    # the tie, away from r, so r moves by 2 (p - r) = +-1
+    tie = np.flatnonzero(np.abs(p - r) == 0.5)
+    if len(tie):
+        a, p = a[tie], p[tie]
+        # Dekker's product: a = hi + lo in halves of at most 26 bits, and
+        # 10^places has at most 21 significant bits, so p + e == a * 10^places
+        # exactly
+        c = 134217729.0 * a  # 2^27 + 1
+        hi = c - (c - a)
+        e = (hi * scale - p) + (a - hi) * scale
+        half = p - r[tie]
+        r[tie] += np.where(np.sign(e) == np.sign(half), 2.0 * half, 0.0)
     return r.astype(np.uint64)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .store import DET_DTYPE, ingest_detections
+from .store import DET_DTYPE, ingest_detections, join_records
 from . import csvio, sphere
 
 RNG_ALGORITHM = "numpy.random.PCG64"
@@ -186,12 +186,8 @@ def generate_survey(config: SurveyConfig):
         det_chunks.append(chunk)
         label_chunks.append(truth["truth_id"][rows])
 
-    if det_chunks:
-        detections = np.concatenate(det_chunks)
-        labels = np.concatenate(label_chunks)
-    else:
-        detections = np.empty(0, dtype=DET_DTYPE)
-        labels = np.empty(0, dtype=np.int64)
+    detections = join_records(det_chunks)
+    labels = np.concatenate(label_chunks) if label_chunks else np.empty(0, dtype=np.int64)
     return truth, detections, labels
 
 

@@ -65,6 +65,14 @@ def chord_for_angle(theta_rad: float) -> float:
 # ---------------------------------------------------------------------------
 # regions
 
+def _plane_dots(points, normal) -> np.ndarray:
+    """(x*nx + y*ny) + z*nz for each point, elementwise in that fixed order,
+    so a point's value does not depend on the other points of the call, as
+    a BLAS product's rounding can."""
+    p = np.asarray(points, dtype=np.float64)
+    return (p[..., 0] * normal[0] + p[..., 1] * normal[1]) + p[..., 2] * normal[2]
+
+
 @dataclass(frozen=True)
 class Cone:
     """Spherical cap: all points within `radius` radians of `center`."""
@@ -81,7 +89,7 @@ class Cone:
             raise ValidationError("cone radius must be in [0, pi]")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.center >= np.cos(self.radius)
+        return _plane_dots(points, self.center) >= np.cos(self.radius)
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,11 @@ class ConvexPolygon:
         object.__setattr__(self, "offsets", off)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        return np.all(points @ self.normals.T >= self.offsets, axis=-1)
+        """Tested one halfspace at a time, each point on its own."""
+        inside = np.ones(np.shape(points)[:-1], dtype=bool)
+        for normal, offset in zip(self.normals, self.offsets):
+            inside &= _plane_dots(points, normal) >= offset
+        return inside
 
 
 Region = Cone | ConvexPolygon

@@ -40,6 +40,12 @@ DET_DTYPE = np.dtype([
 ])
 RECORD_SIZE = DET_DTYPE.itemsize
 assert RECORD_SIZE == 64
+# The fields fill all 64 bytes (`pad` included, no unnamed gaps), so a record
+# is exactly its 64 bytes: `take` on records, and copies of this whole-row
+# view, move the same bytes that field-by-field indexing copies, in far fewer
+# steps (numpy copies a structured dtype one field at a time).
+_ROW = np.dtype((np.void, RECORD_SIZE))
+assert sum(DET_DTYPE[name].itemsize for name in DET_DTYPE.names) == RECORD_SIZE
 
 FIELD_NAMES = tuple(n for n in DET_DTYPE.names if n != "pad")
 DET_CSV_FORMAT = "%d,%d,%.6f,%.9f,%.9f,%.6f,%.6f,%d,%d,%d"  # of FIELD_NAMES
@@ -151,6 +157,13 @@ def _put_partition(put, info: PartitionInfo, records: np.ndarray) -> None:
     info.crc32 = zlib.crc32(data)
 
 
+def join_records(parts) -> np.ndarray:
+    """The detection records of `parts`, end to end, copied as whole rows."""
+    if not parts:
+        return np.empty(0, dtype=DET_DTYPE)
+    return np.concatenate([p.view(_ROW) for p in parts]).view(DET_DTYPE)
+
+
 def validate_records(records: np.ndarray) -> None:
     """Reject malformed input, reporting the first offending record ordinal."""
     if records.dtype != DET_DTYPE:
@@ -185,7 +198,7 @@ def ingest_detections(records: np.ndarray, partition_count: int, out_dir) -> Sto
         raise StoreIOError(f"cannot create store at {out}: {exc}") from exc
 
     order = np.lexsort((records["det_id"], records["zone"]))
-    ordered = records[order]
+    ordered = records.take(order).view(_ROW)
     manifest = StoreManifest(total_records=len(records),
                              creation={"partition_count": partition_count})
     with _rewrite(out) as put:
@@ -366,13 +379,13 @@ def _scan_partition(store, info, predicate, region, zone_range):
     the region on those rows only."""
     recs = read_partition(store, info)
     if region is None:
-        return recs[predicate.mask(recs)]
+        return recs.take(np.flatnonzero(predicate.mask(recs)))
     rows = (np.arange(len(recs)) if zone_range is None
             else _band_rows(recs["zone"], *zone_range))
     if predicate.constant is not True:
-        rows = rows[predicate.mask(recs[rows])]
+        rows = rows[predicate.mask(recs.take(rows))]
     unit = sphere.radec_to_unit(recs["ra"][rows], recs["dec"][rows])
-    return recs[rows[region.contains(unit)]]
+    return recs.take(rows[region.contains(unit)])
 
 
 def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
@@ -402,7 +415,7 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
         parts = _map(workers, lambda info: _scan_partition(store, info, predicate, region,
                                                            zone_range),
                      manifest.partitions)
-        matched = np.concatenate(parts) if parts else np.empty(0, dtype=DET_DTYPE)
+        matched = join_records(parts)
     wall = time.perf_counter() - t0
     stats = ScanStats(
         bytes_read=scanned * RECORD_SIZE,

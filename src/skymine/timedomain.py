@@ -5,6 +5,7 @@ space.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ def group_chains(recs: np.ndarray):
     Returns (recs, starts): the records sorted by (master_id, mjd), and the
     offset of each master's first record, in ascending master_id.
     """
-    recs = recs[np.lexsort((recs["mjd"], recs["master_id"]))]
+    recs = recs.take(np.lexsort((recs["mjd"], recs["master_id"])))
     return recs, np.unique(recs["master_id"], return_index=True)[1]
 
 
@@ -208,8 +209,9 @@ def _search(recs: np.ndarray, starts: np.ndarray, counts: np.ndarray,
         group = np.unique(recs["mjd"][index], axis=0, return_inverse=True)[1]
         for g in range(group.max() + 1):
             members = np.flatnonzero(group == g)
-            got = [(b, p[np.arange(len(b)), b], a)
-                   for p, b, a in _periodograms(recs, index[members], freqs)]
+            with _grid_fits(len(freqs)):
+                got = [(b, p[np.arange(len(b)), b], a)
+                       for p, b, a in _periodograms(recs, index[members], freqs)]
             best[same[members]], power[same[members]], amplitude[same[members]] = \
                 map(np.concatenate, zip(*got))
     return best, power, amplitude, shape
@@ -222,6 +224,17 @@ def _classes(static: np.ndarray, power: np.ndarray, shape: np.ndarray) -> np.nda
                      ["static", "variable", "transient"], "variable")
 
 
+@contextlib.contextmanager
+def _grid_fits(n_steps: int):
+    """Turn a failed allocation of a grid-sized array (the grid, the trig
+    basis or a block's sums) into a validation error naming the step count."""
+    try:
+        yield
+    except MemoryError:
+        raise ValidationError(f"a frequency grid of {n_steps} steps does not fit in "
+                              "memory; use fewer --steps") from None
+
+
 def _frequency_grid(freq_grid: tuple[float, float, int], t: np.ndarray) -> np.ndarray:
     """The trial frequencies, checked against the epochs t: the trig basis
     needs 2 pi f t finite for every frequency and epoch."""
@@ -229,7 +242,8 @@ def _frequency_grid(freq_grid: tuple[float, float, int], t: np.ndarray) -> np.nd
     if not (0 < f_min < f_max < np.inf and n_steps >= 2):
         raise ValidationError("frequency grid must satisfy 0 < f_min < f_max < inf, "
                               "n_steps >= 2")
-    freqs = np.linspace(f_min, f_max, int(n_steps))
+    with _grid_fits(int(n_steps)):
+        freqs = np.linspace(f_min, f_max, int(n_steps))
     t_max = np.max(np.abs(t), initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         widest = 2.0 * np.pi * freqs.max() * t_max
@@ -345,7 +359,7 @@ def run_trigger(stream: np.ndarray, masters: np.ndarray, match_radius_arcsec: fl
 
     dev = np.zeros(len(stream))
     nearest = np.zeros(len(stream), masters["master_id"].dtype)
-    m = masters[pick[matched]]
+    m = masters.take(pick[matched])
     err = stream["flux_err"][matched].astype(np.float64)
     combined = np.sqrt(err ** 2 + m["flux_variance"])
     combined = np.where(combined <= 0, err, combined)
@@ -353,7 +367,7 @@ def run_trigger(stream: np.ndarray, masters: np.ndarray, match_radius_arcsec: fl
     nearest[matched] = m["master_id"]
 
     alert = ~matched | (dev > k_sigma)
-    hits = stream[alert]
+    hits = stream.take(np.flatnonzero(alert))
     return np.rec.fromarrays(
         (np.where(matched[alert], "flux-anomaly", "new-source"), hits["mjd"], hits["ra"],
          hits["dec"], hits["flux"], dev[alert], nearest[alert]),

@@ -453,6 +453,40 @@ class TestBadGrid:
         assert "frequency grid" in err
 
 
+class TestGridTooLarge:
+    """A grid whose arrays cannot be allocated is a validation error naming
+    --steps, not a MemoryError traceback. The allocation is made to fail
+    here, not asked of the machine."""
+
+    @pytest.mark.parametrize("argv", [["lc"], ["classify"]])
+    def test_grid_allocation_fails(self, capsys, monkeypatch, reference_store, argv):
+        linspace = np.linspace
+
+        def refuse_large(start, stop, num=50, **kwargs):
+            if num > 10 ** 6:
+                raise MemoryError("cannot allocate the grid")
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(timedomain.np, "linspace", refuse_large)
+        code, out, err = run(capsys, *argv, "--store", str(reference_store),
+                             "--steps", "100000000")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "frequency grid of 100000000 steps does not fit in memory" in err
+        assert "--steps" in err
+
+    @pytest.mark.parametrize("argv", [["lc"], ["classify"]])
+    def test_basis_allocation_fails(self, capsys, monkeypatch, reference_store, argv):
+        def refuse(freqs, t):
+            raise MemoryError("cannot allocate the basis")
+
+        monkeypatch.setattr(timedomain, "_trig_basis", refuse)
+        code, out, err = run(capsys, *argv, "--store", str(reference_store), "--steps", "500")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "frequency grid of 500 steps does not fit in memory; use fewer --steps" in err
+
+
 @pytest.mark.parametrize("span", ["inf", "-inf", "nan"])
 def test_classify_rejects_non_finite_span(capsys, reference_store, span):
     code, out, err = run(capsys, "classify", "--store", str(reference_store),
