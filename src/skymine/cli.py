@@ -263,9 +263,9 @@ def index_cmd(store_dir, zone_height):
 @click.option("--radius", default="1s", show_default=True)
 def master_cmd(store_dir, radius):
     """Cross-match detections into the master/summary catalog."""
-    masters, _ = store.build_master(
+    masters, assignment = store.build_master(
         store_dir, units.parse_angle_deg(radius) * sphere.ARCSEC_PER_DEG)
-    total = store.read_manifest(store_dir).total_records
+    total = len(assignment)
     ratio = total / len(masters) if len(masters) else 0.0
     click.echo(f"masters={len(masters)} detections={total} reduction={ratio:.2f}",
                err=True)

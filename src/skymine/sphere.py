@@ -289,4 +289,7 @@ def neighbors_join(ids, ra_deg, dec_deg, theta_max_arcsec: float):
     table["id_a"] = ids[q]
     table["id_b"] = ids[t]
     table["separation_arcsec"] = np.degrees(angle_between(unit[q], unit[t])) * ARCSEC_PER_DEG
-    return np.sort(table, order=["id_a", "id_b"]), len(d2)
+    # repeated ids tie on (id_a, id_b); separation breaks those ties, so the
+    # bytes do not depend on the order of cell_pairs' output
+    order = np.lexsort((table["separation_arcsec"], table["id_b"], table["id_a"]))
+    return table.take(order), len(d2)

@@ -1,9 +1,9 @@
 """Partitioned detection store.
 
 A store is a directory of fixed-width little-endian binary partition files
-(`part-NNNN.det`) plus a `manifest.json` with counts, checksums, and index
-summaries. Fixed 64-byte records keep sequential-scan rates meaningful and
-make the format trivially seekable.
+(`part-NNNN.det`) plus a `manifest.json` with each partition's record count,
+CRC-32 and per-zone record counts. Fixed 64-byte records keep
+sequential-scan rates meaningful and make the format trivially seekable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import StoreIOError, ValidationError
 from . import csvio, sphere
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DET_DTYPE = np.dtype([
     ("det_id", "<u8"),
@@ -68,9 +68,8 @@ class PartitionInfo:
     name: str
     records: int
     crc32: int
-    zone_histogram: dict = field(default_factory=dict)  # str(zone) -> records
-    mjd_min: float | None = None
-    mjd_max: float | None = None
+    zone_first: int = 0  # the zone that zone_counts[0] counts
+    zone_counts: list = field(default_factory=list)  # records per zone from zone_first
 
 
 @dataclass
@@ -80,22 +79,89 @@ class StoreManifest:
     total_records: int = 0
     zone_height_deg: float | None = None
     partitions: list = field(default_factory=list)
-    creation: dict = field(default_factory=dict)
     load_rate_bytes_per_s: float = 0.0
     index_overhead_fraction: float = 0.0
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["partitions"] = [asdict(p) for p in self.partitions]
-        return json.dumps(d, indent=2)
+        return json.dumps(dict(_fields(self), partitions=[_fields(p) for p in self.partitions]),
+                          indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "StoreManifest":
-        d = json.loads(text)
-        parts = [PartitionInfo(**p) for p in d.pop("partitions")]
+        """Parse a manifest and check it. A fault is a ValueError that says
+        what is wrong."""
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not valid JSON ({exc})") from exc
+        if not isinstance(d, dict):
+            raise ValueError("not a JSON object")
+        version = d.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"schema version {version!r}, expected {SCHEMA_VERSION}")
+        _check_keys(d, cls, "")
+        if d["record_size"] != RECORD_SIZE:
+            raise ValueError(f"record_size {d['record_size']!r}, expected {RECORD_SIZE}")
+        height = d["zone_height_deg"]
+        if height is not None and not (type(height) in (int, float) and 0 < height < np.inf):
+            raise ValueError(f"zone_height_deg {height!r} is not a positive number")
+        if not isinstance(d["partitions"], list):
+            raise ValueError("partitions is not a list")
         m = cls(**d)
-        m.partitions = parts
+        m.partitions = [_partition(p, i, height is not None) for i, p in enumerate(d["partitions"])]
+        if len({p.name for p in m.partitions}) != len(m.partitions):
+            raise ValueError("two partitions name one file")
+        total = sum(p.records for p in m.partitions)
+        if not (_is_count(m.total_records) and m.total_records == total):
+            raise ValueError(f"total_records {m.total_records!r}, "
+                             f"but the partitions hold {total}")
         return m
+
+
+def _fields(obj) -> dict:
+    """A dataclass's fields as a plain dict, the values not copied."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _check_keys(d: dict, cls, where: str) -> None:
+    """`d` has exactly the fields of `cls` as keys. `where` starts each
+    message."""
+    names = [f.name for f in fields(cls)]
+    for key in d:
+        if key not in names:
+            raise ValueError(f"{where}unknown key {key!r}")
+    for key in names:
+        if key not in d:
+            raise ValueError(f"{where}missing key {key!r}")
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _partition(d, i: int, zoned: bool) -> PartitionInfo:
+    """The checked PartitionInfo of partition `i`'s JSON object. On a zoned
+    store its zone counts must sum to its records; otherwise there are
+    none."""
+    what = f"partition {i}"
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    _check_keys(d, PartitionInfo, what + ": ")
+    if not (isinstance(d["name"], str) and re.fullmatch(r"part-\d{4,}\.det", d["name"])):
+        raise ValueError(f"{what}: bad file name {d['name']!r}")
+    for key in ("records", "crc32", "zone_first"):
+        if not _is_count(d[key]):
+            raise ValueError(f"{what}: {key} {d[key]!r} is not a non-negative integer")
+    counts = d["zone_counts"]
+    if not (isinstance(counts, list) and set(map(type, counts)) <= {int}
+            and min(counts, default=0) >= 0):
+        raise ValueError(f"{what}: zone_counts is not a list of non-negative integers")
+    if zoned and sum(counts) != d["records"]:
+        raise ValueError(f"{what}: zone_counts sum to {sum(counts)}, "
+                         f"but it holds {d['records']} records")
+    if not zoned and counts:
+        raise ValueError(f"{what}: zone_counts on a store without zones")
+    return PartitionInfo(**d)
 
 
 @dataclass
@@ -111,11 +177,15 @@ _MANIFEST = "manifest.json"
 
 
 def read_manifest(store) -> StoreManifest:
+    """The store's manifest, checked by `StoreManifest.from_json`. A missing,
+    damaged or foreign manifest is a StoreIOError that names the file."""
     path = Path(store) / _MANIFEST
     try:
         return StoreManifest.from_json(path.read_text())
     except FileNotFoundError as exc:
         raise StoreIOError(f"no manifest at {path}") from exc
+    except ValueError as exc:  # a failed check, bad JSON or bad UTF-8
+        raise StoreIOError(f"{path}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -199,8 +269,7 @@ def ingest_detections(records: np.ndarray, partition_count: int, out_dir) -> Sto
 
     order = np.lexsort((records["det_id"], records["zone"]))
     ordered = records.take(order).view(_ROW)
-    manifest = StoreManifest(total_records=len(records),
-                             creation={"partition_count": partition_count})
+    manifest = StoreManifest(total_records=len(records))
     with _rewrite(out) as put:
         t0 = time.perf_counter()
         for p in range(partition_count):
@@ -269,8 +338,8 @@ def read_all(store, verify: bool = False) -> np.ndarray:
 
 
 def build_indexes(store, zone_height_deg: float) -> StoreManifest:
-    """Populate the zone field of every record and write per-partition zone
-    histograms and epoch ranges into the manifest."""
+    """Populate the zone field of every record and write each partition's
+    per-zone record counts into the manifest."""
     if zone_height_deg <= 0:
         raise ValidationError("zone_height must be > 0")
     manifest = read_manifest(store)
@@ -278,19 +347,14 @@ def build_indexes(store, zone_height_deg: float) -> StoreManifest:
     with _rewrite(store) as put:
         for info in manifest.partitions:
             recs = read_partition(store, info)
-            if len(recs):
-                recs["zone"] = sphere.zone_of(recs["dec"], zone_height_deg)
-                zones, counts = np.unique(recs["zone"], return_counts=True)
-                info.zone_histogram = {str(z): c for z, c in zip(zones.tolist(), counts.tolist())}
-                info.mjd_min = float(recs["mjd"].min())
-                info.mjd_max = float(recs["mjd"].max())
-            else:
-                info.zone_histogram = {}
-                info.mjd_min = info.mjd_max = None
+            zone = sphere.zone_of(recs["dec"], zone_height_deg)
+            recs["zone"] = zone
+            info.zone_first = int(zone.min()) if len(zone) else 0
+            info.zone_counts = np.bincount(zone - info.zone_first).tolist()
             _put_partition(put, info, recs)
             data_bytes += len(recs) * RECORD_SIZE
         manifest.zone_height_deg = zone_height_deg
-        index_bytes = len(json.dumps([asdict(p) for p in manifest.partitions]))
+        index_bytes = len(json.dumps([_fields(p) for p in manifest.partitions]))
         manifest.index_overhead_fraction = index_bytes / data_bytes if data_bytes else 0.0
         put(_MANIFEST, manifest.to_json().encode())
     return manifest
@@ -524,8 +588,8 @@ def build_master(store, match_radius_arcsec: float):
     """
     if match_radius_arcsec <= 0:
         raise ValidationError("match_radius must be > 0")
-    records = read_all(store)
     manifest = read_manifest(store)
+    records = _read_partitions(store, manifest.partitions)
     order = np.lexsort((records["det_id"], records["mjd"], records["pass_id"]))
     unit = sphere.radec_to_unit(records["ra"], records["dec"])
     radius_rad = np.radians(match_radius_arcsec / sphere.ARCSEC_PER_DEG)

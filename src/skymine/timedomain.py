@@ -449,7 +449,8 @@ def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
     pairs sharing a detection merge when their motion parameters agree within
     a residual-scaled tolerance; merged candidates are refit on a great
     circle and kept when the rms residual and rate pass the cuts. Tracks are
-    disjoint and the result is independent of input order.
+    disjoint and the result is independent of input order, because det_ids
+    are unique (`store.validate_records` enforces it at ingest).
     """
     if rate_max_deg_day <= 0 or residual_max_arcsec <= 0:
         raise ValidationError("rate_max and residual_max must be > 0")
@@ -457,7 +458,8 @@ def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
         raise ValidationError("min_track_length must be >= 2")
     if len(orphans) == 0:
         return []
-    orphans = np.sort(np.asarray(orphans), order=["det_id"])
+    orphans = np.asarray(orphans)
+    orphans = orphans.take(np.argsort(orphans["det_id"], kind="stable"))
     unit = sphere.radec_to_unit(orphans["ra"], orphans["dec"])
     passes = np.unique(orphans["pass_id"])
     by_pass = {int(p): np.flatnonzero(orphans["pass_id"] == p) for p in passes}

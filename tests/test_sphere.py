@@ -428,6 +428,17 @@ class TestNeighborsJoin:
         s2 = {(int(r["id_a"]), int(r["id_b"])) for r in t2}
         assert s1 == s2
 
+    def test_order_is_the_structured_sort_order(self):
+        # repeated ids tie on (id_a, id_b); separation breaks those ties
+        rng = np.random.Generator(np.random.PCG64(14))
+        n = 300
+        ra = 200 + rng.uniform(-0.02, 0.02, n)
+        dec = 40 + rng.uniform(-0.02, 0.02, n)
+        table, _ = sphere.neighbors_join(rng.integers(0, 12, n), ra, dec, 60.0)
+        want = np.sort(table, order=["id_a", "id_b"])
+        assert len(np.unique(table[["id_a", "id_b"]])) < len(table)
+        assert table.tobytes() == want.tobytes()
+
     def test_pruning_effectiveness_at_10k(self):
         unit = random_catalog(99, 10_000)
         ra, dec = sphere.unit_to_radec(unit)

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import tempfile
@@ -188,26 +189,31 @@ class TestIndexes:
         store.build_indexes(tmp_path, 1.0)
         assert store.read_all(tmp_path)["zone"][0] == 90
 
-    def test_zone_histogram_totals(self, small_store):
+    def test_zone_count_totals(self, small_store):
         path, recs = small_store
         manifest = store.read_manifest(path)
-        total = sum(sum(p.zone_histogram.values()) for p in manifest.partitions)
-        assert total == len(recs)
+        for info in manifest.partitions:
+            part = store.read_partition(path, info)
+            assert sum(info.zone_counts) == info.records == len(part)
+            zones = np.arange(info.zone_first, info.zone_first + len(info.zone_counts))
+            assert info.zone_counts == [int(np.sum(part["zone"] == z)) for z in zones]
+        assert sum(p.records for p in manifest.partitions) == len(recs)
         assert manifest.zone_height_deg == 1.0
         assert manifest.index_overhead_fraction > 0
 
     def test_built_manifest_equals_read_manifest(self, tmp_path):
         store.ingest_detections(make_records(500), 4, tmp_path)
         built = store.build_indexes(tmp_path, 1.0)
-        assert all(p.zone_histogram for p in built.partitions)
+        assert all(p.zone_counts for p in built.partitions)
         assert built == store.read_manifest(tmp_path)
 
-    def test_mjd_range(self, small_store):
-        path, recs = small_store
-        manifest = store.read_manifest(path)
-        lo = min(p.mjd_min for p in manifest.partitions)
-        hi = max(p.mjd_max for p in manifest.partitions)
-        assert lo == recs["mjd"].min() and hi == recs["mjd"].max()
+    def test_empty_partition_round_trip(self, tmp_path):
+        store.ingest_detections(make_records(2), 3, tmp_path)
+        built = store.build_indexes(tmp_path, 1.0)
+        empty = built.partitions[2]
+        assert (empty.records, empty.zone_first, empty.zone_counts) == (0, 0, [])
+        assert store.StoreManifest.from_json(built.to_json()) == built
+        assert store.read_manifest(tmp_path) == built
 
     def test_rejects_bad_zone_height(self, small_store):
         with pytest.raises(ValidationError):
@@ -504,6 +510,72 @@ class TestCorruptMasters:
         text = (mastered / "masters.csv").read_text()
         (mastered / "masters.csv").write_text(text.splitlines()[0] + "\n")
         assert len(store.read_masters(mastered)) == 0
+
+
+class TestDamagedManifest:
+    """A manifest that is damaged, from another schema or inconsistent with
+    itself makes every command exit 3, naming manifest.json."""
+
+    CASES = {  # a change to the manifest's JSON object, and the message
+        "truncated": (None, "not valid JSON"),
+        "unknown key": (lambda d: d.update(extra=1), "unknown key 'extra'"),
+        "missing crc32": (lambda d: d["partitions"][1].pop("crc32"),
+                          "partition 1: missing key 'crc32'"),
+        "schema 1": (lambda d: d.update(schema_version=1), "schema version 1, expected 2"),
+        "record size 32": (lambda d: d.update(record_size=32), "record_size 32, expected 64"),
+        "wrong total": (lambda d: d.update(total_records=499), "total_records 499"),
+        "zone counts": (lambda d: d["partitions"][0]["zone_counts"].append(1),
+                        "partition 0: zone_counts sum to"),
+        "negative records": (lambda d: d["partitions"][2].update(records=-1),
+                             "partition 2: records -1 is not a non-negative integer"),
+        "text crc32": (lambda d: d["partitions"][0].update(crc32="7"),
+                       "partition 0: crc32 '7'"),
+        "path as name": (lambda d: d["partitions"][0].update(name="../part-0000.det"),
+                         "partition 0: bad file name"),
+        "one file twice": (lambda d: d["partitions"][1].update(name="part-0000.det"),
+                           "two partitions name one file"),
+        "not an object": (lambda d: d.update(partitions=d["partitions"][:3] + [[]]),
+                          "partition 3 is not a JSON object"),
+    }
+
+    @staticmethod
+    def damage(path, change):
+        manifest = path / "manifest.json"
+        text = manifest.read_text()
+        if change is None:
+            text = text[:len(text) // 2]
+        else:
+            d = json.loads(text)
+            change(d)
+            text = json.dumps(d)
+        manifest.write_text(text)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_query_exits_3(self, capsys, small_store, case):
+        path, _ = small_store
+        change, message = self.CASES[case]
+        self.damage(path, change)
+        code = cli.run(["query", "--store", str(path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_IO
+        assert "manifest.json: " + message in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_unzoned_store_carries_no_zone_counts(self, tmp_path):
+        store.ingest_detections(make_records(10), 2, tmp_path)
+        self.damage(tmp_path, lambda d: d["partitions"][0].update(zone_counts=[5]))
+        with pytest.raises(StoreIOError, match="zone_counts on a store without zones"):
+            store.read_manifest(tmp_path)
+
+    @pytest.mark.parametrize("command", ["index", "master", "lc"])
+    def test_other_commands_exit_3(self, capsys, small_store, command):
+        path, _ = small_store
+        before = (path / "part-0000.det").read_bytes()
+        self.damage(path, lambda d: d.update(record_size=32))
+        assert cli.run([command, "--store", str(path)]) == EXIT_IO
+        assert "manifest.json: record_size 32" in capsys.readouterr().err
+        assert (path / "part-0000.det").read_bytes() == before
 
 
 class _HalfWrite:
