@@ -339,9 +339,44 @@ SCAN_REGIONS = {
 }
 
 
+def reference_scan(path, predicate, region=None):
+    """The scan oracle: every partition read whole, its zone band's rows
+    picked by their `zone` field, then the predicate and the region tested on
+    those rows; the matches joined in (partition, offset) order."""
+    predicate = store.Predicate(predicate) if isinstance(predicate, str) else predicate
+    manifest = store.read_manifest(path)
+    zone_range = None
+    if region is not None and manifest.zone_height_deg:
+        dec_lo, dec_hi = sphere.region_dec_bounds(region)
+        z_lo = int(sphere.zone_of(dec_lo, manifest.zone_height_deg))
+        z_hi = int(sphere.zone_of(dec_hi, manifest.zone_height_deg))
+        zone_range = (z_lo, z_hi if dec_lo <= dec_hi else z_lo - 1)
+    parts = []
+    for info in manifest.partitions:
+        recs = store.read_partition(path, info)
+        if region is None:
+            parts.append(recs[predicate.mask(recs)])
+            continue
+        rows = np.arange(len(recs))
+        if zone_range is not None:
+            z_lo, z_hi = zone_range
+            rows = rows[(recs["zone"] >= z_lo) & (recs["zone"] <= z_hi)]
+        rows = rows[predicate.mask(recs[rows])]
+        unit = sphere.radec_to_unit(recs["ra"][rows], recs["dec"][rows])
+        parts.append(recs[rows[region.contains(unit)]])
+    return np.concatenate(parts) if parts else np.empty(0, dtype=store.DET_DTYPE)
+
+
 class TestZoneBandScan:
     """Every scan equals the brute-force mask over `read_all`, byte for byte
     and in (partition, offset) order."""
+
+    @pytest.mark.parametrize("where", ["true", "flux<500 and pass_id<=4"])
+    @pytest.mark.parametrize("region", SCAN_REGIONS, ids=str)
+    def test_equals_reference_scan(self, indexed_store, region, where):
+        region = SCAN_REGIONS[region]
+        out, _ = store.scan(indexed_store, where, region=region, workers=2)
+        assert out.tobytes() == reference_scan(indexed_store, where, region).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("where", ["true", "false", "flux>300", "flux<500 and pass_id<=4"])
