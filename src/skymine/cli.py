@@ -243,9 +243,12 @@ def gen_cmd(objects, passes, seed, cadence_days, flux_sigma, periodic_frac,
 def ingest_cmd(input_csv, partitions, out):
     """Load a detection CSV into a partitioned binary store."""
     records = store.records_from_csv(Path(input_csv).read_text())
+    t0 = time.perf_counter()
     manifest = store.ingest_detections(records, partitions, out)
+    wall = time.perf_counter() - t0
+    rate = manifest.total_records * store.RECORD_SIZE / wall if wall > 0 else 0.0
     click.echo(f"records={manifest.total_records} "
-               f"load_rate={units.fmt_bytes(manifest.load_rate_bytes_per_s)}/s", err=True)
+               f"load_rate={units.fmt_bytes(rate)}/s", err=True)
 
 
 @cli.command("index")
@@ -254,8 +257,10 @@ def ingest_cmd(input_csv, partitions, out):
 def index_cmd(store_dir, zone_height):
     """Assign declination zones and write index summaries."""
     manifest = store.build_indexes(store_dir, units.parse_angle_deg(zone_height))
+    data_bytes = manifest.total_records * store.RECORD_SIZE
+    overhead = len(manifest.to_json()) / data_bytes if data_bytes else 0.0  # the file's bytes
     click.echo(f"zones_height_deg={manifest.zone_height_deg} "
-               f"index_overhead={manifest.index_overhead_fraction:.4f}", err=True)
+               f"index_overhead={overhead:.4f}", err=True)
 
 
 @cli.command("master")

@@ -176,6 +176,33 @@ def region_dec_bounds(region: Region) -> tuple[float, float]:
             min(90.0, float(np.min(centre_dec + r)) + DEC_BOUND_PAD))
 
 
+def cone_ra_window(cone: Cone) -> tuple[float, float] | None:
+    """(ra0, w) in degrees: every point `cone.contains` admits whose RA lies
+    in [0, 360) lies within w of ra0 in RA, the circular distance; None when
+    the cap reaches a pole, where RA takes every value.
+
+    The cap is widened as in `region_dec_bounds`, to radius r'. When
+    |dec0| + r' < 90 - DEC_BOUND_PAD no pole is inside, and the cap's points
+    lie within arcsin(sin r' / cos dec0) of its centre's RA. The sine ratio
+    is raised by 1e-15, over its rounding, before the arcsin, whose slope is
+    unbounded as the ratio nears 1; w is widened by DEC_BOUND_PAD.
+    """
+    ra0, dec0 = unit_to_radec(cone.center)
+    cos_r = np.cos(cone.radius) / np.sqrt(cone.center @ cone.center) - _DOT_SLACK
+    r = np.arccos(np.clip(cos_r, -1.0, 1.0))
+    if abs(float(dec0)) + np.degrees(r) >= 90.0 - DEC_BOUND_PAD:
+        return None
+    ratio = min(1.0, np.sin(r) / np.cos(np.radians(dec0)) + 1e-15)
+    return float(ra0), float(np.degrees(np.arcsin(ratio))) + DEC_BOUND_PAD
+
+
+def in_ra_window(ra, ra0: float, w: float) -> np.ndarray:
+    """RA within w of ra0, circularly, for RA in [0, 360); True for every
+    RA outside [0, 360), which this test does not place."""
+    d = np.abs(ra - ra0)
+    return (d <= w) | (d >= 360.0 - w) | (ra < 0.0) | (ra >= 360.0)
+
+
 # ---------------------------------------------------------------------------
 # zones
 

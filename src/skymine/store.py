@@ -4,6 +4,8 @@ A store is a directory of fixed-width little-endian binary partition files
 (`part-NNNN.det`) plus a `manifest.json` with each partition's record count,
 CRC-32 and per-zone record counts. Fixed 64-byte records keep
 sequential-scan rates meaningful and make the format trivially seekable.
+An indexed store keeps each partition in (zone, ordinal) order, so the
+records of a run of zones are one byte range of the file.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import StoreIOError, ValidationError
 from . import csvio, sphere
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 DET_DTYPE = np.dtype([
     ("det_id", "<u8"),
@@ -36,18 +38,20 @@ DET_DTYPE = np.dtype([
     ("flags", "<u4"),
     ("zone", "<u4"),
     ("master_id", "<u8"),
-    ("pad", "<u4"),
+    ("ordinal", "<u4"),  # position in the partition as `ingest` wrote it
 ])
 RECORD_SIZE = DET_DTYPE.itemsize
 assert RECORD_SIZE == 64
-# The fields fill all 64 bytes (`pad` included, no unnamed gaps), so a record
-# is exactly its 64 bytes: `take` on records, and copies of this whole-row
-# view, move the same bytes that field-by-field indexing copies, in far fewer
-# steps (numpy copies a structured dtype one field at a time).
+# The fields fill all 64 bytes with no unnamed gaps, so a record is exactly
+# its 64 bytes: `take` on records, and copies of this whole-row view, move
+# the same bytes that field-by-field indexing copies, in far fewer steps
+# (numpy copies a structured dtype one field at a time).
 _ROW = np.dtype((np.void, RECORD_SIZE))
 assert sum(DET_DTYPE[name].itemsize for name in DET_DTYPE.names) == RECORD_SIZE
 
-FIELD_NAMES = tuple(n for n in DET_DTYPE.names if n != "pad")
+FIELD_NAMES = tuple(n for n in DET_DTYPE.names if n != "ordinal")
+# `ordinal` is a u4, so a partition holds at most 2^32 records
+MAX_PARTITION_RECORDS = 2 ** 32
 DET_CSV_FORMAT = "%d,%d,%.6f,%.9f,%.9f,%.6f,%.6f,%d,%d,%d"  # of FIELD_NAMES
 
 MASTER_DTYPE = np.dtype([
@@ -79,12 +83,10 @@ class StoreManifest:
     total_records: int = 0
     zone_height_deg: float | None = None
     partitions: list = field(default_factory=list)
-    load_rate_bytes_per_s: float = 0.0
-    index_overhead_fraction: float = 0.0
 
     def to_json(self) -> str:
         return json.dumps(dict(_fields(self), partitions=[_fields(p) for p in self.partitions]),
-                          indent=2)
+                          separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "StoreManifest":
@@ -256,10 +258,18 @@ def validate_records(records: np.ndarray) -> None:
 
 def ingest_detections(records: np.ndarray, partition_count: int, out_dir) -> StoreManifest:
     """Distribute records round-robin (ordered by zone, then det_id) into
-    fixed-width partition files and write the manifest."""
+    fixed-width partition files and write the manifest. Each record's
+    `ordinal` is set to its position in its partition, so the partitions are
+    in ordinal order until `build_indexes` sorts them by zone. Input that
+    would put more than MAX_PARTITION_RECORDS records in one partition is
+    refused."""
     if partition_count < 1:
         raise ValidationError("partition_count must be >= 1")
     records = np.asarray(records)
+    largest = -(-len(records) // partition_count)
+    if largest > MAX_PARTITION_RECORDS:
+        raise ValidationError(f"a partition would hold {largest} records, more than 2^32; "
+                              f"use more partitions")
     validate_records(records)
     out = Path(out_dir)
     try:
@@ -267,40 +277,43 @@ def ingest_detections(records: np.ndarray, partition_count: int, out_dir) -> Sto
     except OSError as exc:
         raise StoreIOError(f"cannot create store at {out}: {exc}") from exc
 
-    order = np.lexsort((records["det_id"], records["zone"]))
-    ordered = records.take(order).view(_ROW)
+    ordered = records.take(np.lexsort((records["det_id"], records["zone"])))
+    ordered["ordinal"] = np.arange(len(ordered)) // partition_count
+    ordered = ordered.view(_ROW)
     manifest = StoreManifest(total_records=len(records))
     with _rewrite(out) as put:
-        t0 = time.perf_counter()
         for p in range(partition_count):
             info = PartitionInfo(name=f"part-{p:04d}.det", records=0, crc32=0)
             _put_partition(put, info, ordered[p::partition_count])
             manifest.partitions.append(info)
-        wall = time.perf_counter() - t0
-        manifest.load_rate_bytes_per_s = (len(records) * RECORD_SIZE / wall) if wall > 0 else 0.0
         put(_MANIFEST, manifest.to_json().encode())
     return manifest
 
 
-def _read_into(store, info: PartitionInfo, out: np.ndarray, verify: bool) -> None:
-    """Fill `out`, room for exactly `info.records` records, with the
-    partition's bytes by `readinto` calls until it is full. One read() returns
-    at most about 2 GiB on Linux, so a large partition takes several. A file of
-    any other size, or one that ends before `out` is full, is an error."""
+def _read_into(store, info: PartitionInfo, out: np.ndarray, verify: bool = False,
+               start: int = 0) -> None:
+    """Fill `out` with the partition's records from record `start` on, by
+    `readinto` calls until it is full. One read() returns at most about
+    2 GiB on Linux, so a large range takes several. A file that does not hold
+    exactly `info.records` records, or one that ends before `out` is full,
+    is an error. `verify` checks the CRC of a whole partition."""
     path = Path(store) / info.name
     buf = memoryview(out.view(np.uint8))
+    size_wanted = info.records * RECORD_SIZE
     got = 0
     try:
         with open(path, "rb", buffering=0) as f:
             size = os.fstat(f.fileno()).st_size
-            while size == buf.nbytes and got < size:
+            if size == size_wanted and start:
+                f.seek(start * RECORD_SIZE)
+            while size == size_wanted and got < buf.nbytes:
                 k = f.readinto(buf[got:])
                 if not k:
                     break
                 got += k
     except OSError as exc:
         raise StoreIOError(f"cannot read {path}: {exc}") from exc
-    if size != buf.nbytes:
+    if size != size_wanted:
         raise StoreIOError(f"{path}: expected {info.records} records, "
                            f"got {size} bytes")
     if got != buf.nbytes:
@@ -310,9 +323,42 @@ def _read_into(store, info: PartitionInfo, out: np.ndarray, verify: bool) -> Non
 
 
 def read_partition(store, info: PartitionInfo, verify: bool = False) -> np.ndarray:
+    """The partition's records as stored: in (zone, ordinal) order on an
+    indexed store, in ordinal order otherwise."""
     out = np.empty(info.records, dtype=DET_DTYPE)
     _read_into(store, info, out, verify)
     return out
+
+
+def _ordinal_order(recs: np.ndarray, path) -> np.ndarray:
+    """The positions of a whole partition's records in `ordinal` order.
+    Ordinals that are not a permutation of 0..n-1 are a StoreIOError naming
+    the partition's file: n ordinals below n fill every slot only if no two
+    are equal."""
+    n = len(recs)
+    ordinal = recs["ordinal"]
+    inv = np.full(n, -1, dtype=np.intp)
+    if n and ordinal.max() < n:
+        inv[ordinal] = np.arange(n)
+    if n and inv.min() < 0:
+        raise StoreIOError(f"{path}: record ordinals are not 0..{n - 1}")
+    return inv
+
+
+def _gather(recs: np.ndarray, positions: np.ndarray, out=None) -> np.ndarray:
+    """`recs.take(positions)`, into `out` if given, for positions known to be
+    in range: mode "clip" skips numpy's bounds check, which costs as much as
+    the copy of 64-byte rows itself."""
+    rows = np.take(recs.view(_ROW), positions, mode="clip",
+                   out=None if out is None else out.view(_ROW))
+    return rows.view(DET_DTYPE)
+
+
+def _by_ordinal(recs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`rows` of a partition in `ordinal` order. Rows and ordinals are below
+    2^32, so one sort of (ordinal << 32 | row) orders them."""
+    key = recs["ordinal"][rows].astype(np.uint64) << np.uint64(32) | rows.astype(np.uint64)
+    return (np.sort(key) & np.uint64(0xFFFFFFFF)).astype(np.intp)
 
 
 def _map(workers: int, fn, *iterables) -> list:
@@ -323,39 +369,61 @@ def _map(workers: int, fn, *iterables) -> list:
         return list(pool.map(fn, *iterables))
 
 
-def _read_partitions(store, partitions, workers: int = 1, verify: bool = False) -> np.ndarray:
-    """Every record of `partitions` in (partition, offset) order, each
-    partition read straight into its rows of one array."""
+def _read_partitions(store, partitions, workers: int = 1, verify: bool = False,
+                     zoned: bool = False) -> np.ndarray:
+    """Every record of `partitions`, each partition read straight into its
+    rows of one array; with `zoned` set, each is read whole and put into
+    ordinal order there."""
     ends = np.cumsum([0] + [p.records for p in partitions]).tolist()
     out = np.empty(ends[-1], dtype=DET_DTYPE)
-    _map(workers, lambda info, lo, hi: _read_into(store, info, out[lo:hi], verify),
-         partitions, ends[:-1], ends[1:])
+
+    def read(info, lo, hi):
+        if not zoned:
+            _read_into(store, info, out[lo:hi], verify)
+            return
+        recs = read_partition(store, info, verify)
+        _gather(recs, _ordinal_order(recs, Path(store) / info.name), out[lo:hi])
+
+    _map(workers, read, partitions, ends[:-1], ends[1:])
     return out
 
 
 def read_all(store, verify: bool = False) -> np.ndarray:
-    return _read_partitions(store, read_manifest(store).partitions, verify=verify)
+    """Every record of the store, partition by partition, each in ordinal
+    order."""
+    manifest = read_manifest(store)
+    return _read_partitions(store, manifest.partitions, verify=verify,
+                            zoned=manifest.zone_height_deg is not None)
+
+
+def _zone_order(zone: np.ndarray, zone_first: int) -> np.ndarray:
+    """The positions of a partition's records in zone order, ties kept in
+    their given order: one stable argsort of zone - zone_first, in the
+    smallest unsigned dtype that holds the span, which numpy sorts by radix
+    sort when that is 8 or 16 bits."""
+    key = zone.astype(np.int64) - zone_first
+    return np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
 
 
 def build_indexes(store, zone_height_deg: float) -> StoreManifest:
-    """Populate the zone field of every record and write each partition's
-    per-zone record counts into the manifest."""
+    """Set the zone field of every record, rewrite each partition in
+    (zone, ordinal) order and write its per-zone record counts into the
+    manifest. The counts' running sums are the zones' record offsets."""
     if zone_height_deg <= 0:
         raise ValidationError("zone_height must be > 0")
     manifest = read_manifest(store)
-    data_bytes = 0
     with _rewrite(store) as put:
         for info in manifest.partitions:
             recs = read_partition(store, info)
             zone = sphere.zone_of(recs["dec"], zone_height_deg)
             recs["zone"] = zone
             info.zone_first = int(zone.min()) if len(zone) else 0
+            # a store indexed before is in zone order: start from ordinal order
+            in_order = _ordinal_order(recs, Path(store) / info.name)
+            zone = zone[in_order]
             info.zone_counts = np.bincount(zone - info.zone_first).tolist()
-            _put_partition(put, info, recs)
-            data_bytes += len(recs) * RECORD_SIZE
+            _put_partition(put, info, _gather(recs, in_order[_zone_order(zone, info.zone_first)]))
         manifest.zone_height_deg = zone_height_deg
-        index_bytes = len(json.dumps([_fields(p) for p in manifest.partitions]))
-        manifest.index_overhead_fraction = index_bytes / data_bytes if data_bytes else 0.0
         put(_MANIFEST, manifest.to_json().encode())
     return manifest
 
@@ -428,58 +496,88 @@ class Predicate:
 # ---------------------------------------------------------------------------
 # parallel sequential scan
 
-def _band_rows(zone: np.ndarray, z_lo: int, z_hi: int) -> np.ndarray:
-    """Rows whose zone lies in [z_lo, z_hi], in one pass over `zone`; none
-    when z_lo > z_hi. Unsigned wrap-around puts the zones below z_lo past
-    the span."""
-    if z_lo > z_hi:
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(zone - np.uint32(z_lo) <= np.uint32(z_hi - z_lo))
+def _zone_rows(info: PartitionInfo, z_lo: int, z_hi: int) -> tuple[int, int]:
+    """[start, stop): the records of zones z_lo..z_hi in a zone-ordered
+    partition, from the running sums of its zone counts; empty when
+    z_lo > z_hi."""
+    a = min(max(z_lo - info.zone_first, 0), len(info.zone_counts))
+    b = max(min(z_hi - info.zone_first + 1, len(info.zone_counts)), a)
+    start = sum(info.zone_counts[:a])
+    return start, start + sum(info.zone_counts[a:b])
 
 
-def _scan_partition(store, info, predicate, region, zone_range):
-    """The partition's matching records in offset order. A region scan on a
-    zoned store keeps its zone band's rows first, and tests the predicate and
-    the region on those rows only."""
-    recs = read_partition(store, info)
-    if region is None:
-        return recs.take(np.flatnonzero(predicate.mask(recs)))
-    rows = (np.arange(len(recs)) if zone_range is None
-            else _band_rows(recs["zone"], *zone_range))
-    if predicate.constant is not True:
-        rows = rows[predicate.mask(recs.take(rows))]
-    unit = sphere.radec_to_unit(recs["ra"][rows], recs["dec"][rows])
-    return recs.take(rows[region.contains(unit)])
+def _read_zones(store, info: PartitionInfo, z_lo: int, z_hi: int) -> np.ndarray:
+    """The records of zones z_lo..z_hi, read as one byte range. A record of
+    another zone in the range means the manifest does not describe the file,
+    which is a StoreIOError naming it."""
+    start, stop = _zone_rows(info, z_lo, z_hi)
+    recs = np.empty(stop - start, dtype=DET_DTYPE)
+    _read_into(store, info, recs, start=start)
+    zone = recs["zone"]
+    if np.any((zone < z_lo) | (zone > z_hi)):
+        raise StoreIOError(f"{Path(store) / info.name}: records outside zones "
+                           f"{z_lo}..{z_hi} in their byte range; the manifest does not "
+                           f"match the partition")
+    return recs
+
+
+def _scan_partition(store, info, predicate, region, zoned, zone_range, ra_window):
+    """The partition's matching records in ordinal order, and how many
+    records were read. A region scan of a zoned store reads only the byte
+    range of its zone band, and a cone with an RA window drops the rows
+    outside it before any trigonometry."""
+    if zone_range is None:
+        recs = read_partition(store, info)
+    else:
+        recs = _read_zones(store, info, *zone_range)
+    mask = predicate.mask(recs)
+    if ra_window is not None:
+        mask &= sphere.in_ra_window(recs["ra"], *ra_window)
+    rows = np.flatnonzero(mask)
+    if region is not None:
+        rows = rows[region.contains(sphere.radec_to_unit(recs["ra"][rows], recs["dec"][rows]))]
+    if zoned:
+        rows = _by_ordinal(recs, rows)
+    return _gather(recs, rows), len(recs)
 
 
 def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
-    """Full sequential scan with predicate pushdown and optional region
-    filter. Results are ordered by (partition, offset) so the output is
-    identical regardless of worker count. A region scan of a zoned store
-    tests only the rows in the zones of `sphere.region_dec_bounds`; a
-    constant-true scan with no region reads every partition straight into
-    the result.
+    """Sequential scan with predicate pushdown and an optional region
+    filter. Each partition's matches come in ordinal order, partition after
+    partition, so the output is the same whatever the worker count or the
+    zone order of the files.
+
+    A region scan of a zoned store reads, from each partition, only the byte
+    range of the zones of `sphere.region_dec_bounds`, and a cone narrow
+    enough to have `sphere.cone_ra_window` tests only the rows in that RA
+    window; an unzoned store is read whole. A constant-true scan with no
+    region reads every partition whole into the result. `ScanStats` counts
+    the records read.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     if isinstance(predicate, str):
         predicate = Predicate(predicate)
     manifest = read_manifest(store)
-    zone_range = None
-    if region is not None and manifest.zone_height_deg:
+    zoned = manifest.zone_height_deg is not None
+    zone_range = ra_window = None
+    if region is not None and zoned:
         dec_lo, dec_hi = sphere.region_dec_bounds(region)
         z_lo = int(sphere.zone_of(dec_lo, manifest.zone_height_deg))
         z_hi = int(sphere.zone_of(dec_hi, manifest.zone_height_deg))
         zone_range = (z_lo, z_hi if dec_lo <= dec_hi else z_lo - 1)  # empty: no zone
-    scanned = sum(p.records for p in manifest.partitions)
+        if isinstance(region, sphere.Cone):
+            ra_window = sphere.cone_ra_window(region)
     t0 = time.perf_counter()
     if region is None and predicate.constant is True:
-        matched = _read_partitions(store, manifest.partitions, workers)
+        matched = _read_partitions(store, manifest.partitions, workers, zoned=zoned)
+        scanned = len(matched)
     else:
-        parts = _map(workers, lambda info: _scan_partition(store, info, predicate, region,
-                                                           zone_range),
+        parts = _map(workers, lambda info: _scan_partition(store, info, predicate, region, zoned,
+                                                           zone_range, ra_window),
                      manifest.partitions)
-        matched = join_records(parts)
+        matched = join_records([p for p, _ in parts])
+        scanned = sum(n for _, n in parts)
     wall = time.perf_counter() - t0
     stats = ScanStats(
         bytes_read=scanned * RECORD_SIZE,
@@ -589,7 +687,11 @@ def build_master(store, match_radius_arcsec: float):
     if match_radius_arcsec <= 0:
         raise ValidationError("match_radius must be > 0")
     manifest = read_manifest(store)
-    records = _read_partitions(store, manifest.partitions)
+    zoned = manifest.zone_height_deg is not None
+    # In ordinal order a pass's records lie close together when det_ids
+    # follow the passes, as `gen` numbers them; zone order would scatter
+    # every per-pass gather over the whole store.
+    records = _read_partitions(store, manifest.partitions, zoned=zoned)
     order = np.lexsort((records["det_id"], records["mjd"], records["pass_id"]))
     unit = sphere.radec_to_unit(records["ra"], records["dec"])
     radius_rad = np.radians(match_radius_arcsec / sphere.ARCSEC_PER_DEG)
@@ -681,7 +783,10 @@ def build_master(store, match_radius_arcsec: float):
     with _rewrite(store) as put:
         offset = 0
         for info in manifest.partitions:
-            _put_partition(put, info, records[offset:offset + info.records])
+            part = records[offset:offset + info.records]
+            if zoned:  # back in (zone, ordinal) order
+                part = _gather(part, _zone_order(part["zone"], info.zone_first))
+            _put_partition(put, info, part)
             offset += info.records
         put("masters.csv", _masters_csv(masters))
         put(_MANIFEST, manifest.to_json().encode())

@@ -258,6 +258,77 @@ class TestDecBounds:
             assert len(dec) > 0
 
 
+def circle_points(centre, radius, jitter, n_angles=360):
+    """Points at angular distance radius + each of `jitter` (radians) from
+    `centre`, at `n_angles` position angles: the edge of a cap, where its RA
+    extent is widest."""
+    centre = centre / np.linalg.norm(centre)
+    east = np.cross([0.0, 0.0, 1.0], centre)
+    east = east / np.linalg.norm(east) if np.linalg.norm(east) > 0 else np.array([1.0, 0.0, 0.0])
+    north = np.cross(centre, east)
+    angle = (radius + np.asarray(jitter))[:, None, None]
+    pa = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)[None, :, None]
+    ring = np.cos(pa) * east + np.sin(pa) * north
+    return (np.cos(angle) * centre + np.sin(angle) * ring).reshape(-1, 3)
+
+
+def assert_ra_window_holds(cone, unit):
+    """Every stored position the cone contains is in its RA window, or is
+    kept because its RA lies outside [0, 360)."""
+    ra, dec = sphere.unit_to_radec(unit)
+    window = sphere.cone_ra_window(cone)
+    if window is None:
+        return 0
+    inside = cone.contains(sphere.radec_to_unit(ra, dec))
+    assert np.all(sphere.in_ra_window(ra[inside], *window)), window
+    for shift in (-360.0, 360.0, 720.0):  # the same points, RA out of range
+        assert np.all(sphere.in_ra_window(ra[inside] + shift, *window))
+    return int(np.count_nonzero(inside))
+
+
+class TestConeRaWindow:
+    @given(st.integers(0, 10_000), st.sampled_from(["tiny", "any", "wide", "polar", "wrap"]),
+           st.floats(-0.99e-9, 0.99e-9))
+    @settings(deadline=None)
+    def test_window_holds_every_contained_point(self, seed, kind, scale):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        centre = random_catalog(seed + 2, 1)[0]
+        radius = rng.uniform(0, np.pi / 2)
+        if kind == "tiny":
+            radius = np.radians(rng.choice([0.0, 0.05 / 3600, 1e-3]))
+        elif kind == "wide":
+            radius = rng.uniform(np.pi / 2 - 1e-6, np.pi)
+        elif kind == "polar":  # reaching or just missing a pole
+            dec = np.copysign(rng.uniform(60.0, 90.0), rng.uniform(-1, 1))
+            centre = sphere.radec_to_unit(rng.uniform(0, 360), dec)
+            radius = np.radians(90.0 - abs(dec) + rng.uniform(-1e-6, 1e-6))
+        elif kind == "wrap":
+            centre = sphere.radec_to_unit(rng.choice([0.0, 1e-9, 359.999999]),
+                                          rng.uniform(-80, 80))
+        radius = float(np.clip(radius, 0.0, np.pi))
+        cone = sphere.Cone(centre * (1.0 + scale / 2), radius)
+        unit = np.concatenate([random_catalog(seed + 1, 2000), centre[None, :],
+                               circle_points(centre, radius, JITTER)])
+        assert_ra_window_holds(cone, unit)
+
+    def test_window_width(self):
+        ra0, w = sphere.cone_ra_window(sphere.cone_from_radec(10.0, 0.0, 5.0))
+        assert ra0 == pytest.approx(10.0) and w == pytest.approx(5.0 + PAD, abs=1e-9)
+        _, w = sphere.cone_ra_window(sphere.cone_from_radec(10.0, 60.0, 5.0))
+        assert w == pytest.approx(np.degrees(np.arcsin(np.sin(np.radians(5.0)) / 0.5)))
+
+    @pytest.mark.parametrize("dec,radius", [(80.0, 10.0), (-85.0, 6.0), (0.0, 90.0),
+                                            (30.0, 120.0), (89.0, 180.0)])
+    def test_caps_reaching_a_pole_have_no_window(self, dec, radius):
+        assert sphere.cone_ra_window(sphere.cone_from_radec(123.0, dec, radius)) is None
+
+    def test_window_across_ra_zero(self):
+        window = sphere.cone_ra_window(sphere.cone_from_radec(359.0, 10.0, 2.0))
+        ra = np.array([356.0, 358.0, 0.0, 0.9, 1.5, 3.0, 180.0, -1.0, 360.0, 1e9])
+        assert sphere.in_ra_window(ra, *window).tolist() == \
+            [False, True, True, True, False, False, False, True, True, True]
+
+
 class TestZones:
     def test_equator_zone(self):
         assert int(sphere.zone_of(0.0, 1.0)) == 90

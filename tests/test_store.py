@@ -71,10 +71,24 @@ class TestRoundTrip:
         store.ingest_detections(recs, 8, tmp_path)
         back = store.read_all(tmp_path, verify=True)
         assert len(back) == 1000
-        # same multiset of records, compared bitwise after id sort
+        # every record numbered by its place in its partition...
+        assert back["ordinal"].tolist() == [i for p in range(8) for i in range(125)]
+        # ...and otherwise the same multiset of records, compared bitwise
+        # after id sort
+        back["ordinal"] = 0
         a = np.sort(recs, order="det_id")
         b = np.sort(back, order="det_id")
         assert a.tobytes() == b.tobytes()
+
+    def test_more_than_2_to_32_records_in_a_partition_refused(self, tmp_path):
+        """Ordinals are 32-bit. The check comes before anything reads the
+        records, so views that repeat one record stand in for the input."""
+        one = make_records(1)
+        with pytest.raises(ValidationError, match="4294967297 records, more than 2"):
+            store.ingest_detections(np.broadcast_to(one, (2 ** 32 + 1,)), 1, tmp_path)
+        with pytest.raises(ValidationError, match="4294967297 records"):
+            store.ingest_detections(np.broadcast_to(one, (2 ** 33 + 1,)), 2, tmp_path)
+        assert not any(tmp_path.iterdir())
 
     def test_record_size_is_64(self):
         assert store.RECORD_SIZE == 64
@@ -121,6 +135,9 @@ class TestRoundTrip:
             def readinto(self, buf):
                 return readinto(self.f, buf)
 
+            def seek(self, offset):
+                return self.f.seek(offset)
+
             def __enter__(self):
                 return self
 
@@ -132,14 +149,18 @@ class TestRoundTrip:
 
     def test_partial_reads_are_continued(self, small_store, monkeypatch):
         """A readinto() that fills less than asked, as read() does past 2 GiB
-        on Linux, is called again until the partition is complete."""
+        on Linux, is called again until the partition, or the zone band's
+        byte range, is complete."""
         path, _ = small_store
         want = store.read_all(path)
         want_scan, _ = store.scan(path, "flux>300")
+        want_band, _ = store.scan(path, "true", region=SCAN_REGIONS["cone"])
         chunk = 3 * store.RECORD_SIZE + 5
         self._open_with(monkeypatch, lambda f, buf: f.readinto(memoryview(buf)[:chunk]))
         assert store.read_all(path).tobytes() == want.tobytes()
         assert store.scan(path, "flux>300")[0].tobytes() == want_scan.tobytes()
+        band, _ = store.scan(path, "true", region=SCAN_REGIONS["cone"])
+        assert band.tobytes() == want_band.tobytes() and len(band)
 
     def test_short_read_is_an_error(self, small_store, monkeypatch):
         """A file that ends before the size fstat reported is an error."""
@@ -155,6 +176,9 @@ class TestRoundTrip:
             store.read_all(path)
         with pytest.raises(StoreIOError, match="short read"):
             store.scan(path, "flux>300")
+        # its band ends with the partitions' last zones
+        with pytest.raises(StoreIOError, match="short read"):
+            store.scan(path, "true", region=SCAN_REGIONS["northcap"])
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(StoreIOError, match="manifest"):
@@ -199,7 +223,29 @@ class TestIndexes:
             assert info.zone_counts == [int(np.sum(part["zone"] == z)) for z in zones]
         assert sum(p.records for p in manifest.partitions) == len(recs)
         assert manifest.zone_height_deg == 1.0
-        assert manifest.index_overhead_fraction > 0
+
+    @pytest.mark.parametrize("heights", [(1.0,), (0.01,), (1.0, 0.01), (0.01, 2.5)])
+    def test_partitions_in_zone_then_ordinal_order(self, tmp_path, heights):
+        """At 0.01 degrees a partition spans more than 255 zones, so its
+        sort key takes 16 bits."""
+        store.ingest_detections(make_records(500), 2, tmp_path)
+        for height in heights:
+            manifest = store.build_indexes(tmp_path, height)
+        if heights[-1] == 0.01:
+            assert len(manifest.partitions[0].zone_counts) > 255
+        for info in manifest.partitions:
+            part = store.read_partition(tmp_path, info)
+            key = part["zone"].astype(np.int64) << 32 | part["ordinal"]
+            assert np.all(np.diff(key) > 0)
+            assert sorted(part["ordinal"].tolist()) == list(range(info.records))
+            assert np.all(part["zone"] == sphere.zone_of(part["dec"], heights[-1]))
+
+    def test_manifest_is_compact_json(self, small_store):
+        text = (small_store[0] / "manifest.json").read_text()
+        assert "\n" not in text and ", " not in text and ": " not in text
+        d = json.loads(text)
+        assert d["schema_version"] == 3
+        assert "load_rate_bytes_per_s" not in d and "index_overhead_fraction" not in d
 
     def test_built_manifest_equals_read_manifest(self, tmp_path):
         store.ingest_detections(make_records(500), 4, tmp_path)
@@ -339,21 +385,39 @@ SCAN_REGIONS = {
 }
 
 
+def reference_zone_range(manifest, region):
+    """(z_lo, z_hi), the zones of a region's declination band on a zoned
+    store, z_lo > z_hi when the band is empty; None when every row is
+    tested."""
+    if region is None or not manifest.zone_height_deg:
+        return None
+    dec_lo, dec_hi = sphere.region_dec_bounds(region)
+    z_lo = int(sphere.zone_of(dec_lo, manifest.zone_height_deg))
+    z_hi = int(sphere.zone_of(dec_hi, manifest.zone_height_deg))
+    return z_lo, (z_hi if dec_lo <= dec_hi else z_lo - 1)
+
+
+def band_records(path, region):
+    """How many records a scan reads: the zone band's, or all."""
+    zone_range = reference_zone_range(store.read_manifest(path), region)
+    zone = store.read_all(path)["zone"]
+    if zone_range is None:
+        return len(zone)
+    return int(np.count_nonzero((zone >= zone_range[0]) & (zone <= zone_range[1])))
+
+
 def reference_scan(path, predicate, region=None):
-    """The scan oracle: every partition read whole, its zone band's rows
-    picked by their `zone` field, then the predicate and the region tested on
-    those rows; the matches joined in (partition, offset) order."""
+    """The scan oracle: every partition read whole and put in ordinal order,
+    its zone band's rows picked by their `zone` field, then the predicate and
+    the region tested on those rows; the matches joined partition after
+    partition."""
     predicate = store.Predicate(predicate) if isinstance(predicate, str) else predicate
     manifest = store.read_manifest(path)
-    zone_range = None
-    if region is not None and manifest.zone_height_deg:
-        dec_lo, dec_hi = sphere.region_dec_bounds(region)
-        z_lo = int(sphere.zone_of(dec_lo, manifest.zone_height_deg))
-        z_hi = int(sphere.zone_of(dec_hi, manifest.zone_height_deg))
-        zone_range = (z_lo, z_hi if dec_lo <= dec_hi else z_lo - 1)
+    zone_range = reference_zone_range(manifest, region)
     parts = []
     for info in manifest.partitions:
         recs = store.read_partition(path, info)
+        recs = recs[np.argsort(recs["ordinal"], kind="stable")]
         if region is None:
             parts.append(recs[predicate.mask(recs)])
             continue
@@ -389,7 +453,8 @@ class TestZoneBandScan:
             mask &= region.contains(sphere.radec_to_unit(recs["ra"], recs["dec"]))
         out, stats = store.scan(indexed_store, where, region=region, workers=workers)
         assert out.tobytes() == recs[mask].tobytes()
-        assert stats.records_scanned == len(recs)
+        assert stats.records_scanned == band_records(indexed_store, region)
+        assert stats.bytes_read == stats.records_scanned * store.RECORD_SIZE
         assert stats.records_matched == np.count_nonzero(mask)
 
     def test_cone_on_a_zone_edge_keeps_the_zone_below(self, indexed_store):
@@ -402,7 +467,7 @@ class TestZoneBandScan:
         lo, hi = sphere.region_dec_bounds(SCAN_REGIONS["empty"])
         assert lo > hi
         out, stats = store.scan(indexed_store, "true", region=SCAN_REGIONS["empty"])
-        assert len(out) == 0 and stats.records_scanned > 0
+        assert len(out) == 0 and stats.records_scanned == stats.bytes_read == 0
 
     def test_unzoned_store_tests_every_row(self, tmp_path):
         recs = make_records(300)
@@ -421,6 +486,99 @@ class TestZoneBandScan:
                               ("true", SCAN_REGIONS["cone"])]:
             with pytest.raises(StoreIOError, match="expected"):
                 store.scan(path, where, region=region, workers=2)
+
+
+def radec_box(ra0, ra1, dec0, dec1):
+    """The RA/Dec box [ra0, ra1] x [dec0, dec1] (degrees) as four halfspaces."""
+    r0, r1 = np.radians(ra0), np.radians(ra1)
+    return _poly([[-np.sin(r0), np.cos(r0), 0], [np.sin(r1), -np.cos(r1), 0], [0, 0, 1],
+                  [0, 0, -1]], [0.0, 0.0, np.sin(np.radians(dec0)), -np.sin(np.radians(dec1))])
+
+
+@st.composite
+def scan_regions(draw):
+    """None, a cone (at a pole, across RA 0/360, 0.05 arcsec wide or at
+    least 90 degrees wide among others) or a polygon (an RA/Dec box, a
+    shipped one, or one whose band is empty)."""
+    kind = draw(st.sampled_from(["none", "cone", "box", "shipped"]))
+    if kind == "none":
+        return None
+    if kind == "shipped":
+        return SCAN_REGIONS[draw(st.sampled_from(["northcap", "wedge", "box", "empty"]))]
+    if kind == "box":
+        dec0 = draw(st.floats(-90.0, 89.0))
+        ra0 = draw(st.floats(0.0, 360.0))
+        return radec_box(ra0, ra0 + draw(st.floats(0.01, 180.0)), dec0,
+                         min(90.0, dec0 + draw(st.floats(0.001, 60.0))))
+    ra = draw(st.one_of(st.sampled_from([0.0, 1e-9, 359.99999999]), st.floats(0.0, 360.0)))
+    dec = draw(st.one_of(st.sampled_from([-90.0, -89.99, 0.0, 89.99, 90.0]),
+                         st.floats(-90.0, 90.0)))
+    radius = draw(st.one_of(st.sampled_from([0.0, 0.05 / 3600, 0.5, 89.999, 90.0, 135.0, 180.0]),
+                            st.floats(0.0, 180.0)))
+    return sphere.cone_from_radec(ra, dec, radius)
+
+
+def survey_near(region, n, seed, wrap):
+    """n records, half of them spread over the sky and half within twice a
+    cone's radius of its centre; with `wrap`, a third of them store their RA
+    shifted by a multiple of 360 degrees."""
+    recs = make_records(n, seed)
+    rng = np.random.Generator(np.random.PCG64(seed + 1))
+    if isinstance(region, sphere.Cone) and n:
+        near = np.arange(n // 2)
+        centre = region.center
+        east = np.cross([0.0, 0.0, 1.0], centre)
+        east = east / np.linalg.norm(east) if np.linalg.norm(east) > 0 else np.array([1.0, 0, 0])
+        north = np.cross(centre, east)
+        angle = np.minimum(region.radius * rng.uniform(0, 2, len(near)), np.pi)[:, None]
+        pa = rng.uniform(0, 2 * np.pi, len(near))[:, None]
+        unit = np.cos(angle) * centre + np.sin(angle) * (np.cos(pa) * east + np.sin(pa) * north)
+        recs["ra"][near], recs["dec"][near] = sphere.unit_to_radec(unit)
+    if wrap:
+        shifted = rng.random(n) < 1 / 3
+        recs["ra"][shifted] += 360.0 * rng.choice([-1.0, 1.0, 2.0], int(shifted.sum()))
+    return recs
+
+
+def parent_layout_scan(recs, parts, heights, where, region):
+    """What a scan returned from a store whose partitions stayed in ingest
+    order: round-robin in (zone, det_id) order, the zones of the last
+    height set in place, every matching record in file order."""
+    ordered = recs[np.lexsort((recs["det_id"], recs["zone"]))]
+    if heights:
+        ordered["zone"] = sphere.zone_of(ordered["dec"], heights[-1])
+    out = []
+    for p in range(parts):
+        part = ordered[p::parts]
+        mask = store.Predicate(where).mask(part)
+        if region is not None:
+            mask &= region.contains(sphere.radec_to_unit(part["ra"], part["dec"]))
+        out.append(part[mask])
+    return np.concatenate(out)
+
+
+class TestScanProperty:
+    """On any store, `scan` returns the bytes of `reference_scan`, and with
+    `ordinal` zeroed the bytes a store in ingest order gives, while reading
+    only the zone band's records."""
+
+    @given(n=st.integers(0, 300), seed=st.integers(0, 2 ** 31), parts=st.sampled_from([1, 4, 16]),
+           workers=st.sampled_from([1, 2]),
+           heights=st.sampled_from([(), (1.0,), (0.01,), (1.0, 0.01), (0.01, 2.5)]),
+           region=scan_regions(), where=st.sampled_from(["true", "flux>500"]),
+           wrap=st.booleans())
+    @settings(deadline=None)
+    def test_scan_equals_references(self, n, seed, parts, workers, heights, region, where, wrap):
+        recs = survey_near(region, n, seed, wrap)
+        with tempfile.TemporaryDirectory() as tmp:
+            store.ingest_detections(recs, parts, tmp)
+            for height in heights:
+                store.build_indexes(tmp, height)
+            out, stats = store.scan(tmp, where, region=region, workers=workers)
+            assert out.tobytes() == reference_scan(tmp, where, region).tobytes()
+            assert stats.records_scanned == band_records(tmp, region)
+        out["ordinal"] = 0
+        assert out.tobytes() == parent_layout_scan(recs, parts, heights, where, region).tobytes()
 
 
 class TestMaster:
@@ -556,7 +714,8 @@ class TestDamagedManifest:
         "unknown key": (lambda d: d.update(extra=1), "unknown key 'extra'"),
         "missing crc32": (lambda d: d["partitions"][1].pop("crc32"),
                           "partition 1: missing key 'crc32'"),
-        "schema 1": (lambda d: d.update(schema_version=1), "schema version 1, expected 2"),
+        "schema 1": (lambda d: d.update(schema_version=1), "schema version 1, expected 3"),
+        "schema 2": (lambda d: d.update(schema_version=2), "schema version 2, expected 3"),
         "record size 32": (lambda d: d.update(record_size=32), "record_size 32, expected 64"),
         "wrong total": (lambda d: d.update(total_records=499), "total_records 499"),
         "zone counts": (lambda d: d["partitions"][0]["zone_counts"].append(1),
@@ -596,6 +755,30 @@ class TestDamagedManifest:
         assert "manifest.json: " + message in err
         assert "Traceback" not in err
         assert out == ""
+
+    def test_v2_manifest_exits_3(self, capsys, small_store):
+        """A schema 2 store's partitions are not in zone order, so its
+        manifest, as that schema wrote it, is refused."""
+        path, _ = small_store
+        d = json.loads((path / "manifest.json").read_text())
+        d.update(schema_version=2, load_rate_bytes_per_s=1e8, index_overhead_fraction=0.01)
+        (path / "manifest.json").write_text(json.dumps(d, indent=2))
+        assert cli.run(["query", "--store", str(path), "--cone", "10d,20d,5d"]) == EXIT_IO
+        assert "manifest.json: schema version 2, expected 3" in capsys.readouterr().err
+
+    def test_zone_counts_that_disagree_with_the_records_exit_3(self, capsys, small_store):
+        """Counts that still sum to the records but put the band's byte range
+        one record early: the range then holds a record of a lower zone."""
+        path, _ = small_store
+        self.damage(path, lambda d: d["partitions"][0].update(
+            zone_counts=[d["partitions"][0]["zone_counts"][0] - 1,
+                         *d["partitions"][0]["zone_counts"][1:-1],
+                         d["partitions"][0]["zone_counts"][-1] + 1]))
+        northcap = Path(__file__).parents[1] / "queries" / "northcap.poly"
+        code = cli.run(["query", "--store", str(path), "--polygon", str(northcap)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_IO and out == ""
+        assert "part-0000.det: records outside zones 119..179" in err
 
     def test_unzoned_store_carries_no_zone_counts(self, tmp_path):
         store.ingest_detections(make_records(10), 2, tmp_path)
