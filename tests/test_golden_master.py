@@ -13,13 +13,13 @@ GOLDEN = {
     "masters.csv":
         "51cef7f9159f27cebe74fe4c2fb50a9c2d9ae18df62edbd1fd804f9b9ce85673",
     "part-0000.det":
-        "0877840509e9bbf330d6dabb2d1f9d0f5e3dc8a863c2335180ae241d71326d9a",
+        "4c4ca701f9dba8c8455d41538cb274a2c076b76cca71ec0372bf18c3d480ab5a",
     "part-0001.det":
-        "d08ae8231c3f47ee5f17c2fe2c202ba7ee98a452094369daef0ecbd80c54d760",
+        "c167ca1d297fbd1a6bb2e69ef50d6a9904b473ee395f4d5a3b8cf3906e1a61d5",
     "part-0002.det":
-        "067ae39e8bd4e9812fbb58bde03931042f356a5e2c51e71c3240172acaae5f04",
+        "5c0cb911cf6c093cae10325181c736bce4d4715daf0b9039ae6335a582bbc1c8",
     "part-0003.det":
-        "5e182952448029f404d1569c96a953926fd3e8dbf35390f541b3df0674c5977a",
+        "a71faa89a74e05951914d1febb0f9bb7759e5761071216f191e9cea090550a8d",
 }
 
 
