@@ -170,16 +170,22 @@ def region_dec_bounds(region: Region) -> tuple[float, float]:
     else:
         normals, offsets = region.normals, region.offsets
     _, centre_dec = unit_to_radec(normals)
-    cos_r = offsets / np.sqrt(row_dots(normals, normals)) - _DOT_SLACK
-    r = np.degrees(np.arccos(np.clip(cos_r, -1.0, 1.0)))
+    r = _widened_radii(normals, offsets)
     return (max(-90.0, float(np.max(centre_dec - r)) - DEC_BOUND_PAD),
             min(90.0, float(np.min(centre_dec + r)) + DEC_BOUND_PAD))
 
 
+def _widened_radii(normals, offsets) -> np.ndarray:
+    """The radius (degrees) of each cap n.p >= o around n/|n|, arccos(o/|n|),
+    with the cosine lowered by _DOT_SLACK first."""
+    cos_r = offsets / np.sqrt(row_dots(normals, normals)) - _DOT_SLACK
+    return np.degrees(np.arccos(np.clip(cos_r, -1.0, 1.0)))
+
+
 def cone_ra_window(cone: Cone) -> tuple[float, float] | None:
-    """(ra0, w) in degrees: every point `cone.contains` admits whose RA lies
-    in [0, 360) lies within w of ra0 in RA, the circular distance; None when
-    the cap reaches a pole, where RA takes every value.
+    """(ra0, w) in degrees: every point `cone.contains` admits lies within w
+    of ra0 in RA, the circular distance; None when the cap reaches a pole,
+    where RA takes every value.
 
     The cap is widened as in `region_dec_bounds`, to radius r'. When
     |dec0| + r' < 90 - DEC_BOUND_PAD no pole is inside, and the cap's points
@@ -188,19 +194,19 @@ def cone_ra_window(cone: Cone) -> tuple[float, float] | None:
     unbounded as the ratio nears 1; w is widened by DEC_BOUND_PAD.
     """
     ra0, dec0 = unit_to_radec(cone.center)
-    cos_r = np.cos(cone.radius) / np.sqrt(cone.center @ cone.center) - _DOT_SLACK
-    r = np.arccos(np.clip(cos_r, -1.0, 1.0))
-    if abs(float(dec0)) + np.degrees(r) >= 90.0 - DEC_BOUND_PAD:
+    r = float(_widened_radii(cone.center[None, :], np.cos([cone.radius]))[0])
+    if abs(float(dec0)) + r >= 90.0 - DEC_BOUND_PAD:
         return None
-    ratio = min(1.0, np.sin(r) / np.cos(np.radians(dec0)) + 1e-15)
+    ratio = min(1.0, np.sin(np.radians(r)) / np.cos(np.radians(dec0)) + 1e-15)
     return float(ra0), float(np.degrees(np.arcsin(ratio))) + DEC_BOUND_PAD
 
 
 def in_ra_window(ra, ra0: float, w: float) -> np.ndarray:
-    """RA within w of ra0, circularly, for RA in [0, 360); True for every
-    RA outside [0, 360), which this test does not place."""
+    """RA within w of ra0, circularly. An RA stored outside [0, 360), at
+    ra0 + d + 360k with |d| <= w and k != 0, lies at least 360 - w from ra0,
+    so it is kept too."""
     d = np.abs(ra - ra0)
-    return (d <= w) | (d >= 360.0 - w) | (ra < 0.0) | (ra >= 360.0)
+    return (d <= w) | (d >= 360.0 - w)
 
 
 # ---------------------------------------------------------------------------

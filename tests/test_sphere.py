@@ -273,8 +273,8 @@ def circle_points(centre, radius, jitter, n_angles=360):
 
 
 def assert_ra_window_holds(cone, unit):
-    """Every stored position the cone contains is in its RA window, or is
-    kept because its RA lies outside [0, 360)."""
+    """Every stored position the cone contains is in its RA window, with its
+    RA stored in [0, 360) or shifted out of it by whole turns."""
     ra, dec = sphere.unit_to_radec(unit)
     window = sphere.cone_ra_window(cone)
     if window is None:
@@ -323,10 +323,23 @@ class TestConeRaWindow:
         assert sphere.cone_ra_window(sphere.cone_from_radec(123.0, dec, radius)) is None
 
     def test_window_across_ra_zero(self):
+        """RAs out of [0, 360) are kept when a whole number of turns puts
+        them in the window, and when they are too large to place."""
         window = sphere.cone_ra_window(sphere.cone_from_radec(359.0, 10.0, 2.0))
-        ra = np.array([356.0, 358.0, 0.0, 0.9, 1.5, 3.0, 180.0, -1.0, 360.0, 1e9])
+        ra = np.array([356.0, 358.0, 0.0, 0.9, 1.5, 3.0, 180.0, -1.0, 360.0, 718.5, 370.0, 1e9])
         assert sphere.in_ra_window(ra, *window).tolist() == \
-            [False, True, True, True, False, False, False, True, True, True]
+            [False, True, True, True, False, False, False, True, True, True, False, True]
+
+    def test_window_just_short_of_a_quarter_turn(self):
+        """Equatorial caps of radius just under 90 degrees, whose sine ratio
+        can round down near 1, where the arcsin's slope magnifies the
+        rounding past the pad: the ratio's own margin keeps the points at the
+        cap's RA edge."""
+        for radius in 90.0 - np.linspace(2e-7, 3e-6, 400):
+            cone = sphere.cone_from_radec(100.0, 0.0, radius)
+            edge = np.degrees(cone.radius) - np.concatenate([[0.0], np.logspace(-13, -7, 20)])
+            assert assert_ra_window_holds(
+                cone, sphere.radec_to_unit(100.0 + edge, np.zeros_like(edge))) > 0
 
 
 class TestZones:

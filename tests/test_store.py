@@ -80,9 +80,11 @@ class TestRoundTrip:
         b = np.sort(back, order="det_id")
         assert a.tobytes() == b.tobytes()
 
-    def test_more_than_2_to_32_records_in_a_partition_refused(self, tmp_path):
+    def test_more_than_2_to_32_records_in_a_partition_refused(self, tmp_path, monkeypatch):
         """Ordinals are 32-bit. The check comes before anything reads the
-        records, so views that repeat one record stand in for the input."""
+        records, so views that repeat one record stand in for the input, and
+        no validation pass over them may start."""
+        monkeypatch.setattr(store, "validate_records", lambda _: pytest.fail("records read"))
         one = make_records(1)
         with pytest.raises(ValidationError, match="4294967297 records, more than 2"):
             store.ingest_detections(np.broadcast_to(one, (2 ** 32 + 1,)), 1, tmp_path)
@@ -755,6 +757,20 @@ class TestDamagedManifest:
         assert "manifest.json: " + message in err
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("ordinal", [0, 500])
+    def test_bad_ordinals_fail_whole_partition_reads(self, small_store, ordinal):
+        """A repeated or out-of-range ordinal would leave a row of the
+        ordinal order unfilled."""
+        path, _ = small_store
+        target = path / "part-0001.det"
+        recs = np.fromfile(target, dtype=store.DET_DTYPE)
+        recs["ordinal"][recs["ordinal"] == 1] = ordinal
+        recs.tofile(target)
+        with pytest.raises(StoreIOError, match="part-0001.det: record ordinals are not 0..124"):
+            store.read_all(path)
+        with pytest.raises(StoreIOError, match="record ordinals"):
+            store.build_indexes(path, 2.0)
 
     def test_v2_manifest_exits_3(self, capsys, small_store):
         """A schema 2 store's partitions are not in zone order, so its
