@@ -223,7 +223,7 @@ def _rewrite(store):
 
 
 def _put_partition(put, info: PartitionInfo, records: np.ndarray) -> None:
-    data = records.tobytes()
+    data = memoryview(np.ascontiguousarray(records).view(np.uint8))  # a copy only if strided
     put(info.name, data)
     info.records = len(records)
     info.crc32 = zlib.crc32(data)
@@ -336,7 +336,7 @@ def _ordinal_order(recs: np.ndarray, path) -> np.ndarray:
     the partition's file: n ordinals below n fill every slot only if no two
     are equal."""
     n = len(recs)
-    ordinal = recs["ordinal"]
+    ordinal = recs["ordinal"].astype(np.intp)  # contiguous: scatters twice as fast
     inv = np.full(n, -1, dtype=np.intp)
     if n and ordinal.max() < n:
         inv[ordinal] = np.arange(n)
@@ -401,7 +401,7 @@ def _zone_order(zone: np.ndarray, zone_first: int) -> np.ndarray:
     their given order: one stable argsort of zone - zone_first, in the
     smallest unsigned dtype that holds the span, which numpy sorts by radix
     sort when that is 8 or 16 bits."""
-    key = zone.astype(np.int64) - zone_first
+    key = zone.astype(np.int64, copy=False) - zone_first
     return np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
 
 
@@ -412,17 +412,20 @@ def build_indexes(store, zone_height_deg: float) -> StoreManifest:
     if zone_height_deg <= 0:
         raise ValidationError("zone_height must be > 0")
     manifest = read_manifest(store)
+    zoned = manifest.zone_height_deg is not None
     with _rewrite(store) as put:
         for info in manifest.partitions:
             recs = read_partition(store, info)
             zone = sphere.zone_of(recs["dec"], zone_height_deg)
             recs["zone"] = zone
             info.zone_first = int(zone.min()) if len(zone) else 0
-            # a store indexed before is in zone order: start from ordinal order
-            in_order = _ordinal_order(recs, Path(store) / info.name)
-            zone = zone[in_order]
             info.zone_counts = np.bincount(zone - info.zone_first).tolist()
-            _put_partition(put, info, _gather(recs, in_order[_zone_order(zone, info.zone_first)]))
+            if zoned:  # in the old zones' order: sort the ordinal order instead
+                in_order = _ordinal_order(recs, Path(store) / info.name)
+                order = in_order[_zone_order(zone[in_order], info.zone_first)]
+            else:
+                order = _zone_order(zone, info.zone_first)
+            _put_partition(put, info, _gather(recs, order))
         manifest.zone_height_deg = zone_height_deg
         put(_MANIFEST, manifest.to_json().encode())
     return manifest
