@@ -409,8 +409,8 @@ def build_indexes(store, zone_height_deg: float) -> StoreManifest:
     """Set the zone field of every record, rewrite each partition in
     (zone, ordinal) order and write its per-zone record counts into the
     manifest. The counts' running sums are the zones' record offsets."""
-    if zone_height_deg <= 0:
-        raise ValidationError("zone_height must be > 0")
+    if sphere.n_zones(zone_height_deg) > 2 ** 32:  # a zone id is a <u4
+        raise ValidationError(f"zone_height {zone_height_deg} deg makes more than 2^32 zones")
     manifest = read_manifest(store)
     zoned = manifest.zone_height_deg is not None
     with _rewrite(store) as put:
@@ -510,18 +510,21 @@ def _zone_rows(info: PartitionInfo, z_lo: int, z_hi: int) -> tuple[int, int]:
 
 
 def _read_zones(store, info: PartitionInfo, z_lo: int, z_hi: int) -> np.ndarray:
-    """The records of zones z_lo..z_hi, read as one byte range. A record of
-    another zone in the range means the manifest does not describe the file,
+    """The records of zones z_lo..z_hi, read as one byte range with the
+    record on each side of it. A record of another zone in the range, or one
+    of these zones beside it, means the manifest does not describe the file,
     which is a StoreIOError naming it."""
     start, stop = _zone_rows(info, z_lo, z_hi)
-    recs = np.empty(stop - start, dtype=DET_DTYPE)
-    _read_into(store, info, recs, start=start)
-    zone = recs["zone"]
-    if np.any((zone < z_lo) | (zone > z_hi)):
+    lo, hi = max(start - 1, 0), min(stop + 1, info.records)
+    recs = np.empty(hi - lo, dtype=DET_DTYPE)
+    _read_into(store, info, recs, start=lo)
+    inside = (recs["zone"] >= z_lo) & (recs["zone"] <= z_hi)
+    band = slice(start - lo, stop - lo)
+    if not inside[band].all() or np.count_nonzero(inside) != stop - start:
         raise StoreIOError(f"{Path(store) / info.name}: records outside zones "
-                           f"{z_lo}..{z_hi} in their byte range; the manifest does not "
-                           f"match the partition")
-    return recs
+                           f"{z_lo}..{z_hi} in their byte range, or records of those zones "
+                           f"next to it; the manifest does not match the partition")
+    return recs[band]
 
 
 def _scan_partition(store, info, predicate, region, zoned, zone_range, ra_window):
@@ -602,23 +605,30 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
 # detection. Candidates are the masters in the 27 cells around a detection,
 # with cells of edge max(chord, 1e-9) keyed by floor(v / edge) per axis.
 #
-# Each pass is matched as one batch against the master positions frozen at
-# its start. Within a pass, a detection e can change what another detection
-# d sees only by founding a master in d's 27 cells or by moving one into or
-# out of them. e founds at its own cell. e joins a master in its own 27
-# cells and pulls it along the arc toward e, so the master ends within
+# Within a pass, a detection e can change what another detection d sees
+# only by founding a master in d's 27 cells or by moving one into or out of
+# them. e founds at its own cell. e joins a master in its own 27 cells and
+# pulls it along the arc toward e, so the master ends within
 # sqrt(best) + 1e-9 <= 2 * edge of e: within 3 cells of e's key, allowing
 # for floor() rounding. So e and d can interact only if their keys are
 # within 1 + 3 = 4 cells on every axis (Chebyshev distance), and only then
-# can both join one master. Detections with another detection of the pass
-# within 4 cells form the conflict set and run the rule one at a time, in
-# order, against the current state; the others are independent of each
-# other and of the conflict set.
+# can both join one master: they are conflict neighbours.
+#
+# A pass runs in waves. A detection's wave is one more than the latest wave
+# among its earlier conflict neighbours, or 0 if it has none. Rows of one
+# wave are never neighbours, so they see no change made by each other and
+# join distinct masters, and no row that runs out of order with d is d's
+# neighbour. So d sees what the one-at-a-time rule shows it: the masters
+# within 1 cell of it at the start of the pass, plus those its earlier
+# neighbours founded or joined, kept if their current key is within 1 cell.
+# A new master holds slot n_masters + row until the pass ends, when the
+# slots close up into ids in row order; slots order founders as ids do, so
+# the lowest-index tie rule picks the same master.
 #
 # One `sphere.cell_pairs` search per pass, at coarse cells of 4 cells' edge
-# (keys >> 2), finds both sets: masters within 1 cell of a detection on every
-# axis are its candidates, detections within 4 its conflict neighbours.
-# `_nearest` takes minima only, so the order of the candidates is free.
+# (keys >> 2), finds both kinds of pair: masters within 1 cell of a detection
+# on every axis are its candidates, detections within 4 its conflict
+# neighbours. `_nearest` takes minima only, so the order of candidates is free.
 
 _CONFLICT_CELLS = 4
 _NO_MASTER = np.iinfo(np.int64).max
@@ -636,6 +646,12 @@ def _master_state(size: int) -> dict:
         "first": np.zeros(size),
         "last": np.zeros(size),
     }
+
+
+def _cell_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chebyshev distance in cells between rows of cell keys."""
+    d = np.abs(a - b)
+    return np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2])
 
 
 def _nearest(pos: np.ndarray, v: np.ndarray, q: np.ndarray, t: np.ndarray,
@@ -682,7 +698,7 @@ def _join(state, ids, v, flux, mjd, edge):
 
 def build_master(store, match_radius_arcsec: float):
     """Cross-match detections into masters, one pass at a time (the rule and
-    the batching are described above).
+    its waves are described above).
 
     Writes `masters.csv` into the store, assigns `master_id` on every record,
     and returns the master table as a structured array.
@@ -714,57 +730,40 @@ def build_master(store, match_radius_arcsec: float):
             for name, col in grown.items():
                 col[:n_masters] = state[name][:n_masters]
             state = grown
-        v, k, pflux, pmjd = unit[rows], keys[rows], flux[rows], mjd[rows]
+        v, k, pflux, pmjd = unit.take(rows, axis=0), keys.take(rows, axis=0), flux[rows], mjd[rows]
         both = np.concatenate((state["key"][:n_masters], k))
         q, t = sphere.cell_pairs(both >> 2, k >> 2)
-        d = np.abs(both.take(t, axis=0) - k.take(q, axis=0))
-        gap = np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2])  # in fine cells
+        gap = _cell_gap(both.take(t, axis=0), k.take(q, axis=0))
         near = (t >= n_masters) & (t < q + n_masters) & (gap <= _CONFLICT_CELLS)
         later, earlier = q[near], t[near] - n_masters
         cand = (t < n_masters) & (gap <= 1)
         q, t = q[cand], t[cand]
-        match = _nearest(state["pos"], v, q, t, chord)
-        conflict = np.zeros(len(rows), dtype=bool)
-        conflict[later] = conflict[earlier] = True
-        founded = (match < 0) & ~conflict
-        joined = (match >= 0) & ~conflict
 
-        # The conflict set runs first, in order. A row's candidates are its
-        # frozen ones plus the masters its earlier conflict neighbours
-        # founded or moved (nothing else near it changed), at their current
-        # cells. A new master's index counts every master founded earlier
-        # in the pass, the batch's founders included.
-        sel = np.flatnonzero(conflict[q])
-        sel = sel[np.argsort(q[sel], kind="stable")]
-        fq, ft = q[sel], t[sel]
-        sel = np.argsort(later, kind="stable")
-        nl, ne = later[sel], earlier[sel]
-        idx = np.flatnonzero(conflict)
-        spans = zip(idx.tolist(),
-                     np.searchsorted(fq, idx).tolist(), np.searchsorted(fq, idx, "right").tolist(),
-                     np.searchsorted(nl, idx).tolist(), np.searchsorted(nl, idx, "right").tolist())
-        founded_before = np.cumsum(founded)
-        conflict_founded = np.zeros(len(rows), dtype=bool)
-        n_new = 0
-        for i, f_lo, f_hi, n_lo, n_hi in spans:
-            cand = np.concatenate((ft[f_lo:f_hi], match[ne[n_lo:n_hi]]))
-            cand = cand[(np.abs(state["key"].take(cand, axis=0) - k[i]) <= 1).all(axis=1)]
-            one = slice(i, i + 1)
-            m = _nearest(state["pos"], v[one], np.zeros(len(cand), np.int64), cand, chord)[0]
-            if m < 0:
-                m = n_masters + founded_before[i] + n_new
-                n_new += 1
-                conflict_founded[i] = True
-                _found(state, np.array([m]), v[one], pflux[one], pmjd[one], edge)
-            else:
-                _join(state, np.array([m]), v[one], pflux[one], pmjd[one], edge)
-            match[i] = m
+        # One wave a round: the rows whose earlier neighbours are all done.
+        match = np.full(len(rows), -1)
+        while np.any(match < 0):
+            now = match < 0
+            now[later[match[earlier] < 0]] = False
+            wave = np.flatnonzero(now)
+            f, e = now[q], now[later]
+            cq = np.concatenate((q[f], later[e]))
+            ct = np.concatenate((t[f], match[earlier[e]]))
+            keep = _cell_gap(state["key"].take(ct, axis=0), k.take(cq, axis=0)) <= 1
+            m = _nearest(state["pos"], v, cq[keep], ct[keep], chord).take(wave)
+            founds = m < 0
+            m[founds] = n_masters + wave[founds]
+            for sel, step in ((founds, _found), (~founds, _join)):
+                r = wave[sel]
+                step(state, m[sel], v.take(r, axis=0), pflux.take(r), pmjd.take(r), edge)
+            match[wave] = m
 
-        ids = n_masters + np.cumsum(founded | conflict_founded) - 1
-        match[founded] = ids[founded]
-        _found(state, match[founded], v[founded], pflux[founded], pmjd[founded], edge)
-        _join(state, match[joined], v[joined], pflux[joined], pmjd[joined], edge)
-        n_masters += int(np.count_nonzero(founded)) + n_new
+        # Close the founders' slots up into ids in row order.
+        slots = n_masters + np.flatnonzero(match == n_masters + np.arange(len(rows)))
+        for col in state.values():
+            col[n_masters:n_masters + len(slots)] = col.take(slots, axis=0)
+        new = match >= n_masters
+        match[new] = n_masters + np.searchsorted(slots, match[new])
+        n_masters += len(slots)
         assignment[rows] = match + 1  # master_id 0 means unassigned
 
     st = {name: col[:n_masters] for name, col in state.items()}

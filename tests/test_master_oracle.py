@@ -1,14 +1,19 @@
-"""The batched cross-match against the sequential rule it replaced.
+"""The cross-match in waves against the sequential rule it replaced.
 
 `reference_build_master` is the per-detection loop over an incremental
-spatial hash that `store.build_master` ran before it matched whole passes at
-once. It is kept here as the oracle: on every case the batched version must
-assign each detection to the same master and produce bit-identical master
-rows and byte-identical `masters.csv`.
+spatial hash that `store.build_master` ran before it matched each pass in
+waves of detections whose earlier conflict neighbours are done. It is kept
+here as the oracle: on every case, fixed or drawn by hypothesis, the waves
+must assign each detection to the same master and produce bit-identical
+master rows and byte-identical `masters.csv`.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skymine import skygen, sphere, store
 
@@ -227,6 +232,82 @@ def test_crowded_patch(tmp_path, ra0, dec0, ids, radius):
     else:
         recs["det_id"] = np.argsort(np.argsort(recs["ra"], kind="stable")) + 1
     assert_matches_oracle(tmp_path, recs, radius)
+
+
+@st.composite
+def crowded_patches(draw):
+    """(records, radius in arcsec): sources in a square patch seen in a few
+    passes with noise, the patch anywhere on the sky (the poles and RA 0
+    included), det_ids shuffled or ordered by ra."""
+    n_src = draw(st.integers(1, 40))
+    side = draw(st.floats(1.0, 30.0))          # arcsec
+    passes = draw(st.integers(1, 4))
+    noise = draw(st.floats(0.0, 1.0))           # arcsec
+    radius = draw(st.floats(0.5, 3.0))          # arcsec
+    ra0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 360.0, exclude_max=True)))
+    dec0 = draw(st.one_of(st.sampled_from([-90.0, 90.0]), st.floats(-90.0, 90.0)))
+    by_ra = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    ra, dec = np.radians(ra0), np.radians(dec0)
+    centre = sphere.radec_to_unit(ra0, dec0)
+    east = np.array([-np.sin(ra), np.cos(ra), 0.0])
+    north = np.array([-np.sin(dec) * np.cos(ra), -np.sin(dec) * np.sin(ra), np.cos(dec)])
+    src = rng.uniform(-side / 2, side / 2, size=(n_src, 2))
+    offsets = []
+    for _ in range(passes):
+        seen = rng.random(n_src) < 0.9
+        offsets.append(src[seen] + rng.normal(0.0, noise, size=(int(seen.sum()), 2)))
+    pass_id = np.repeat(np.arange(passes), [len(o) for o in offsets])
+    off = np.radians(np.concatenate(offsets) / sphere.ARCSEC_PER_DEG)
+    v = centre + off[:, :1] * east + off[:, 1:] * north
+    recs = np.zeros(len(v), dtype=store.DET_DTYPE)
+    recs["ra"], recs["dec"] = sphere.unit_to_radec(v / np.linalg.norm(v, axis=1)[:, None])
+    recs["pass_id"] = pass_id
+    recs["mjd"] = 59000.0 + pass_id + rng.uniform(0, 0.5, len(recs))
+    recs["flux"] = rng.uniform(10, 1000, len(recs))
+    recs["flux_err"] = 1.0
+    if by_ra:
+        recs["det_id"] = np.argsort(np.argsort(recs["ra"], kind="stable")) + 1
+    else:
+        recs["det_id"] = rng.permutation(len(recs)) + 1
+    return recs, radius
+
+
+@given(crowded_patches())
+@settings(deadline=None)
+def test_random_crowded_patches(patch):
+    recs, radius = patch
+    with tempfile.TemporaryDirectory() as out:
+        assert_matches_oracle(Path(out), recs, radius)
+
+
+def test_tie_between_founders_run_out_of_row_order(tmp_path):
+    """In pass 0, founder A (row 1) has an earlier conflict neighbour X and
+    runs in wave 1; founder B (row 2) has none and runs in wave 0, before
+    A. Three later detections pull each of A and B to within a chord of the
+    origin, and a detection of pass 1 there is equidistant from both. It
+    takes A, the lower id, as the one-at-a-time rule numbers founders in row
+    order; ids in wave order would give it B's."""
+    c = CHORD
+    x, a, b = -4.5 * c, -2.05 * c, 2.05 * c
+    rows = [(0, *at_y(x)), (0, *at_y(a)), (0, *at_y(b))]
+    for sign, start in ((1, a), (-1, b)):
+        members = [start]
+        for _ in range(3):  # each just inside the chord of the moved master
+            members.append(np.mean(members) + sign * 0.99 * c)
+            rows.append((0, *at_y(members[-1])))
+    rows.append((1, *at_y(0.0)))
+    keys = np.floor(np.array([x, a, b]) / EDGE).tolist()
+    assert keys == [-5, -3, 2]   # X-A within 4 cells, B 5 or more from both
+    recs = detections(rows)
+    unit = sphere.radec_to_unit(recs["ra"], recs["dec"])
+    ends = [unit[rows_of].sum(axis=0) for rows_of in ([1, 3, 4, 5], [2, 6, 7, 8])]
+    dist = [np.linalg.norm(e / np.linalg.norm(e) - unit[-1]) for e in ends]
+    assert max(dist) < c and abs(dist[0] - dist[1]) < 1e-9
+    stored, assignment = assert_matches_oracle(tmp_path, recs, RADIUS)
+    got = by_det_id(stored, assignment)
+    assert [got[i] for i in range(1, len(rows) + 1)] == [1, 2, 3, 2, 2, 2, 3, 3, 3, 2]
 
 
 def test_same_pass_pairs(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skymine import cli, skygen, sphere, store
-from skymine.errors import EXIT_IO, StoreIOError, ValidationError
+from skymine.errors import EXIT_IO, EXIT_VALIDATION, StoreIOError, ValidationError
 
 
 def make_records(n, seed=0):
@@ -266,6 +266,27 @@ class TestIndexes:
     def test_rejects_bad_zone_height(self, small_store):
         with pytest.raises(ValidationError):
             store.build_indexes(small_store[0], 0.0)
+
+    def test_zone_ids_that_overflow_their_field_exit_2(self, capsys, tmp_path):
+        """A zone id is a <u4. Below 180/2^32 deg there are more zones than
+        that holds: zone 17,000,000,000 of a 1e-8 deg height would be stored
+        as 4,115,098,112, and region queries would then find records outside
+        their zones. Such a height is refused before anything is written."""
+        recs = make_records(1)
+        recs["ra"], recs["dec"] = 10.0, 80.0
+        store.ingest_detections(recs, 1, tmp_path)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        code = cli.run(["index", "--store", str(tmp_path), "--zone-height", "1e-8d"])
+        assert code == EXIT_VALIDATION
+        assert "more than 2^32 zones" in capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+        height = 180 / 2 ** 32  # exactly 2^32 zones: the last id still fits
+        store.build_indexes(tmp_path, height)
+        zone = int(sphere.zone_of(80.0, height))
+        assert zone > 2 ** 31 and store.read_all(tmp_path)["zone"].tolist() == [zone]
+        out, stats = store.scan(tmp_path, "true", sphere.cone_from_radec(10.0, 80.0, 1.0))
+        assert out["det_id"].tolist() == [1]
 
 
 class TestPredicate:
@@ -795,6 +816,31 @@ class TestDamagedManifest:
         out, err = capsys.readouterr()
         assert code == EXIT_IO and out == ""
         assert "part-0000.det: records outside zones 119..179" in err
+
+    def test_zone_counts_that_shorten_a_range_exit_3(self, capsys, small_store):
+        """Counts that still sum to the records but move one record of
+        partition 0 from zone 100 to zone 121: the range of the zones of
+        [-30, 30] deg (59..120) then ends one record early, and every record
+        inside it is of its zones. The record after it is too, which gives
+        the fault away; it is not dropped from the result."""
+        path, _ = small_store
+        band = sphere.ConvexPolygon([[0, 0, 1], [0, 0, -1]], [-0.5, -0.5])
+        assert len(store.scan(path, "true", band)[0]) == 253
+
+        def shorten(d):
+            part = d["partitions"][0]
+            counts = part["zone_counts"]
+            assert counts[100 - part["zone_first"]] > 0
+            counts[100 - part["zone_first"]] -= 1
+            counts[121 - part["zone_first"]] += 1
+        self.damage(path, shorten)
+        with pytest.raises(StoreIOError, match="part-0000.det: records outside zones 59..120"):
+            store.scan(path, "true", band)
+        (path.parent / "band.poly").write_text("0 0 1 -0.5\n0 0 -1 -0.5\n")
+        code = cli.run(["query", "--store", str(path), "--polygon", str(path.parent / "band.poly")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_IO and out == ""
+        assert "next to it; the manifest does not match the partition" in err
 
     def test_unzoned_store_carries_no_zone_counts(self, tmp_path):
         store.ingest_detections(make_records(10), 2, tmp_path)
