@@ -94,7 +94,8 @@ _TILE = 16
 
 # curves x grid steps that one block of `_periodograms` holds, so that its
 # arrays stay about this size whatever the number of curves and, up to 4,096
-# grid steps, the grid; a block holds at least _TILE curves
+# grid steps, the grid; a block holds at least _TILE curves, and a stacked
+# product of small groups as many tiles of curves as a block holds curves
 _PERIODOGRAM_BLOCK = 1 << 16
 
 
@@ -104,76 +105,141 @@ def _tiles(n: int) -> int:
 
 
 def _trig_basis(freqs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """cos, sin, cos^2, sin^2 and cos*sin of 2 pi f t, stacked as five
-    (frequency x epoch) blocks of one array, each padded with zero rows to
-    whole tiles; shared by every light curve observed at epochs t."""
+    """cos, sin, cos^2 - 1/2 and cos*sin of 2 pi f t, stacked as four
+    (epoch x frequency) blocks, each padded with zero columns to whole
+    tiles: one such (4, epochs, tiles) array for the epoch vector t, or one
+    for each row of t. A basis is shared by every light curve observed at
+    its epochs."""
     nf = len(freqs)
-    basis = np.zeros((5, _tiles(nf), len(t)))
-    c, s, c2, s2, c_s = basis[:, :nf]
-    omega_t = 2.0 * np.pi * freqs[:, None] * t[None, :]
+    basis = np.zeros(t.shape[:-1] + (4,) + t.shape[-1:] + (_tiles(nf),))
+    c, s, h, x = (basis[..., i, :, :nf] for i in range(4))
+    omega_t = 2.0 * np.pi * freqs * t[..., None]
     np.cos(omega_t, out=c)
     np.sin(omega_t, out=s)
-    np.multiply(c, c, out=c2)
-    np.multiply(s, s, out=s2)
-    np.multiply(c, s, out=c_s)
-    return basis.reshape(-1, len(t))
+    np.multiply(c, c, out=h)
+    h -= 0.5
+    np.multiply(c, s, out=x)
+    return basis
+
+
+def _epoch_groups(t: np.ndarray) -> list[np.ndarray]:
+    """The rows of the epoch matrix t grouped by equal epoch vectors, from
+    one sort of its rows."""
+    order = np.lexsort(t.T[::-1])
+    t = t[order]
+    return np.split(order, np.flatnonzero(np.any(t[1:] != t[:-1], axis=1)) + 1)
+
+
+def _weights(recs: np.ndarray, index: np.ndarray):
+    """The normalised weights and the weighted fluxes of the chains whose
+    record indices are the rows of `index`, and each chain's weighted mean
+    flux and variance."""
+    w = 1.0 / recs["flux_err"][index].astype(np.float64) ** 2
+    w /= np.sum(w, axis=1, keepdims=True)
+    y = recs["flux"][index].astype(np.float64)
+    wy = w * y
+    ybar = np.sum(wy, axis=1)
+    yy = np.sum(w * (y - ybar[:, None]) ** 2, axis=1)
+    return w, wy, ybar, yy
+
+
+def _spectra(sums: np.ndarray, flux_sums: np.ndarray, ybar: np.ndarray, yy: np.ndarray,
+             nf: int):
+    """(power, best, amplitude) of chains from their weighted sums: `sums`
+    holds the (chain x frequency) products of their weights with the four
+    basis blocks and `flux_sums` those of their weighted fluxes with the
+    first two, both overwritten. Every array here is whole, tile columns
+    too: numpy runs its fast loops only on contiguous operands."""
+    cbar, sbar, cc, cs = sums
+    yc, ys = flux_sums
+    # centre the sums on the weighted means, in place. The weights sum to 1,
+    # so sum w cos^2 = 1/2 + C and sum w sin^2 = 1/2 - C, where C is the sum
+    # over the cos^2 - 1/2 block; a tile column has cc = ss = 1/2 and power
+    # 0. Each step writes into an array it has done with: numpy's
+    # temporaries of this size cost as much as the arithmetic.
+    ybar = ybar[:, None]
+    tmp = np.multiply(ybar, cbar)
+    yc -= tmp
+    ys -= np.multiply(ybar, sbar, out=tmp)
+    cs -= np.multiply(cbar, sbar, out=tmp)
+    ss = np.subtract(0.5, cc)
+    ss -= np.square(sbar, out=sbar)
+    cc += 0.5
+    cc -= np.square(cbar, out=cbar)
+    d = np.multiply(cc, ss, out=cbar)
+    d -= np.square(cs, out=tmp)
+    # power = (ss yc^2 + cc ys^2 - 2 cs yc ys) / (yy d)
+    with np.errstate(all="ignore"):
+        power = np.square(yc, out=sbar)
+        power *= ss
+        power += np.multiply(np.square(ys, out=tmp), cc, out=tmp)
+        power -= np.multiply(np.multiply(np.multiply(2.0, cs, out=tmp), yc, out=tmp), ys,
+                             out=tmp)
+        power /= np.multiply(yy[:, None], d, out=tmp)
+    # a constant curve (yy = 0) explains nothing
+    safe = (np.abs(d, out=tmp) > 1e-15) & (yy[:, None] > 0)
+    np.copyto(power, 0.0, where=~safe)
+    np.clip(power, 0.0, 1.0, out=power)
+    power = power[:, :nf]
+    best = np.argmax(power, axis=1)
+    at = (np.arange(len(best)), best)
+    yc, ys, cc, ss, cs, d = yc[at], ys[at], cc[at], ss[at], cs[at], d[at]
+    with np.errstate(all="ignore"):
+        a = np.where(safe[at], (yc * ss - ys * cs) / d, 0.0)
+        b = np.where(safe[at], (ys * cc - yc * cs) / d, 0.0)
+    return power, best, np.hypot(a, b)
 
 
 def _periodograms(recs: np.ndarray, index: np.ndarray, freqs: np.ndarray):
-    """Yield (power, best, amplitude) for blocks of the chains whose record
-    indices are the rows of `index`, chains that share one epoch vector: each
-    chain's power at every trial frequency, the index of its maximum, and
-    the amplitude of the best-fit sinusoid there. Power is the fraction of
-    weighted variance that the best-fit floating-mean sinusoid explains, in
-    [0, 1] (the generalised Lomb-Scargle periodogram of Zechmeister &
-    Kuerster, A&A 496, 577, 2009).
+    """Yield (rows, power, best, amplitude) for blocks of the chains whose
+    record indices are the rows of `index`, chains of one length: the
+    block's row numbers in `index`, and for each of its chains the power at
+    every trial frequency, the index of its maximum, and the amplitude of
+    the best-fit sinusoid there. Power is the fraction of weighted variance
+    that the best-fit floating-mean sinusoid explains, in [0, 1] (the
+    generalised Lomb-Scargle periodogram of Zechmeister & Kuerster, A&A
+    496, 577, 2009).
 
-    The trig basis is computed once for the group. Chains are taken in
-    blocks of about _PERIODOGRAM_BLOCK chains x grid steps. A block's
-    weights and weighted fluxes are the rows of one matrix, padded with
-    zero rows to whole tiles, and its product with the basis gives the
-    seven weighted sums of every chain at every frequency.
+    Chains that share an epoch vector form a group, and the trig basis is
+    computed once per group. The weights of a group's chains are the rows
+    of one matrix, padded with zero rows to whole tiles, whose products with
+    the basis blocks give four weighted sums of every chain at every
+    frequency; the weighted fluxes' products with the cos and sin blocks
+    give two more. Groups of at most _TILE chains take one tile each, and a
+    block's worth of them make one stacked product. Larger groups are taken
+    in blocks of about _PERIODOGRAM_BLOCK chains x grid steps.
     """
-    nf = len(freqs)
-    basis = _trig_basis(freqs, recs["mjd"][index[0]])
-    width = _tiles(nf)
+    nf, n = len(freqs), index.shape[1]
     step = max(_TILE, _PERIODOGRAM_BLOCK // nf // _TILE * _TILE)
-    for lo in range(0, len(index), step):
-        block = index[lo:lo + step]
-        k = len(block)
-        w = 1.0 / recs["flux_err"][block].astype(np.float64) ** 2
-        w = w / np.sum(w, axis=1, keepdims=True)
-        y = recs["flux"][block].astype(np.float64)
-        rows = _tiles(k)
-        lhs = np.zeros((2 * rows, w.shape[1]))
-        lhs[:k] = w
-        wy = np.multiply(w, y, out=lhs[rows:rows + k])
-        ybar = np.sum(wy, axis=1)
-        yy = np.sum(w * (y - ybar[:, None]) ** 2, axis=1)
-        sums = lhs @ basis.T
-        cbar, sbar, cc, ss, cs = (sums[:k, i * width:i * width + nf] for i in range(5))
-        yc, ys = sums[rows:rows + k, :nf], sums[rows:rows + k, width:width + nf]
-        # centre the sums on the weighted means, in place
-        ybar = ybar[:, None]
-        yc -= ybar * cbar
-        ys -= ybar * sbar
-        cc -= cbar ** 2
-        ss -= sbar ** 2
-        cs -= cbar * sbar
-        d = cc * ss - cs ** 2
-        # a constant curve (yy = 0) explains nothing
-        safe = (np.abs(d) > 1e-15) & (yy[:, None] > 0)
-        with np.errstate(all="ignore"):
-            power = (ss * yc ** 2 + cc * ys ** 2 - 2.0 * cs * yc * ys) / (yy[:, None] * d)
-        np.copyto(power, 0.0, where=~safe)
-        np.clip(power, 0.0, 1.0, out=power)
-        best = np.argmax(power, axis=1)
-        at = (np.arange(k), best)
-        yc, ys, cc, ss, cs, d = yc[at], ys[at], cc[at], ss[at], cs[at], d[at]
-        with np.errstate(all="ignore"):
-            a = np.where(safe[at], (yc * ss - ys * cs) / d, 0.0)
-            b = np.where(safe[at], (ys * cc - yc * cs) / d, 0.0)
-        yield power, best, np.hypot(a, b)
+    t = recs["mjd"][index]
+    groups = _epoch_groups(t)
+    small = [g for g in groups if len(g) <= _TILE]
+    for lo in range(0, len(small), step // _TILE):
+        chunk = small[lo:lo + step // _TILE]
+        rows = np.concatenate(chunk)
+        # each chain's tile, and its row in that tile
+        tile = np.repeat(np.arange(len(chunk)), [len(g) for g in chunk])
+        row = np.concatenate([np.arange(len(g)) for g in chunk])
+        basis = _trig_basis(freqs, t[[g[0] for g in chunk]])
+        w, wy, ybar, yy = _weights(recs, index[rows])
+        lhs = np.zeros((2, len(chunk), _TILE, n))
+        lhs[0, tile, row], lhs[1, tile, row] = w, wy
+        # (tiles, blocks, _TILE, columns) products, gathered to (blocks,
+        # chains, columns)
+        sums = np.moveaxis(np.matmul(lhs[0, :, None], basis), 1, 0)[:, tile, row]
+        flux_sums = np.moveaxis(np.matmul(lhs[1, :, None], basis[:, :2]), 1, 0)[:, tile, row]
+        yield rows, *_spectra(sums, flux_sums, ybar, yy, nf)
+    for group in (g for g in groups if len(g) > _TILE):
+        basis = _trig_basis(freqs, t[group[0]])
+        for lo in range(0, len(group), step):
+            block = group[lo:lo + step]
+            k = len(block)
+            w, wy, ybar, yy = _weights(recs, index[block])
+            lhs = np.zeros((2, _tiles(k), n))
+            lhs[0, :k], lhs[1, :k] = w, wy
+            sums = np.matmul(lhs[0], basis)[:, :k]
+            flux_sums = np.matmul(lhs[1], basis[:2])[:, :k]
+            yield block, *_spectra(sums, flux_sums, ybar, yy, nf)
 
 
 def _transient_shape(y: np.ndarray, err: np.ndarray) -> np.ndarray:
@@ -196,9 +262,9 @@ def _search(recs: np.ndarray, starts: np.ndarray, counts: np.ndarray,
     frequency, the power and the best-fit amplitude there, and whether its
     points have a transient's shape; 0 and False for chains not searched.
 
-    Chains that share an epoch vector form a group that one `_periodograms`
-    call searches, so the trig work is done once per distinct epoch vector,
-    not per chain. The result does not depend on how chains are grouped.
+    The chains of each length are searched by one `_periodograms` call,
+    which does the trig work once per distinct epoch vector, not per chain.
+    The result does not depend on how chains are grouped.
     """
     best = np.zeros(len(starts), np.int64)
     power, amplitude = np.zeros(len(starts)), np.zeros(len(starts))
@@ -206,14 +272,10 @@ def _search(recs: np.ndarray, starts: np.ndarray, counts: np.ndarray,
     for same, index in _by_length(starts, counts, chains):
         shape[same] = _transient_shape(recs["flux"][index].astype(np.float64),
                                        recs["flux_err"][index].astype(np.float64))
-        group = np.unique(recs["mjd"][index], axis=0, return_inverse=True)[1]
-        for g in range(group.max() + 1):
-            members = np.flatnonzero(group == g)
-            with _grid_fits(len(freqs)):
-                got = [(b, p[np.arange(len(b)), b], a)
-                       for p, b, a in _periodograms(recs, index[members], freqs)]
-            best[same[members]], power[same[members]], amplitude[same[members]] = \
-                map(np.concatenate, zip(*got))
+        with _grid_fits(len(freqs)):
+            for rows, p, b, a in _periodograms(recs, index, freqs):
+                chain = same[rows]
+                best[chain], power[chain], amplitude[chain] = b, p[np.arange(len(b)), b], a
     return best, power, amplitude, shape
 
 

@@ -55,12 +55,15 @@ def fit_lightcurve(lc, freq_grid=(0.01, 2.0, 4000)):
 
 
 def spectra(curves, freqs):
-    """Each curve's (power per frequency, best index, amplitude there), from
-    one `_periodograms` call on curves that share an epoch vector."""
+    """Each curve's (power per frequency, best index, amplitude there), in
+    list order, from one `_periodograms` call on curves of one length."""
     recs, starts = records(curves)
     index = starts[:, None] + np.arange(len(curves[0]))
-    return [(p, int(b), float(a))
-            for block in timedomain._periodograms(recs, index, freqs) for p, b, a in zip(*block)]
+    got = [None] * len(curves)
+    for rows, *block in timedomain._periodograms(recs, index, freqs):
+        for r, p, b, a in zip(rows.tolist(), *block, strict=True):
+            got[r] = (p, int(b), float(a))
+    return got
 
 
 def periodogram(lc, freqs):
@@ -431,6 +434,51 @@ class TestGroupedFitEquivalence:
             assert bits(crowd) == want_crowd
             assert bits(crowd[::-1]) == want_crowd[::-1]
         assert np.concatenate([fits_of([lc], grid) for lc in curves]).tobytes() == want.tobytes()
+
+    @each_block_size
+    @pytest.mark.parametrize("grid", GRIDS + [(0.01, 2.0, 1000), (0.01, 2.0, 4000)])
+    def test_groups_of_one_length_match_alone(self, monkeypatch, grid, block):
+        """Chains of one length on several epoch vectors, lone ones among
+        them, searched in one `_periodograms` call: groups of up to _TILE
+        chains share stacked products, bigger ones take blocks, and every
+        chain gets the bits it gets alone."""
+        monkeypatch.setattr(timedomain, "_PERIODOGRAM_BLOCK", block)
+        freqs = np.linspace(*grid)
+        rng = np.random.Generator(np.random.PCG64(79))
+        base = np.sort(rng.uniform(0, 30, 20))
+        # pairs of vectors that differ in one epoch only: the first, a middle
+        # one or the last
+        vectors = [base + shift for shift in [0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 1.5]]
+        vectors[1][0] -= 0.25
+        vectors[3][10] = (vectors[3][9] + vectors[3][10]) / 2
+        vectors[5][19] += 1.0
+        curves = []
+        for t, size in zip(vectors, [1, 3, 1, 2, timedomain._TILE, timedomain._TILE + 1, 1]):
+            curves += [make_lc(t, 100 + rng.normal(0, 3.0, 20), rng.uniform(0.5, 2.0, 20))
+                       for _ in range(size)]
+        assert len({lc.epochs.tobytes() for lc in curves}) == len(vectors)
+        order = rng.permutation(len(curves))
+        curves = [curves[i] for i in order]
+
+        def bits(group):
+            return [(p.tolist(), b, a) for p, b, a in spectra(group, freqs)]
+
+        assert bits(curves) == [bits([lc])[0] for lc in curves]
+
+    @pytest.mark.parametrize("n", [3, 20, 50])
+    @pytest.mark.parametrize("grid", GRIDS + [(0.01, 2.0, 1000), (0.01, 2.0, 4000)])
+    def test_stacked_and_block_paths_agree(self, grid, n):
+        """A group of _TILE chains takes the stacked path, and one of
+        _TILE + 1 the block path; a chain's bits are the same on both."""
+        freqs = np.linspace(*grid)
+        rng = np.random.Generator(np.random.PCG64(80))
+        t = np.sort(rng.uniform(0, 30, n))
+        crowd = [make_lc(t, 100 + rng.normal(0, 3.0, n), rng.uniform(0.5, 2.0, n))
+                 for _ in range(timedomain._TILE + 1)]
+        stacked = spectra(crowd[:-1], freqs)
+        blocked = spectra(crowd, freqs)[:-1]
+        assert [(p.tolist(), b, a) for p, b, a in stacked] \
+            == [(p.tolist(), b, a) for p, b, a in blocked]
 
     def test_three_point_curve_fits_exactly(self):
         """Three points fix a floating-mean sinusoid's three parameters, so
