@@ -15,7 +15,7 @@ from skymine.errors import EXIT_OK
 
 GOLDEN = {
     "lc":
-        "25c98d59ce6e0f7a9704ac93339b34cce5910ca950df2385e27c9368b3b0aca9",
+        "c211f5fe3b48aaa33610102b82225597bd2f1ca6de7356635318699dae014b71",
     "lc --limit 20":
         "c9bf350edfefc646d8db4c59dfb97150052b323c8b356a28025bb35cc9a9790c",
     "lc --master 1":
