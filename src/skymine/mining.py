@@ -66,7 +66,6 @@ def pair_count(points: np.ndarray, bin_edges_rad, others: np.ndarray | None = No
     if others is None:
         if len(a_pts) < 2:
             raise ValidationError("pair counting needs at least 2 points")
-        b_pts = a_pts
         total = len(a_pts) * (len(a_pts) - 1) // 2
     else:
         b_pts = np.asarray(others, dtype=np.float64)
@@ -74,10 +73,21 @@ def pair_count(points: np.ndarray, bin_edges_rad, others: np.ndarray | None = No
             raise ValidationError("cross pair counting needs non-empty sets")
         total = len(a_pts) * len(b_pts)
     edges2 = _chord2_edges(bin_edges_rad)
+    tree_a = KdTree(a_pts, leaf_size=leaf_size)
+    tree_b = None if others is None else KdTree(b_pts, leaf_size=leaf_size)
+    counts, evals = _count_tree_pairs(tree_a, tree_b, edges2)
+    return PairCountHistogram(np.asarray(bin_edges_rad, dtype=np.float64),
+                              counts, total, evals)
+
+
+def _count_tree_pairs(tree_a: KdTree, tree_b: KdTree | None, edges2: np.ndarray):
+    """`pair_count`'s walk over built trees: the pairs within tree_a's
+    points, or given tree_b the cross pairs. Returns (counts per bin,
+    distances computed)."""
     n_bins = len(edges2) - 1
     counts = np.zeros(n_bins, dtype=np.int64)
-    tree_a = KdTree(a_pts, leaf_size=leaf_size)
-    tree_b = tree_a if others is None else KdTree(b_pts, leaf_size=leaf_size)
+    within = tree_b is None
+    tree_b = tree_a if within else tree_b
     size_a = tree_a.node_end - tree_a.node_start
     size_b = tree_b.node_end - tree_b.node_start
     leaf_a, leaf_b = tree_a.node_left < 0, tree_b.node_left < 0
@@ -85,7 +95,7 @@ def pair_count(points: np.ndarray, bin_edges_rad, others: np.ndarray | None = No
     root, none = np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
     # own: nodes whose pairs within themselves are due; (na, nb): node pairs
     # whose cross pairs are due
-    own, na, nb = (root, none, none) if others is None else (none, root, root)
+    own, na, nb = (root, none, none) if within else (none, root, root)
     own_leaves, leaf_pairs = [], []
     while len(own) or len(na):
         own_leaves.append(own[leaf_a[own]])
@@ -117,8 +127,7 @@ def pair_count(points: np.ndarray, bin_edges_rad, others: np.ndarray | None = No
     evals += _compare_leaves(tree_a, np.concatenate([p[0] for p in leaf_pairs]),
                              tree_b, np.concatenate([p[1] for p in leaf_pairs]),
                              edges2, counts)
-    return PairCountHistogram(np.asarray(bin_edges_rad, dtype=np.float64),
-                              counts, total, evals)
+    return counts, evals
 
 
 _BATCH_PAIRS = 1 << 18   # most point pairs compared in one array operation
@@ -133,12 +142,14 @@ def _compare_leaves(tree_a: KdTree, la: np.ndarray, tree_b: KdTree, lb: np.ndarr
     number of distances computed."""
     if len(la) == 0:
         return 0
-    sizes = np.stack([tree_a.node_end[la] - tree_a.node_start[la],
-                      tree_b.node_end[lb] - tree_b.node_start[lb]])
-    shapes, group = np.unique(sizes, axis=1, return_inverse=True)
+    size_a = tree_a.node_end[la] - tree_a.node_start[la]
+    size_b = tree_b.node_end[lb] - tree_b.node_start[lb]
+    # one integer key per shape: far cheaper to sort than rows of a matrix
+    span = int(size_b.max()) + 1
+    keys, group = np.unique(size_a * span + size_b, return_inverse=True)
     evals = 0
-    for g, (sa, sb) in enumerate(shapes.T.tolist()):
-        rows = np.flatnonzero(group.ravel() == g)
+    for g, (sa, sb) in enumerate(zip((keys // span).tolist(), (keys % span).tolist())):
+        rows = np.flatnonzero(group == g)
         pa = tree_a.points[tree_a.perm[tree_a.node_start[la[rows], None] + np.arange(sa)]]
         pb = tree_b.points[tree_b.perm[tree_b.node_start[lb[rows], None] + np.arange(sb)]]
         iu = np.triu_indices(sa, k=1)
@@ -177,17 +188,20 @@ def correlation_ls(data: np.ndarray, randoms: np.ndarray,
     if len(data) < 2 or len(randoms) < 2:
         raise ValidationError("correlation needs >= 2 data and >= 2 random points")
     nd, nr = len(data), len(randoms)
-    dd_h = pair_count(data, bin_edges_rad)
-    rr_h = pair_count(randoms, bin_edges_rad)
-    dr_h = pair_count(data, bin_edges_rad, randoms)
-    dd = dd_h.counts / (nd * nd / 2.0)
-    rr = rr_h.counts / (nr * nr / 2.0)
-    dr = dr_h.counts / float(nd * nr)
+    edges2 = _chord2_edges(bin_edges_rad)
+    # each tree is built once and walked by two of the three counts
+    tree_d, tree_r = KdTree(data), KdTree(randoms)
+    dd_counts = _count_tree_pairs(tree_d, None, edges2)[0]
+    rr_counts = _count_tree_pairs(tree_r, None, edges2)[0]
+    dr_counts = _count_tree_pairs(tree_d, tree_r, edges2)[0]
+    dd = dd_counts / (nd * nd / 2.0)
+    rr = rr_counts / (nr * nr / 2.0)
+    dr = dr_counts / float(nd * nr)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(rr_h.counts > 0, (dd - 2.0 * dr + rr) / rr, np.nan)
-        err = np.where(dd_h.counts > 0, (1.0 + w) / np.sqrt(dd_h.counts), np.nan)
+        w = np.where(rr_counts > 0, (dd - 2.0 * dr + rr) / rr, np.nan)
+        err = np.where(dd_counts > 0, (1.0 + w) / np.sqrt(dd_counts), np.nan)
     return CorrelationEstimate(np.asarray(bin_edges_rad, dtype=np.float64),
-                               dd_h.counts, dr_h.counts, rr_h.counts, w, err)
+                               dd_counts, dr_counts, rr_counts, w, err)
 
 
 # ---------------------------------------------------------------------------
