@@ -669,12 +669,19 @@ def _nearest(pos: np.ndarray, v: np.ndarray, q: np.ndarray, t: np.ndarray,
     return np.where(best <= chord * chord, pick, -1)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous (N, 3) array of 8-byte values as N 24-byte
+    scalars: numpy scatters rows given so as one copy each, about twice as
+    fast as through a row index array."""
+    return a.view(np.dtype((np.void, 24))).reshape(-1)
+
+
 def _found(state, ids, v, flux, mjd, edge):
     """Start the masters `ids` at one detection each. 0.0 + flux keeps the
     sign of a running sum that starts at 0.0 (-0.0 becomes 0.0)."""
-    state["sum"][ids] = v
-    state["pos"][ids] = v
-    state["key"][ids] = sphere.cell_keys(v, edge)
+    _rows(state["sum"])[ids] = _rows(v)
+    _rows(state["pos"])[ids] = _rows(v)
+    _rows(state["key"])[ids] = _rows(sphere.cell_keys(v, edge))
     state["n"][ids] = 1
     state["flux_sum"][ids] = 0.0 + flux
     state["flux_sq"][ids] = 0.0 + flux * flux
@@ -686,9 +693,9 @@ def _join(state, ids, v, flux, mjd, edge):
     """Add one detection to each of the distinct masters `ids`."""
     s = state["sum"].take(ids, axis=0) + v
     pos = s / np.sqrt(sphere.row_dots(s, s))[:, None]
-    state["sum"][ids] = s
-    state["pos"][ids] = pos
-    state["key"][ids] = sphere.cell_keys(pos, edge)
+    _rows(state["sum"])[ids] = _rows(s)
+    _rows(state["pos"])[ids] = _rows(pos)
+    _rows(state["key"])[ids] = _rows(sphere.cell_keys(pos, edge))
     state["n"][ids] += 1
     state["flux_sum"][ids] += flux
     state["flux_sq"][ids] += flux * flux
