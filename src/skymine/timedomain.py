@@ -173,8 +173,10 @@ def _spectra(sums: np.ndarray, flux_sums: np.ndarray, ybar: np.ndarray, yy: np.n
         power = np.square(yc, out=sbar)
         power *= ss
         power += np.multiply(np.square(ys, out=tmp), cc, out=tmp)
-        power -= np.multiply(np.multiply(np.multiply(2.0, cs, out=tmp), yc, out=tmp), ys,
-                             out=tmp)
+        np.multiply(2.0, cs, out=tmp)
+        tmp *= yc
+        tmp *= ys
+        power -= tmp
         power /= np.multiply(yy[:, None], d, out=tmp)
     # a constant curve (yy = 0) explains nothing
     safe = (np.abs(d, out=tmp) > 1e-15) & (yy[:, None] > 0)
@@ -224,8 +226,8 @@ def _periodograms(recs: np.ndarray, index: np.ndarray, freqs: np.ndarray):
         w, wy, ybar, yy = _weights(recs, index[rows])
         lhs = np.zeros((2, len(chunk), _TILE, n))
         lhs[0, tile, row], lhs[1, tile, row] = w, wy
-        # (tiles, blocks, _TILE, columns) products, gathered to (blocks,
-        # chains, columns)
+        # (tiles, basis blocks, _TILE, frequencies) products, gathered into
+        # one (chains x frequencies) array per basis block
         sums = np.moveaxis(np.matmul(lhs[0, :, None], basis), 1, 0)[:, tile, row]
         flux_sums = np.moveaxis(np.matmul(lhs[1, :, None], basis[:, :2]), 1, 0)[:, tile, row]
         yield rows, *_spectra(sums, flux_sums, ybar, yy, nf)
