@@ -39,7 +39,7 @@ GOLDEN_STDOUT = {
     'query --store {store} --where "flags!=0"':
         "52de0300a6bbc185b4341143b952a507c131c82f3efe6d6e831680a190a60c40",
     "em --store {store} --features mean_flux,flux_variance --k 2 --seed 3":
-        "d56a49223cee9d7cd36c08865f3938ae076eb3449e760e04a104c129a03b83ac",
+        "ae91d0b698e5efbf8e99aacb0d336f375503808d53cb65d618a40ba1deff22ba",
     "em --store {store} --features mean_flux,flux_variance --k 2 --seed 3 --scores":
         "7e39cef4e5576953ca36cd385fe5c5003d15bfecf60e10b3008e8cc318302838",
 }
