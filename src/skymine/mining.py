@@ -309,6 +309,8 @@ def em_fit(points: np.ndarray, k: int, mode: str = "exact", tol: float = 1e-6,
         raise ValidationError(f"need 1 <= k <= N, got k={k}, N={n}")
     if mode not in ("exact", "kd"):
         raise ValidationError(f"unknown EM mode {mode!r}")
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValidationError(f"tau must be finite and >= 0, got {tau!r}")
 
     floor = _covariance_floor(points)
     means = _init_means(points, k, seed)

@@ -406,6 +406,16 @@ def test_non_finite_angle_is_validation_error(capsys, survey_store, command, ang
     assert f"angle {angle!r} must be finite" in err
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("mode", ["exact", "kd"])
+def test_bad_em_tau_is_validation_error(capsys, survey_store, mode, tau):
+    code, out, err = run(capsys, "em", "--store", str(survey_store), "--seed", "1",
+                         "--mode", mode, "--tau", tau)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "tau must be finite and >= 0" in err
+
+
 @pytest.mark.parametrize("bins", ["nan,5,3", "1,inf,3", "5,1,3", "2,2,3",
                                   "0,5,3,log", "-1,5,3,log", "1,5,3,lin"])
 def test_bad_corr_bins_are_validation_errors(capsys, survey_store, bins):

@@ -263,6 +263,24 @@ class TestEM:
         with pytest.raises(ValidationError):
             mining.em_fit(bad, k=2)
 
+    @pytest.mark.parametrize("mode", ["exact", "kd"])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_tau_must_be_finite_and_non_negative(self, monkeypatch, mode, tau):
+        """A bad tau is refused before any work: seeding is never reached."""
+        def no_work(*args):
+            raise AssertionError("EM started before tau was checked")
+
+        monkeypatch.setattr(mining, "_init_means", no_work)
+        pts = gaussian_blobs(28, [(10, [0, 0], np.eye(2))])
+        with pytest.raises(ValidationError, match="tau must be finite and >= 0"):
+            mining.em_fit(pts, k=2, mode=mode, tau=tau)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_tau_at_its_bounds_is_accepted(self, tau):
+        pts = gaussian_blobs(28, [(100, [0, 0], np.eye(2)), (100, [5, 5], np.eye(2))])
+        model, _ = mining.em_fit(pts, k=2, mode="kd", tau=tau, max_iter=3)
+        assert model.n_iter == 3
+
     def test_model_json_round_trip(self):
         pts = gaussian_blobs(29, [(300, [0, 0], np.eye(2))])
         model, _ = mining.em_fit(pts, k=1)
