@@ -383,8 +383,9 @@ def _tight_nodes(hi: np.ndarray, lo: np.ndarray, tau: float) -> np.ndarray:
     node. With rest_j the log-sum-exp over the other components, component
     j's responsibility lies in [expit(lo_j - rest_hi_j),
     expit(hi_j - rest_lo_j)]; in log space nothing overflows. The
-    log-sum-exp is a max shift in plain numpy: scipy's `logsumexp` costs
-    about 0.15 ms a call in dispatch, and the walk calls this once a level."""
+    log-sum-exp is a max shift in plain numpy: through scipy's array-API
+    `logsumexp` this function took 0.12-0.16 ms a call against 0.02-0.05 ms,
+    and the walk calls it once a level."""
     k = hi.shape[1]
     if k == 1:
         return np.ones(len(hi), dtype=bool)

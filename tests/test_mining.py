@@ -408,19 +408,18 @@ def imported_modules(path):
 
 def test_no_module_imports_scipy_linalg():
     """No module under src/skymine imports scipy.linalg. scipy bundles an
-    OpenBLAS of its own, apart from numpy's. On 2 CPUs, after `em` made its
-    triangular solves through scipy.linalg, that second library's worker
-    threads held the CPUs that numpy's BLAS needed next: `lc` right after
-    `em` took 96-157 ms against 47-70 ms alone, and after 60 direct
-    `solve_triangular` calls 91-164 ms against 62-84 ms. Linear algebra
-    goes through numpy only."""
+    OpenBLAS of its own, apart from numpy's. When `em` solved through
+    scipy.linalg, that second library's worker threads held the CPUs that
+    numpy's BLAS needed next: in the `mine` benchmark cycle (2 CPUs), `lc`,
+    which runs right after `em`, took a median 90 ms against 54 ms once EM
+    used numpy alone. Linear algebra goes through numpy only."""
     package = Path(mining.__file__).parent
-    found = {path.name: imported_modules(path) for path in package.rglob("*.py")}
-    assert "scipy.special" in found["mining.py"]   # the scan sees scipy imports
-    bad = {name: sorted(m for m in mods if m == "scipy.linalg"
-                        or m.startswith("scipy.linalg."))
-           for name, mods in found.items()}
-    assert {name: mods for name, mods in bad.items() if mods} == {}
+    found = {path.relative_to(package): imported_modules(path)
+             for path in package.rglob("*.py")}
+    assert "scipy.special" in found[Path("mining.py")]   # the scan sees scipy imports
+    bad = sorted(f"{path}: {name}" for path, names in found.items() for name in names
+                 if name == "scipy.linalg" or name.startswith("scipy.linalg."))
+    assert bad == []
 
 
 # ---------------------------------------------------------------------------
