@@ -212,7 +212,7 @@ def plan_timeline_cmd(year, doubling, disk_exponent, fmt):
 @cli.command("gen")
 @click.option("--objects", required=True, type=int)
 @click.option("--passes", required=True, type=int)
-@click.option("--seed", required=True, type=int)
+@click.option("--seed", required=True, type=click.IntRange(min=0))
 @click.option("--cadence-days", default=1.0, show_default=True)
 @click.option("--flux-sigma", default=0.01, show_default=True)
 @click.option("--periodic-frac", default=0.0, show_default=True)
@@ -428,8 +428,8 @@ def movers_cmd(store_dir, rate_max, residual_max, min_length):
 @click.option("--store", "store_dir", required=True, type=click.Path(exists=True))
 @click.option("--bins-deg", default="0.5,5,5", show_default=True,
               help="lo,hi,n[,log]")
-@click.option("--randoms", default=2000, show_default=True)
-@click.option("--seed", required=True, type=int)
+@click.option("--randoms", default=2000, show_default=True, type=click.IntRange(min=0))
+@click.option("--seed", required=True, type=click.IntRange(min=0))
 @click.option("--use-masters/--use-detections", default=True, show_default=True)
 def corr_cmd(store_dir, bins_deg, randoms, seed, use_masters):
     """Two-point angular correlation (Landy-Szalay) of catalog positions."""
@@ -478,7 +478,7 @@ def corr_cmd(store_dir, bins_deg, randoms, seed, use_masters):
 @click.option("--k", default=2, show_default=True)
 @click.option("--mode", default="exact", type=click.Choice(["exact", "kd"]),
               show_default=True)
-@click.option("--seed", required=True, type=int)
+@click.option("--seed", required=True, type=click.IntRange(min=0))
 @click.option("--tol", default=1e-6, show_default=True)
 @click.option("--max-iter", default=200, show_default=True)
 @click.option("--tau", default=1e-4, show_default=True)

@@ -4,12 +4,16 @@ The tree serves the two hierarchical jobs: the dual-tree pair counter and
 the node-pruned EM E-step. (Fixed-radius point searches use the sorted cell
 keys in `sphere`.) Nodes are stored in flat arrays; each node covers a
 contiguous slice of the permuted point index, and carries an axis-aligned
-bounding box over its points. Both jobs walk the tree one level at a time
-over arrays of node ids, bounding every node (pair) of a level with one call
-to `box_sqdist_bounds`.
+bounding box over its points. Nodes are numbered in pre-order, so the
+descendants of node v are the ids v+1 … node_last[v]. The pair counter walks
+the tree one level at a time, bounding every node pair of a level with one
+call to `box_sqdist_bounds`; the E-step bounds every node in one call and
+reads the walk's order from `level_order`.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +36,7 @@ class KdTree:
         n = len(points)
         self.perm = np.arange(n, dtype=np.int64)
 
-        starts, ends, lefts, rights, los, his = [], [], [], [], [], []
+        starts, ends, lefts, rights, lasts, los, his = [], [], [], [], [], [], []
 
         def build(start: int, end: int) -> int:
             node = len(starts)
@@ -40,6 +44,7 @@ class KdTree:
             ends.append(end)
             lefts.append(-1)
             rights.append(-1)
+            lasts.append(node)
             sub = points[self.perm[start:end]]
             if end > start:
                 lo = sub.min(axis=0)
@@ -57,23 +62,37 @@ class KdTree:
                 self.perm[start:end] = local[order]
                 lefts[node] = build(start, mid)
                 rights[node] = build(mid, end)
+                lasts[node] = len(starts) - 1
             return node
 
         if n:
             build(0, n)
         else:
-            starts, ends, lefts, rights = [0], [0], [-1], [-1]
+            starts, ends, lefts, rights, lasts = [0], [0], [-1], [-1], [0]
             los, his = [np.zeros(points.shape[1])], [np.zeros(points.shape[1])]
         self.node_start = np.asarray(starts, dtype=np.int64)
         self.node_end = np.asarray(ends, dtype=np.int64)
         self.node_left = np.asarray(lefts, dtype=np.int64)
         self.node_right = np.asarray(rights, dtype=np.int64)
+        self.node_last = np.asarray(lasts, dtype=np.int64)
         self.node_lo = np.asarray(los, dtype=np.float64)
         self.node_hi = np.asarray(his, dtype=np.float64)
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_start)
+
+    @cached_property
+    def level_order(self) -> np.ndarray:
+        """Every node id in the order of a walk that takes one level per
+        step, from the root: each level is the left children of the level
+        before's inner nodes, in its order, then their right children."""
+        levels, level = [], np.zeros(1, dtype=np.int64)
+        while len(level):
+            levels.append(level)
+            inner = level[self.node_left[level] >= 0]
+            level = np.concatenate([self.node_left[inner], self.node_right[inner]])
+        return np.concatenate(levels)
 
     def node_indices(self, node: int) -> np.ndarray:
         """Original indices of the points under a node."""

@@ -416,6 +416,43 @@ def test_bad_em_tau_is_validation_error(capsys, survey_store, mode, tau):
     assert "tau must be finite and >= 0" in err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--max-iter", "0", "max_iter must be >= 1"),
+    ("--max-iter", "-3", "max_iter must be >= 1"),
+    ("--tol", "nan", "tol must be finite and >= 0"),
+    ("--tol", "-1", "tol must be finite and >= 0"),
+])
+@pytest.mark.parametrize("mode", ["exact", "kd"])
+def test_bad_em_tol_and_max_iter_are_validation_errors(capsys, survey_store, mode, option,
+                                                       value, message):
+    code, out, err = run(capsys, "em", "--store", str(survey_store), "--seed", "1",
+                         "--mode", mode, option, value)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert message in err
+
+
+NEGATIVE_COUNT_OPTIONS = {
+    "gen --seed": ["gen", "--objects", "1", "--passes", "1", "--out", "{store}/never",
+                   "--seed"],
+    "corr --seed": ["corr", "--store", "{store}", "--seed"],
+    "corr --randoms": ["corr", "--store", "{store}", "--seed", "1", "--randoms"],
+    "em --seed": ["em", "--store", "{store}", "--seed"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_COUNT_OPTIONS))
+def test_negative_seed_or_randoms_is_a_usage_error(capsys, survey_store, case):
+    """A negative seed or random count exits 2 naming its option, where numpy
+    raised a traceback and exit 1."""
+    argv = [a.format(store=survey_store) for a in NEGATIVE_COUNT_OPTIONS[case]]
+    code, out, err = run(capsys, *argv, "-1")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert f"'{case.split()[1]}'" in err and "-1" in err
+    assert not (survey_store / "never").exists()
+
+
 @pytest.mark.parametrize("bins", ["nan,5,3", "1,inf,3", "5,1,3", "2,2,3",
                                   "0,5,3,log", "-1,5,3,log", "1,5,3,lin"])
 def test_bad_corr_bins_are_validation_errors(capsys, survey_store, bins):

@@ -40,6 +40,35 @@ class TestStructure:
         assert np.array_equal(tree.nodes_indices(nodes), want)
         assert tree.nodes_indices(nodes[:0]).size == 0
 
+    @pytest.mark.parametrize("n, leaf_size", [(1, 4), (129, 64), (500, 1), (500, 16)])
+    def test_node_last_ends_each_subtree(self, n, leaf_size):
+        """Nodes are numbered in pre-order: node v's descendants are the ids
+        v+1 ... node_last[v]."""
+        tree = KdTree(random_points(4, n), leaf_size=leaf_size)
+
+        def subtree(v):
+            if tree.node_left[v] < 0:
+                return [v]
+            return [v] + subtree(int(tree.node_left[v])) + subtree(int(tree.node_right[v]))
+
+        for v in range(tree.n_nodes):
+            assert subtree(v) == list(range(v, int(tree.node_last[v]) + 1))
+        assert KdTree(np.empty((0, 3))).node_last.tolist() == [0]
+
+    @pytest.mark.parametrize("n, leaf_size", [(1, 4), (129, 64), (500, 1), (500, 16)])
+    def test_level_order_is_a_level_walk(self, n, leaf_size):
+        """Each level lists the left children of the level before's inner
+        nodes, then their right children."""
+        tree = KdTree(random_points(5, n), leaf_size=leaf_size)
+        want, level = [], [0]
+        while level:
+            want += level
+            inner = [v for v in level if tree.node_left[v] >= 0]
+            level = ([int(tree.node_left[v]) for v in inner]
+                     + [int(tree.node_right[v]) for v in inner])
+        assert tree.level_order.tolist() == want
+        assert sorted(want) == list(range(tree.n_nodes))
+
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             KdTree(np.zeros(5))

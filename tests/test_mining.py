@@ -10,7 +10,7 @@ from scipy.special import expit, logsumexp
 
 from skymine import cli, mining, skygen, sphere, store
 from skymine.errors import EXIT_OK, ValidationError
-from skymine.kdtree import KdTree
+from skymine.kdtree import KdTree, box_sqdist_bounds
 
 from conftest import pairwise_d2
 
@@ -275,6 +275,33 @@ class TestEM:
         with pytest.raises(ValidationError, match="tau must be finite and >= 0"):
             mining.em_fit(pts, k=2, mode=mode, tau=tau)
 
+    @pytest.mark.parametrize("mode", ["exact", "kd"])
+    @pytest.mark.parametrize("tol, max_iter, message", [
+        (np.nan, 20, "tol must be finite and >= 0"),
+        (np.inf, 20, "tol must be finite and >= 0"),
+        (-1.0, 20, "tol must be finite and >= 0"),
+        (-1e-300, 20, "tol must be finite and >= 0"),
+        (0.0, 0, "max_iter must be >= 1"),
+        (0.0, -3, "max_iter must be >= 1"),
+    ])
+    def test_tol_and_max_iter_are_checked_first(self, monkeypatch, mode, tol, max_iter,
+                                                message):
+        """A bad tol or max_iter is refused before any work, rather than
+        returning the seeds as a fitted model or running every iteration."""
+        def no_work(*args):
+            raise AssertionError("EM started before tol and max_iter were checked")
+
+        monkeypatch.setattr(mining, "_init_means", no_work)
+        pts = gaussian_blobs(28, [(10, [0, 0], np.eye(2))])
+        with pytest.raises(ValidationError, match=message):
+            mining.em_fit(pts, k=2, mode=mode, tol=tol, max_iter=max_iter)
+
+    @pytest.mark.parametrize("mode", ["exact", "kd"])
+    def test_tol_and_max_iter_at_their_bounds_are_accepted(self, mode):
+        pts = gaussian_blobs(28, [(100, [0, 0], np.eye(2)), (100, [5, 5], np.eye(2))])
+        assert mining.em_fit(pts, k=2, mode=mode, tol=0.0, max_iter=1)[0].n_iter == 1
+        assert mining.em_fit(pts, k=2, mode=mode, tol=0.0, max_iter=20)[0].n_iter == 20
+
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_tau_at_its_bounds_is_accepted(self, tau):
         pts = gaussian_blobs(28, [(100, [0, 0], np.eye(2)), (100, [5, 5], np.eye(2))])
@@ -340,6 +367,19 @@ def reference_tight_nodes(hi, lo, tau):
     return ~np.any(spread > tau, axis=1)
 
 
+def reference_row_spreads(hi, lo):
+    """Each node's widest responsibility interval, as `mining._tight_nodes`
+    computed it with the components on the last axis (one small numpy
+    reduction per node)."""
+    k = hi.shape[1]
+    others = np.where(np.eye(k, dtype=bool), -np.inf, 0.0)
+    terms = np.stack([hi, lo])[:, :, None, :] + others
+    top = terms.max(axis=3)
+    terms -= top[..., None]
+    rest_hi, rest_lo = top + np.log(np.exp(terms, out=terms).sum(axis=3))
+    return (expit(hi - rest_lo) - expit(lo - rest_hi)).max(axis=1)
+
+
 def random_covariances(rng, k, d):
     """k symmetric positive definite (d, d) matrices with condition numbers
     up to about 100."""
@@ -367,7 +407,31 @@ class TestEmKernels:
         np.testing.assert_allclose(got, reference_logpdfs(points, means, covs),
                                    rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_logsumexp_matches_scipy_bit_for_bit(self, k):
+        """Every row's bits equal scipy's, for row sums in order (k < 8) and
+        pairwise (k >= 8), with tied maxima, rows of -inf, +inf and NaN
+        entries, and entries 800 log-units apart."""
+        rng = np.random.Generator(np.random.PCG64(700 + k))
+        n = 3000
+        a = rng.normal(-30.0, 8.0, (n, k))
+        a[0::9, :] = a[0::9, :1]                          # every entry tied
+        a[1::9, -1] = a[1::9, 0]                          # two maxima tied
+        a[2::9, :] = -np.inf
+        a[3::9, rng.integers(k)] = np.inf
+        a[4::9, -1] = np.nan
+        a[5::9, 0] += 800.0
+        a[6::9, -1] -= 800.0
+        a[7::9, 1:] = -np.inf
+        with np.errstate(all="ignore"):
+            want = logsumexp(a, axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mining._logsumexp(a)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert np.isnan(got[4::9]).all() and np.isneginf(got[2::9]).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 9])
     def test_tight_nodes_match_logsumexp_body(self, k):
         """The numpy log-sum-exp picks the same nodes as scipy's, without a
         warning, also where one component lies 750 log-units from the
@@ -393,6 +457,25 @@ class TestEmKernels:
                 assert 0 < want[far].sum() < far.sum()
 
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_tight_nodes_decide_at_the_row_layout_spread(self, k):
+        """The column layout gives each node the spread bits of the row
+        layout: a node is tight at tau equal to its row-layout spread, and
+        not one ulp below it."""
+        rng = np.random.Generator(np.random.PCG64(80 + k))
+        n = 100
+        # components of like size, so that the order of a sum shows in its bits
+        hi = rng.normal(0.0, 0.5, (n, k))
+        lo = hi - rng.exponential(1.0, (n, k)) * 10.0 ** rng.integers(-7, 1, (n, 1))
+        hi[::10, 0] += 750.0
+        lo[::10, 0] += 750.0
+        spreads = reference_row_spreads(hi, lo)
+        for i, spread in enumerate(spreads.tolist()):   # all nodes in each call
+            assert mining._tight_nodes(hi, lo, spread)[i]
+            if spread > 0:
+                assert not mining._tight_nodes(hi, lo, np.nextafter(spread, -np.inf))[i]
+
+
 def imported_modules(path):
     """Every module name a source file's import statements name, with
     `from m import x` also giving m.x."""
@@ -406,6 +489,13 @@ def imported_modules(path):
     return names
 
 
+def skymine_imports():
+    """{source file: the module names its imports name}, over src/skymine."""
+    package = Path(mining.__file__).parent
+    return {path.relative_to(package): imported_modules(path)
+            for path in package.rglob("*.py")}
+
+
 def test_no_module_imports_scipy_linalg():
     """No module under src/skymine imports scipy.linalg. scipy bundles an
     OpenBLAS of its own, apart from numpy's. When `em` solved through
@@ -413,12 +503,27 @@ def test_no_module_imports_scipy_linalg():
     numpy's BLAS needed next: in the `mine` benchmark cycle (2 CPUs), `lc`,
     which runs right after `em`, took a median 90 ms against 54 ms once EM
     used numpy alone. Linear algebra goes through numpy only."""
-    package = Path(mining.__file__).parent
-    found = {path.relative_to(package): imported_modules(path)
-             for path in package.rglob("*.py")}
+    found = skymine_imports()
     assert "scipy.special" in found[Path("mining.py")]   # the scan sees scipy imports
     bad = sorted(f"{path}: {name}" for path, names in found.items() for name in names
                  if name == "scipy.linalg" or name.startswith("scipy.linalg."))
+    assert bad == []
+
+
+def test_no_module_uses_scipy_logsumexp():
+    """No module under src/skymine imports or calls scipy's `logsumexp`:
+    through its array-API path it took about 0.45 ms a call on EM's
+    (2,949, 2) responsibilities, against about 0.1 ms for
+    `mining._logsumexp`, which gives the same bits."""
+    found = skymine_imports()
+    assert "scipy.special.expit" in found[Path("mining.py")]   # names are seen
+    bad = sorted(f"{path}: {name}" for path, names in found.items() for name in names
+                 if name.rsplit(".", 1)[-1] in ("logsumexp", "_logsumexp")
+                 and name.startswith("scipy"))
+    package = Path(mining.__file__).parent
+    bad += sorted(str(path.relative_to(package)) for path in package.rglob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr == "logsumexp")
     assert bad == []
 
 
@@ -664,6 +769,128 @@ class TestKdEstepOracle:
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-9)
 
 
+def reference_walk_estep(tree, points, node_aggr, weights, means, covs, tau, stats):
+    """The level walk that `mining._kd_estep` replaced, kept as its oracle.
+
+    It handles one tree level per step: one `box_sqdist_bounds` and one
+    `_tight_nodes` call over the frontier's nodes. A tight node is pruned,
+    an open leaf keeps its points, and an open inner node is replaced by its
+    children (the left children first, then the right). Then the pruned
+    centroids and the open leaves' points are each scored in one call."""
+    counts, sums, sqsums = node_aggr
+    k = len(weights)
+    d = points.shape[1]
+    log_w = np.log(weights)
+    chols = np.linalg.cholesky(covs)
+    logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    eigvals = np.linalg.eigvalsh(covs)
+    lam_min, lam_max = eigvals[:, 0], eigvals[:, -1]
+    log_norm = -0.5 * (logdets + d * np.log(2.0 * np.pi))
+
+    pruned, leaves = [], []
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        lo_box, hi_box = tree.node_lo[frontier, None], tree.node_hi[frontier, None]
+        dmin2, dmax2 = box_sqdist_bounds(lo_box, hi_box, means, means)
+        hi = log_w + (log_norm - 0.5 * dmin2 / lam_max)
+        lo = log_w + (log_norm - 0.5 * dmax2 / lam_min)
+        tight = mining._tight_nodes(hi, lo, tau)
+        pruned.append(frontier[tight])
+        frontier = frontier[~tight]
+        leaf = tree.node_left[frontier] < 0
+        leaves.append(frontier[leaf])
+        frontier = np.concatenate([tree.node_left[frontier[~leaf]],
+                                   tree.node_right[frontier[~leaf]]])
+
+    nk = np.zeros(k)
+    sum_x = np.zeros((k, d))
+    sum_xx = np.zeros((k, d, d))
+    ll = 0.0
+    pruned = np.concatenate(pruned)
+    if len(pruned):
+        stats.nodes_pruned += len(pruned)
+        stats.responsibility_evaluations += len(pruned) * k
+        cnt = counts[pruned]
+        resp, norm = mining._responsibilities(sums[pruned] / cnt[:, None], means, covs,
+                                              log_w)
+        ll += float(cnt @ norm)
+        nk += cnt @ resp
+        sum_x += resp.T @ sums[pruned]
+        sum_xx += np.einsum("nj,nab->jab", resp, sqsums[pruned])
+    idx = tree.nodes_indices(np.concatenate(leaves))
+    if len(idx):
+        stats.responsibility_evaluations += len(idx) * k
+        pts = points[idx]
+        resp, norm = mining._responsibilities(pts, means, covs, log_w)
+        ll += float(np.sum(norm))
+        nk += resp.sum(axis=0)
+        sum_x += resp.T @ pts
+        for j in range(k):
+            sum_xx[j] += (resp[:, j][:, None] * pts).T @ pts
+    return np.maximum(nk, 1e-12), sum_x, sum_xx, ll
+
+
+def leaf_depths(tree):
+    """The depth of every leaf, from the root's 0."""
+    depth = np.zeros(tree.n_nodes, dtype=np.int64)
+    for v in range(tree.n_nodes):   # pre-order: a parent comes before its children
+        if tree.node_left[v] >= 0:
+            depth[tree.node_left[v]] = depth[tree.node_right[v]] = depth[v] + 1
+    return set(depth[tree.node_left < 0].tolist())
+
+
+def assert_one_pass_equals_walk(points, k, leaf_size, tau, seed=0):
+    """The one-pass E-step returns the walk's bits and counters."""
+    tree = KdTree(points, leaf_size=leaf_size)
+    aggr = mining._node_aggregates(tree, points)
+    params = estep_parameters(points, k, seed)
+    got_stats, want_stats = mining.KdTreeStats(), mining.KdTreeStats()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mining._kd_estep(tree, points, aggr, *params, tau, got_stats)
+    want = reference_walk_estep(tree, points, aggr, *params, tau, want_stats)
+    assert got_stats == want_stats
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    return tree, got_stats
+
+
+class TestKdEstepWalk:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.0, 1e-4, 1e-2, 0.5, 1.0])
+    @pytest.mark.parametrize("leaf_size", [1, 8, 64])
+    def test_one_pass_equals_level_walk(self, k, tau, leaf_size):
+        pts = blob_points(50 + k, k)
+        stats = assert_one_pass_equals_walk(pts, k, leaf_size, tau)[1]
+        if k == 1 or tau == 1.0:   # the root is tight
+            assert stats.nodes_pruned == 1 and stats.responsibility_evaluations == k
+        elif tau == 0.0:
+            assert stats.nodes_pruned == 0
+            assert stats.responsibility_evaluations == len(pts) * k
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n, leaf_size", [(129, 64), (2049, 16), (1000, 3)])
+    def test_leaves_at_two_depths(self, k, n, leaf_size):
+        """Where leaves sit at two depths, the walk meets a shallow leaf in
+        an earlier level than deeper nodes with lower ids."""
+        pts = blob_points(60 + k, k, n=3 * n)[:n]
+        for tau in (0.0, 1e-4, 1e-2):
+            tree = assert_one_pass_equals_walk(pts, k, leaf_size, tau)[0]
+            assert len(leaf_depths(tree)) == 2
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+           n=st.integers(3, 400), leaf_size=st.sampled_from([1, 2, 5, 8, 16, 64]),
+           tau=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0]))
+    @settings(deadline=None)
+    def test_one_pass_equals_level_walk_property(self, seed, k, n, leaf_size, tau):
+        """Random blobs: k centres and spreads, n points, leaf size and tau."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        centers = rng.uniform(-10.0, 10.0, (k, 2))
+        pts = centers[rng.integers(k, size=n)] + rng.normal(size=(n, 2)) * rng.uniform(
+            0.05, 3.0, (k, 2))[rng.integers(k, size=n)]
+        assert_one_pass_equals_walk(pts, k, leaf_size, tau, seed=seed % 1000)
+
+
 def skygen_positions(seed, n_objects=150, passes=8):
     """Detection positions of a seeded survey: tight per-object clumps."""
     cfg = skygen.SurveyConfig(n_objects=n_objects, passes=passes, seed=seed,
@@ -690,6 +917,17 @@ def assert_pair_counts_match(points, edges, others=None, leaf_size=32):
     return got
 
 
+def reference_bin_d2(d2, edges2):
+    """Per-value histogram: bins half-open [lo, hi), the last one closed."""
+    counts = np.zeros(len(edges2) - 1, dtype=np.int64)
+    for v in d2.tolist():
+        for b in range(len(counts)):
+            if edges2[b] <= v < edges2[b + 1] or (b == len(counts) - 1 and v == edges2[-1]):
+                counts[b] += 1
+                break
+    return counts
+
+
 class TestPairCountOracle:
     @pytest.mark.parametrize("leaf_size", [1, 8, 32])
     def test_skygen_self_and_cross(self, leaf_size):
@@ -713,6 +951,26 @@ class TestPairCountOracle:
         assert np.isin(d2, mining._chord2_edges(edges)).sum() > 100
         assert_pair_counts_match(pts, edges, leaf_size=leaf_size)
         assert_pair_counts_match(pts[:90], edges, pts[90:], leaf_size=leaf_size)
+
+    @pytest.mark.parametrize("edges_deg", [np.linspace(0.5, 5.0, 6), np.linspace(0.5, 5.0, 201),
+                                           np.array([0.0, 1.0]), np.array([0.0, 1e-9, 90.0])])
+    def test_bin_d2_matches_per_value_loop(self, edges_deg):
+        """Values on each edge and one ulp either side, below the first edge,
+        above the last, on the closed last edge, NaN, and a batch with no
+        value in any bin."""
+        edges2 = mining._chord2_edges(np.radians(edges_deg))
+        rng = np.random.Generator(np.random.PCG64(len(edges2)))
+        d2 = np.concatenate([edges2, np.nextafter(edges2, -np.inf),
+                             np.nextafter(edges2, np.inf), [0.0, 4.0, np.nan],
+                             [edges2[0] / 2, edges2[-1] * 2],
+                             rng.uniform(0.0, 1.5 * edges2[-1], 2000)])
+        rng.shuffle(d2)
+        counts = np.zeros(len(edges2) - 1, dtype=np.int64)
+        mining._bin_d2(d2, edges2, counts)
+        assert counts.tolist() == reference_bin_d2(d2, edges2).tolist()
+        mining._bin_d2(np.array([edges2[-1] * 2, np.nextafter(edges2[0], -np.inf)]),
+                       edges2, counts)
+        assert counts.tolist() == reference_bin_d2(d2, edges2).tolist()
 
     def test_duplicates_and_tiny_sets(self):
         pts = np.repeat(uniform_sphere(52, 40), 4, axis=0)
