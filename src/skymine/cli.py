@@ -428,7 +428,7 @@ def movers_cmd(store_dir, rate_max, residual_max, min_length):
 @click.option("--store", "store_dir", required=True, type=click.Path(exists=True))
 @click.option("--bins-deg", default="0.5,5,5", show_default=True,
               help="lo,hi,n[,log]")
-@click.option("--randoms", default=2000, show_default=True, type=click.IntRange(min=0))
+@click.option("--randoms", default=2000, show_default=True, type=click.IntRange(min=2))
 @click.option("--seed", required=True, type=click.IntRange(min=0))
 @click.option("--use-masters/--use-detections", default=True, show_default=True)
 def corr_cmd(store_dir, bins_deg, randoms, seed, use_masters):

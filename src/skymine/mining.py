@@ -6,6 +6,7 @@ node pruning for outlier scoring.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -314,8 +315,12 @@ def em_fit(points: np.ndarray, k: int, mode: str = "exact", tol: float = 1e-6,
         raise ValidationError(f"tau must be finite and >= 0, got {tau!r}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+    if not isinstance(max_iter, numbers.Integral):
+        raise ValidationError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
 
     floor = _covariance_floor(points)
     means = _init_means(points, k, seed)

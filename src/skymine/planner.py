@@ -34,15 +34,17 @@ WIRE_BITS_PER_BYTE = 10.0
 def _require_positive(obj, *names):
     for name in names:
         value = getattr(obj, name)
-        if not value > 0:
-            raise ValidationError(f"{type(obj).__name__}.{name} must be > 0, got {value!r}")
+        if not 0 < value < math.inf:
+            raise ValidationError(f"{type(obj).__name__}.{name} must be finite and > 0, "
+                                  f"got {value!r}")
 
 
 def _require_nonnegative(obj, *names):
     for name in names:
         value = getattr(obj, name)
-        if value < 0:
-            raise ValidationError(f"{type(obj).__name__}.{name} must be >= 0, got {value!r}")
+        if not 0 <= value < math.inf:
+            raise ValidationError(f"{type(obj).__name__}.{name} must be finite and >= 0, "
+                                  f"got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +238,21 @@ def plan_transfer(spec: TransferSpec) -> TransferPlan:
 def plan_load(indexed_bytes: float, window_days: float, bricks: int = 1) -> LoadPlan:
     """Rate needed to (re)load the full database within a window, split over
     parallel load bricks."""
-    if window_days <= 0:
-        raise ValidationError("window_days must be > 0")
+    if not 0 < window_days < math.inf:
+        raise ValidationError(f"window_days must be finite and > 0, got {window_days!r}")
     if bricks < 1:
         raise ValidationError("bricks must be >= 1")
-    if indexed_bytes < 0:
-        raise ValidationError("indexed_bytes must be >= 0")
+    if not 0 <= indexed_bytes < math.inf:
+        raise ValidationError(f"indexed_bytes must be finite and >= 0, got {indexed_bytes!r}")
     rate_total = indexed_bytes / (window_days * DAY_SECONDS)
     return LoadPlan(rate_total, rate_total / bricks)
 
 
 def plan_peak_load(stream_rate: float, catalog_fraction: float = 0.12) -> float:
     """Peak catalog-load rate as a fraction of the raw imaging stream."""
-    if stream_rate < 0 or catalog_fraction < 0:
-        raise ValidationError("stream_rate and catalog_fraction must be >= 0")
+    for name, value in (("stream_rate", stream_rate), ("catalog_fraction", catalog_fraction)):
+        if not 0 <= value < math.inf:
+            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
     return stream_rate * catalog_fraction
 
 
@@ -266,8 +269,11 @@ def plan_hardware_timeline(year: int,
     """
     if year < 1:
         raise ValidationError("year must be >= 1")
-    if moore_doubling <= 0:
-        raise ValidationError("moore_doubling must be > 0")
+    if not 0 < moore_doubling < math.inf:
+        raise ValidationError(f"moore_doubling must be finite and > 0, got {moore_doubling!r}")
+    if not math.isfinite(disk_rate_growth_exponent):
+        raise ValidationError("disk_rate_growth_exponent must be finite, "
+                              f"got {disk_rate_growth_exponent!r}")
     elapsed = year - 1
     cpu_speed = 2.0 ** (elapsed / moore_doubling)
     accumulated = float(max(1, elapsed))

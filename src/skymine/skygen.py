@@ -62,13 +62,15 @@ class SurveyConfig:
             raise ValidationError("n_objects must be >= 0")
         if self.passes < 1:
             raise ValidationError("passes must be >= 1")
-        if self.cadence_days <= 0:
-            raise ValidationError("cadence_days must be > 0")
-        if self.flux_sigma_fraction < 0 or self.position_noise_arcsec < 0:
-            raise ValidationError("noise fractions must be >= 0")
+        if not 0 < self.cadence_days < np.inf:
+            raise ValidationError("cadence_days must be finite and > 0, "
+                                  f"got {self.cadence_days!r}")
+        for name in ("flux_sigma_fraction", "position_noise_arcsec", "periodic_fraction",
+                     "transient_fraction", "mover_fraction"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
         fracs = (self.periodic_fraction, self.transient_fraction, self.mover_fraction)
-        if any(f < 0 for f in fracs):
-            raise ValidationError("kind fractions must be >= 0")
         if sum(fracs) > 1.0 + 1e-12:
             raise ValidationError(f"kind fractions sum to {sum(fracs)}, above 1")
 

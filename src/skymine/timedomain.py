@@ -94,8 +94,7 @@ _TILE = 16
 
 # curves x grid steps that one block of `_periodograms` holds, so that its
 # arrays stay about this size whatever the number of curves and, up to 4,096
-# grid steps, the grid; a block holds at least _TILE curves, and a stacked
-# product of small groups as many tiles of curves as a block holds curves
+# grid steps, the grid; a block holds at least _TILE curves
 _PERIODOGRAM_BLOCK = 1 << 16
 
 
@@ -105,15 +104,14 @@ def _tiles(n: int) -> int:
 
 
 def _trig_basis(freqs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """cos, sin, cos^2 - 1/2 and cos*sin of 2 pi f t, stacked as four
-    (epoch x frequency) blocks, each padded with zero columns to whole
-    tiles: one such (4, epochs, tiles) array for the epoch vector t, or one
-    for each row of t. A basis is shared by every light curve observed at
-    its epochs."""
+    """cos, sin, cos^2 - 1/2 and cos*sin of 2 pi f t for the epoch vector t,
+    stacked as four (epoch x frequency) blocks, each padded with zero columns
+    to whole tiles. A basis is shared by every light curve observed at its
+    epochs."""
     nf = len(freqs)
-    basis = np.zeros(t.shape[:-1] + (4,) + t.shape[-1:] + (_tiles(nf),))
-    c, s, h, x = (basis[..., i, :, :nf] for i in range(4))
-    omega_t = 2.0 * np.pi * freqs * t[..., None]
+    basis = np.zeros((4, len(t), _tiles(nf)))
+    c, s, h, x = basis[:, :, :nf]
+    omega_t = 2.0 * np.pi * freqs * t[:, None]
     np.cos(omega_t, out=c)
     np.sin(omega_t, out=s)
     np.multiply(c, c, out=h)
@@ -203,35 +201,17 @@ def _periodograms(recs: np.ndarray, index: np.ndarray, freqs: np.ndarray):
     496, 577, 2009).
 
     Chains that share an epoch vector form a group, and the trig basis is
-    computed once per group. The weights of a group's chains are the rows
-    of one matrix, padded with zero rows to whole tiles, whose products with
-    the basis blocks give four weighted sums of every chain at every
-    frequency; the weighted fluxes' products with the cos and sin blocks
-    give two more. Groups of at most _TILE chains take one tile each, and a
-    block's worth of them make one stacked product. Larger groups are taken
-    in blocks of about _PERIODOGRAM_BLOCK chains x grid steps.
+    computed once per group. A group's chains are taken in blocks of about
+    _PERIODOGRAM_BLOCK chains x grid steps. The weights of a block's chains
+    are the rows of one matrix, padded with zero rows to whole tiles, whose
+    products with the basis blocks give four weighted sums of every chain at
+    every frequency; the weighted fluxes' products with the cos and sin
+    blocks give two more.
     """
     nf, n = len(freqs), index.shape[1]
     step = max(_TILE, _PERIODOGRAM_BLOCK // nf // _TILE * _TILE)
     t = recs["mjd"][index]
-    groups = _epoch_groups(t)
-    small = [g for g in groups if len(g) <= _TILE]
-    for lo in range(0, len(small), step // _TILE):
-        chunk = small[lo:lo + step // _TILE]
-        rows = np.concatenate(chunk)
-        # each chain's tile, and its row in that tile
-        tile = np.repeat(np.arange(len(chunk)), [len(g) for g in chunk])
-        row = np.concatenate([np.arange(len(g)) for g in chunk])
-        basis = _trig_basis(freqs, t[[g[0] for g in chunk]])
-        w, wy, ybar, yy = _weights(recs, index[rows])
-        lhs = np.zeros((2, len(chunk), _TILE, n))
-        lhs[0, tile, row], lhs[1, tile, row] = w, wy
-        # (tiles, basis blocks, _TILE, frequencies) products, gathered into
-        # one (chains x frequencies) array per basis block
-        sums = np.moveaxis(np.matmul(lhs[0, :, None], basis), 1, 0)[:, tile, row]
-        flux_sums = np.moveaxis(np.matmul(lhs[1, :, None], basis[:, :2]), 1, 0)[:, tile, row]
-        yield rows, *_spectra(sums, flux_sums, ybar, yy, nf)
-    for group in (g for g in groups if len(g) > _TILE):
+    for group in _epoch_groups(t):
         basis = _trig_basis(freqs, t[group[0]])
         for lo in range(0, len(group), step):
             block = group[lo:lo + step]
@@ -391,8 +371,10 @@ def run_trigger(stream: np.ndarray, masters: np.ndarray, match_radius_arcsec: fl
     master index on ties); it is unmatched when that dot is below
     cos(radius).
     """
-    if match_radius_arcsec <= 0:
+    if not match_radius_arcsec > 0:
         raise ValidationError("match_radius must be > 0")
+    if not 0 <= k_sigma < np.inf:
+        raise ValidationError(f"k_sigma must be finite and >= 0, got {k_sigma!r}")
     mjd, zone = stream["mjd"], stream["zone"]
     bad = (mjd[1:] < mjd[:-1]) | ((mjd[1:] == mjd[:-1]) & (zone[1:] < zone[:-1]))
     violations = np.flatnonzero(bad)
@@ -516,8 +498,10 @@ def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
     disjoint and the result is independent of input order, because det_ids
     are unique (`store.validate_records` enforces it at ingest).
     """
-    if rate_max_deg_day <= 0 or residual_max_arcsec <= 0:
-        raise ValidationError("rate_max and residual_max must be > 0")
+    # inf is allowed: no rate limit, or no residual cut
+    for name, value in (("rate_max", rate_max_deg_day), ("residual_max", residual_max_arcsec)):
+        if not value > 0:
+            raise ValidationError(f"{name} must be > 0, got {value!r}")
     if min_track_length < 2:
         raise ValidationError("min_track_length must be >= 2")
     if len(orphans) == 0:

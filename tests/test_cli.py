@@ -406,6 +406,56 @@ def test_non_finite_angle_is_validation_error(capsys, survey_store, command, ang
     assert f"angle {angle!r} must be finite" in err
 
 
+# each number out of range is refused naming its parameter, before any
+# work; NaN passed the `x < 0`-style checks into a traceback, the wrong
+# message or a NaN in the output
+GEN = ["gen", "--objects", "5", "--passes", "3", "--seed", "1", "--out", "{store}/never"]
+OUT_OF_RANGE = {
+    "gen --periodic-frac nan": (GEN + ["--periodic-frac", "nan"], "periodic_fraction"),
+    "gen --cadence-days nan": (GEN + ["--cadence-days", "nan"], "cadence_days"),
+    "gen --flux-sigma nan": (GEN + ["--flux-sigma", "nan"], "flux_sigma_fraction"),
+    "plan pipeline --years-ahead nan": (["plan", "pipeline", "--years-ahead", "nan"],
+                                        "years_ahead"),
+    "plan storage --index-overhead nan": (["plan", "storage", "--index-overhead", "nan"],
+                                          "index_overhead_fraction"),
+    "plan load --window-days nan": (["plan", "load", "--window-days", "nan"], "window_days"),
+    "plan load --catalog-fraction nan": (["plan", "load", "--catalog-fraction", "nan"],
+                                         "catalog_fraction"),
+    "plan timeline --doubling nan": (["plan", "timeline", "--doubling", "nan"],
+                                     "moore_doubling"),
+    "movers --rate-max nan": (["movers", "--store", "{store}", "--rate-max", "nan"],
+                              "rate_max"),
+    "trigger --k-sigma -1": (["trigger", "--store", "{store}", "--stream", "{store}",
+                              "--k-sigma", "-1"], "k_sigma"),
+    "trigger --k-sigma nan": (["trigger", "--store", "{store}", "--stream", "{store}",
+                               "--k-sigma", "nan"], "k_sigma"),
+    "corr --randoms 1": (["corr", "--store", "{store}", "--seed", "1", "--randoms", "1"],
+                         "'--randoms'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_number_is_validation_error(capsys, survey_store, case):
+    argv, name = OUT_OF_RANGE[case]
+    code, out, err = run(capsys, *(a.format(store=survey_store) for a in argv))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert name in err
+    assert not (survey_store / "never").exists()
+
+
+def test_unlimited_rate_and_zero_k_sigma_are_accepted(capsys, survey_store):
+    """inf is no rate limit for `movers`, and k-sigma 0 flags every matched
+    detection that deviates at all."""
+    code, _, err = run(capsys, "movers", "--store", str(survey_store), "--rate-max", "inf")
+    assert code == EXIT_OK
+    assert "tracks=" in err
+    code, out, _ = run(capsys, "trigger", "--store", str(survey_store),
+                       "--stream", str(survey_store), "--k-sigma", "0")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) > 1
+
+
 @pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("mode", ["exact", "kd"])
 def test_bad_em_tau_is_validation_error(capsys, survey_store, mode, tau):

@@ -283,6 +283,7 @@ class TestEM:
         (-1e-300, 20, "tol must be finite and >= 0"),
         (0.0, 0, "max_iter must be >= 1"),
         (0.0, -3, "max_iter must be >= 1"),
+        (0.0, 2.5, "max_iter must be an integer"),
     ])
     def test_tol_and_max_iter_are_checked_first(self, monkeypatch, mode, tol, max_iter,
                                                 message):
@@ -295,6 +296,14 @@ class TestEM:
         pts = gaussian_blobs(28, [(10, [0, 0], np.eye(2))])
         with pytest.raises(ValidationError, match=message):
             mining.em_fit(pts, k=2, mode=mode, tol=tol, max_iter=max_iter)
+
+    @pytest.mark.parametrize("mode", ["exact", "kd"])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, mode, seed):
+        """Refused by name, not left to numpy's ValueError or TypeError."""
+        pts = gaussian_blobs(28, [(10, [0, 0], np.eye(2))])
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            mining.em_fit(pts, k=2, mode=mode, seed=seed)
 
     @pytest.mark.parametrize("mode", ["exact", "kd"])
     def test_tol_and_max_iter_at_their_bounds_are_accepted(self, mode):

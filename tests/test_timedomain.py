@@ -371,7 +371,8 @@ def crowd_curves():
 
 
 # `_PERIODOGRAM_BLOCK` values: the default, the smallest block (one tile of
-# curves) and one block per group on the test grids
+# curves) and one block per group on the test grids; every group, of one
+# chain or many, runs in blocks of whole tiles
 BLOCK_SIZES = [timedomain._PERIODOGRAM_BLOCK, 1, 1 << 20]
 each_block_size = pytest.mark.parametrize("block", BLOCK_SIZES,
                                           ids=["default", "smallest", "largest"])
@@ -439,9 +440,9 @@ class TestGroupedFitEquivalence:
     @pytest.mark.parametrize("grid", GRIDS + [(0.01, 2.0, 1000), (0.01, 2.0, 4000)])
     def test_groups_of_one_length_match_alone(self, monkeypatch, grid, block):
         """Chains of one length on several epoch vectors, lone ones among
-        them, searched in one `_periodograms` call: groups of up to _TILE
-        chains share stacked products, bigger ones take blocks, and every
-        chain gets the bits it gets alone."""
+        them, searched in one `_periodograms` call: each group takes its own
+        blocks, of one tile up to _TILE chains and of two at _TILE + 1, and
+        every chain gets the bits it gets alone."""
         monkeypatch.setattr(timedomain, "_PERIODOGRAM_BLOCK", block)
         freqs = np.linspace(*grid)
         rng = np.random.Generator(np.random.PCG64(79))
@@ -468,8 +469,9 @@ class TestGroupedFitEquivalence:
     @pytest.mark.parametrize("n", [3, 20, 50])
     @pytest.mark.parametrize("grid", GRIDS + [(0.01, 2.0, 1000), (0.01, 2.0, 4000)])
     def test_stacked_and_block_paths_agree(self, grid, n):
-        """A group of _TILE chains takes the stacked path, and one of
-        _TILE + 1 the block path; a chain's bits are the same on both."""
+        """A group of _TILE chains takes one tile, and one of _TILE + 1 two
+        tiles, through the same block loop; a chain's bits are the same in
+        both."""
         freqs = np.linspace(*grid)
         rng = np.random.Generator(np.random.PCG64(80))
         t = np.sort(rng.uniform(0, 30, n))
@@ -889,6 +891,9 @@ class TestTrigger:
         with pytest.raises(ValidationError):
             timedomain.run_trigger(np.empty(0, dtype=store.DET_DTYPE),
                                    np.empty(0, dtype=store.MASTER_DTYPE), 0.0)
+        with pytest.raises(ValidationError, match="match_radius"):
+            timedomain.run_trigger(np.empty(0, dtype=store.DET_DTYPE),
+                                   np.empty(0, dtype=store.MASTER_DTYPE), np.nan)
 
 
 def mover_orphans(tracks, passes, cadence=1.0, start_mjd=59000.0):
@@ -1244,6 +1249,10 @@ class TestLinkMovers:
     def test_rejects_bad_cuts(self):
         with pytest.raises(ValidationError):
             timedomain.link_movers(np.empty(0, dtype=store.DET_DTYPE), 0.0, 1.0)
+        with pytest.raises(ValidationError, match="rate_max"):
+            timedomain.link_movers(np.empty(0, dtype=store.DET_DTYPE), np.nan, 1.0)
+        with pytest.raises(ValidationError, match="residual_max"):
+            timedomain.link_movers(np.empty(0, dtype=store.DET_DTYPE), 1.0, np.nan)
         with pytest.raises(ValidationError):
             timedomain.link_movers(np.empty(0, dtype=store.DET_DTYPE), 1.0, 1.0,
                                    min_track_length=1)
