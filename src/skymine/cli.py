@@ -329,9 +329,10 @@ def neighbors_cmd(store_dir, theta, use_masters):
 
 def _chains(store_dir, master_id=None):
     """The store's records (only master `master_id`'s, when given) grouped
-    into chains by `timedomain.group_chains`."""
+    into chains by `timedomain.group_chains`. A store with records but no
+    master assignments is refused; a store with no records has no chains."""
     recs = store.read_all(store_dir)
-    if not np.any(recs["master_id"] > 0):
+    if len(recs) and not np.any(recs["master_id"] > 0):
         raise ValidationError("store has no master assignments; run `master` first")
     if master_id is not None:
         recs = recs.take(np.flatnonzero(recs["master_id"] == master_id))
@@ -526,7 +527,8 @@ def bench20_cmd(store_dir, queries_file):
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink):
             code = run(argv)
-        rows.append((qid, code, time.perf_counter() - t0, line))
+        # the command cell is quoted, so its quotes are doubled (RFC 4180)
+        rows.append((qid, code, time.perf_counter() - t0, line.replace('"', '""')))
     _echo(csvio.blocks("query_id,exit_code,seconds,command", '%d,%d,%.3f,"%s"', rows))
     failures = sum(code != 0 for _, code, _, _ in rows)
     if failures:

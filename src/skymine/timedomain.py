@@ -9,8 +9,6 @@ import contextlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 from . import sphere
@@ -487,6 +485,36 @@ def fit_motion(mjds: np.ndarray, unit: np.ndarray):
 _MERGE_BATCH = 1 << 20
 
 
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
+    """The connected components of the undirected graph on nodes 0 .. n-1
+    with edges (i[e], j[e]): their number, and each node's component,
+    numbered in order of the components' lowest nodes.
+
+    Each node points to a lower node of its component, or to itself (a
+    root). In each round every root that an edge joins to other roots
+    hooks to the lowest of them, and pointer jumping then runs until the
+    pointers stop changing, so that every node points to a root again.
+    Pointers only fall, so no cycle forms; the rounds end when no edge
+    joins two roots, and each component's root is then its lowest node.
+    """
+    root = np.arange(n)
+    while True:
+        ri, rj = root[i], root[j]
+        cross = ri != rj
+        if not cross.any():
+            break
+        i, j, ri, rj = i[cross], j[cross], ri[cross], rj[cross]
+        np.minimum.at(root, ri, rj)
+        np.minimum.at(root, rj, ri)
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    roots, label = np.unique(root, return_inverse=True)
+    return len(roots), label
+
+
 def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
                 residual_max_arcsec: float, min_track_length: int = 3) -> list[MoverTrack]:
     """Link unmatched detections into constant-motion tracks.
@@ -578,8 +606,7 @@ def link_movers(orphans: np.ndarray, rate_max_deg_day: float,
         edges_i.append(ki[aligned])
         edges_j.append(kj[aligned])
     ki, kj = np.concatenate(edges_i), np.concatenate(edges_j)
-    n_groups, label = connected_components(
-        coo_array((np.ones(len(ki)), (ki, kj)), shape=(len(a), len(a))), directed=False)
+    n_groups, label = _components(len(a), ki, kj)
 
     # groups in order of (lowest detection, lowest pair), each as its
     # ascending detection rows

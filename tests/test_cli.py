@@ -1,4 +1,10 @@
+import contextlib
+import csv
+import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +117,29 @@ class TestLifecycle:
                            "--seed", "0", "--out", str(tmp_path / "empty"))
         assert code == EXIT_OK
         assert "objects=0" in err
+
+    def test_mastered_empty_store_has_no_chains(self, capsys, tmp_path):
+        # `master` on 0 records writes an empty masters.csv, and every command
+        # over the masters prints its header alone
+        path = tmp_path / "empty.csv"
+        path.write_text(HEADER + "\n")
+        s = str(tmp_path / "s")
+        for argv in (["ingest", "--input", str(path), "--out", s], ["index", "--store", s],
+                     ["master", "--store", s]):
+            assert run(capsys, *argv)[0] == EXIT_OK
+        for argv in (["lc"], ["classify"], ["neighbors"], ["movers"], ["trigger", "--stream", s]):
+            code, out, err = run(capsys, *argv, "--store", s)
+            assert (code, err.count("error")) == (EXIT_OK, 0)
+            assert len(out.splitlines()) == 1 and "," in out
+
+    @pytest.mark.parametrize("command", ["lc", "classify"])
+    def test_unmastered_store_is_refused(self, capsys, tmp_path, command):
+        out = str(tmp_path / "s")
+        assert cli.run(["gen", "--objects", "5", "--passes", "2", "--seed", "1",
+                        "--out", out]) == EXIT_OK
+        code, _, err = run(capsys, command, "--store", out)
+        assert code == EXIT_VALIDATION
+        assert "store has no master assignments; run `master` first" in err
 
     def test_gen_bad_fraction(self, capsys, tmp_path):
         code, _, _ = run(capsys, "gen", "--objects", "10", "--passes", "1",
@@ -769,11 +798,93 @@ class TestLcRows:
         assert self.rows(capsys, reference_store) == want
 
 
+@pytest.fixture(scope="module")
+def bench20_run(survey_store):
+    """bench20's exit code and stdout on the survey store."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = cli.run(["bench20", "--store", str(survey_store)])
+    return code, sink.getvalue()
+
+
 class TestBench20:
-    def test_all_twenty_queries_pass(self, capsys, survey_store):
-        code, out, _ = run(capsys, "bench20", "--store", str(survey_store))
+    def test_all_twenty_queries_pass(self, bench20_run):
+        code, out = bench20_run
         assert code == EXIT_OK
         lines = out.strip().splitlines()
         assert lines[0] == "query_id,exit_code,seconds,command"
         assert len(lines) == 21
         assert all(ln.split(",")[1] == "0" for ln in lines[1:])
+
+    def test_commands_read_back_as_csv(self, bench20_run):
+        # seven shipped lines hold a '"', which the command cell doubles
+        shipped = [ln.strip() for ln in cli.default_queries_file().read_text().splitlines()
+                   if ln.strip() and not ln.strip().startswith("#")]
+        rows = list(csv.reader(io.StringIO(bench20_run[1])))
+        assert [row[3] for row in rows[1:]] == shipped
+        assert sum('"' in ln for ln in shipped) == 7
+        assert all(len(row) == 4 for row in rows)
+
+
+# Runs every command on a tiny store with scipy's import blocked, and prints
+# each command's name and exit code as JSON: argv[1] is the directory holding
+# the skymine package, argv[2] a scratch directory.
+NUMPY_ALONE = r"""
+import contextlib, json, os, sys
+sys.modules["scipy"] = None   # any import of scipy or a submodule fails
+sys.path.insert(0, sys.argv[1])
+from skymine import cli
+s, t, csv = (f"{sys.argv[2]}/{name}" for name in ("s", "t", "dets.csv"))
+em = ["em", "--store", s, "--seed", "1", "--k", "2"]
+commands = [
+    ["gen", "--objects", "40", "--passes", "8", "--seed", "17", "--periodic-frac", "0.1",
+     "--mover-frac", "0.1", "--pos-noise", "0.1s", "--out", s],
+    ["index", "--store", s],
+    ["master", "--store", s, "--radius", "1s"],
+    ["query", "--store", s],
+    ["ingest", "--input", csv, "--out", t],
+    ["query", "--store", s, "--cone", "10d,20d,60d", "--where", "flux>100"],
+    ["neighbors", "--store", s, "--theta", "3600s"],
+    ["lc", "--store", s, "--steps", "200"],
+    ["classify", "--store", s, "--span-days", "8", "--steps", "200"],
+    ["trigger", "--store", s, "--stream", s],
+    ["movers", "--store", s],
+    ["corr", "--store", s, "--seed", "1", "--randoms", "200"],
+    em + ["--mode", "exact"], em + ["--mode", "exact", "--scores"],
+    em + ["--mode", "kd"], em + ["--mode", "kd", "--scores"],
+    ["bench20", "--store", s],
+    ["plan", "scan", "--db", "120TB", "--disks", "30", "--disk-rate", "150MB/s"],
+]
+codes = []
+for argv in commands:
+    with open(csv if argv == ["query", "--store", s] else os.devnull, "w") as out, \
+            contextlib.redirect_stdout(out):
+        codes.append([argv[0], cli.run(argv)])
+print(json.dumps(codes))
+"""
+
+# The OpenBLAS libraries mapped into a process that imported skymine.cli
+OPENBLAS_MAPPED = r"""
+import sys
+sys.path.insert(0, sys.argv[1])
+import skymine.cli
+with open("/proc/self/maps") as maps:
+    paths = {line.split()[-1] for line in maps if "/" in line}
+print("\n".join(sorted(p for p in paths if "openblas" in p.rsplit("/", 1)[-1].lower())))
+"""
+
+
+def test_runs_on_numpy_and_click_alone(tmp_path):
+    """Every command runs with scipy's import blocked, and on Linux a CLI
+    process maps one OpenBLAS, numpy's: scipy, which bundles its own, is
+    needed only by the tests."""
+    package_root = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", NUMPY_ALONE, package_root, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout)
+    assert len(codes) == 18 and {code for _, code in codes} == {0}, (codes, done.stderr)
+    if sys.platform.startswith("linux"):
+        done = subprocess.run([sys.executable, "-c", OPENBLAS_MAPPED, package_root],
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert len(done.stdout.split()) == 1, done.stdout

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit, logsumexp
 
 from skymine import cli, mining, skygen, sphere, store
@@ -389,6 +390,29 @@ def reference_row_spreads(hi, lo):
     return (expit(hi - rest_lo) - expit(lo - rest_hi)).max(axis=1)
 
 
+def expit_spreads(hi, lo):
+    """(k, nodes) responsibility spreads as `mining._tight_nodes` computed
+    them before it left scipy: the same log-sum-exp columns, and the
+    logistic function through `scipy.special.expit`."""
+    k, n = hi.shape[1], len(hi)
+    others = np.where(np.eye(k, dtype=bool), -np.inf, 0.0)
+    terms = np.stack([hi.T, lo.T])[:, None] + others[:, :, None]
+    top = terms.max(axis=2)
+    terms = np.exp(terms - top[:, :, None])
+    rest_hi, rest_lo = top + np.log(mining._sum_in_row_order(terms, axis=2))
+    return expit(hi.T - rest_lo) - expit(lo.T - rest_hi)
+
+
+# exp(-x) overflows below -709.78 and underflows to 0 above 745.13, and
+# 1 + exp(-x) rounds to 1 from about 36.7: these values and their
+# neighbours, and 0, which puts a difference of two bounds on an edge itself
+EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan] + [
+    v for edge in (36.7, 37.0, 709.782712893384, 745.1332191019411) for x in (edge, -edge)
+    for v in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+BOUNDS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-800.0, 800.0),
+                   st.floats(-40.0, 40.0))
+
+
 def random_covariances(rng, k, d):
     """k symmetric positive definite (d, d) matrices with condition numbers
     up to about 100."""
@@ -485,6 +509,44 @@ class TestEmKernels:
                 assert not mining._tight_nodes(hi, lo, np.nextafter(spread, -np.inf))[i]
 
 
+class TestTightNodesProperty:
+    """`mining._tight_nodes` decides every node as the `expit` form does."""
+
+    @given(st.data(), st.integers(1, 30), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_same_booleans_as_expit(self, data, n, k):
+        hi = data.draw(arrays(np.float64, (n, k), elements=BOUNDS, fill=st.nothing()))
+        lo = data.draw(arrays(np.float64, (n, k), elements=BOUNDS, fill=st.nothing()))
+        with np.errstate(all="ignore"):
+            spreads = expit_spreads(hi, lo) if k > 1 else np.zeros((1, n))
+        taus = [0.0, 1e-300, 1e-4, 1e-2, 0.3, 1.0, data.draw(st.floats(0.0, 1.0))]
+        # tau exactly at each spread, and one ulp below it
+        for spread in spreads[np.isfinite(spreads) & (spreads > 0)].tolist():
+            taus += [spread, np.nextafter(spread, -np.inf)]
+        for tau in taus:
+            with np.errstate(all="ignore"):
+                got = mining._tight_nodes(hi, lo, tau)
+            np.testing.assert_array_equal(got, ~np.any(spreads > tau, axis=0))
+
+    def test_subnormal_spreads_as_tau(self):
+        """Between -709.78 and -708.4 the logistic values are subnormal, and
+        through numpy's AVX-512 `exp` they differ from `expit`'s by one
+        subnormal step in about 0.3% of them (in some of these spreads); at
+        tau equal to each spread, and one step below, every node is decided
+        as with `expit`."""
+        rng = np.random.Generator(np.random.PCG64(9))
+        n = 500
+        hi = np.zeros((n, 2))
+        hi[:, 0] = rng.uniform(-709.78, -708.0, n)
+        lo = hi - np.stack([rng.uniform(0.0, 0.1, n), np.zeros(n)], axis=1)
+        spreads = expit_spreads(hi, lo)
+        assert (spreads[0] > 0).all() and (spreads[0] < 2.3e-308).any()
+        for tau in spreads[0].tolist():
+            for t in (tau, np.nextafter(tau, -np.inf)):
+                np.testing.assert_array_equal(mining._tight_nodes(hi, lo, t),
+                                              ~np.any(spreads > t, axis=0))
+
+
 def imported_modules(path):
     """Every module name a source file's import statements name, with
     `from m import x` also giving m.x."""
@@ -505,34 +567,19 @@ def skymine_imports():
             for path in package.rglob("*.py")}
 
 
-def test_no_module_imports_scipy_linalg():
-    """No module under src/skymine imports scipy.linalg. scipy bundles an
-    OpenBLAS of its own, apart from numpy's. When `em` solved through
-    scipy.linalg, that second library's worker threads held the CPUs that
-    numpy's BLAS needed next: in the `mine` benchmark cycle (2 CPUs), `lc`,
-    which runs right after `em`, took a median 90 ms against 54 ms once EM
-    used numpy alone. Linear algebra goes through numpy only."""
+def test_no_module_imports_scipy():
+    """No module under src/skymine imports scipy: the program runs on numpy
+    and click alone. scipy bundles an OpenBLAS of its own, apart from
+    numpy's. When `em` solved through scipy.linalg, that second library's
+    worker threads held the CPUs that numpy's BLAS needed next: in the
+    `mine` benchmark cycle (2 CPUs), `lc`, which runs right after `em`, took
+    a median 90 ms against 54 ms once EM used numpy alone. Importing scipy's
+    `expit` and csgraph also took most of the CLI's start-up (0.5 s against
+    0.2 s without them). scipy stays in the tests as an oracle."""
     found = skymine_imports()
-    assert "scipy.special" in found[Path("mining.py")]   # the scan sees scipy imports
+    assert "numpy" in found[Path("mining.py")]   # the scan sees imports
     bad = sorted(f"{path}: {name}" for path, names in found.items() for name in names
-                 if name == "scipy.linalg" or name.startswith("scipy.linalg."))
-    assert bad == []
-
-
-def test_no_module_uses_scipy_logsumexp():
-    """No module under src/skymine imports or calls scipy's `logsumexp`:
-    through its array-API path it took about 0.45 ms a call on EM's
-    (2,949, 2) responsibilities, against about 0.1 ms for
-    `mining._logsumexp`, which gives the same bits."""
-    found = skymine_imports()
-    assert "scipy.special.expit" in found[Path("mining.py")]   # names are seen
-    bad = sorted(f"{path}: {name}" for path, names in found.items() for name in names
-                 if name.rsplit(".", 1)[-1] in ("logsumexp", "_logsumexp")
-                 and name.startswith("scipy"))
-    package = Path(mining.__file__).parent
-    bad += sorted(str(path.relative_to(package)) for path in package.rglob("*.py")
-                  for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, ast.Attribute) and node.attr == "logsumexp")
+                 if name == "scipy" or name.startswith("scipy."))
     assert bad == []
 
 

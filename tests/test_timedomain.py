@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 from skymine import skygen, sphere, store, timedomain
@@ -1121,12 +1122,13 @@ class TestLinkMoversOracle:
         orphans = survey_orphans(4, n_objects=100, passes=8, mover_fraction=0.2)
         pairs_per_group = []
 
-        def components(graph, directed):
-            n, label = connected_components(graph, directed=directed)
+        def components(n, i, j):
+            n_groups, label = labeller(n, i, j)
             pairs_per_group.extend(np.bincount(label).tolist())
-            return n, label
+            return n_groups, label
 
-        monkeypatch.setattr(timedomain, "connected_components", components)
+        labeller = timedomain._components
+        monkeypatch.setattr(timedomain, "_components", components)
         want = mover_fields(reference_link_movers(orphans, 50.0, 1.0, min_length))
         assert mover_fields(timedomain.link_movers(orphans, 50.0, 1.0, min_length)) == want
         assert np.mean(np.array(pairs_per_group) == 1) > 0.5
@@ -1171,6 +1173,52 @@ class TestLinkMoversOracle:
         want = mover_fields(reference_link_movers(orphans, 0.5, 1.0))
         assert [ids for _, ids, *_ in want] == [[10, 2, 3, 4], [6, 7, 8]]
         assert mover_fields(timedomain.link_movers(orphans, 0.5, 1.0)) == want
+
+
+def first_node_order(label):
+    """Component labels renumbered in order of each component's lowest node."""
+    _, first, inverse = np.unique(label, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
+
+
+@st.composite
+def graphs(draw):
+    """(n, i, j): n nodes and edges (i[e], j[e]), among them isolated nodes,
+    self-loops, repeated edges and paths through the nodes in shuffled
+    order."""
+    n = draw(st.integers(1, 60))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=80))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=20)) if edges else []
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+        edges += list(zip(path[:-1], path[1:]))
+    edges = draw(st.permutations(edges))
+    i, j = (np.array([e[c] for e in edges], np.int64) for c in (0, 1))
+    return n, i, j
+
+
+class TestComponents:
+    """`timedomain._components` against scipy's `connected_components`."""
+
+    @given(graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_partition_matches_scipy(self, graph):
+        n, i, j = graph
+        n_groups, label = timedomain._components(n, i, j)
+        want_n, want = connected_components(
+            coo_array((np.ones(len(i)), (i, j)), shape=(n, n)), directed=False)
+        assert n_groups == want_n
+        assert label.tolist() == first_node_order(want).tolist()
+
+    def test_long_shuffled_path(self):
+        rng = np.random.Generator(np.random.PCG64(9))
+        path = rng.permutation(5000)
+        n_groups, label = timedomain._components(5001, path[:-1], path[1:])
+        assert n_groups == 2
+        assert label.tolist() == [0] * 5000 + [1]
 
 
 class TestMotionFit:
