@@ -9,6 +9,7 @@ singularities; angles cross the API boundary in degrees or arcseconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,8 @@ class ConvexPolygon:
         off = np.atleast_1d(np.asarray(self.offsets, dtype=np.float64))
         if n.shape[1] != 3 or len(n) != len(off) or len(n) == 0:
             raise ValidationError("polygon needs matching (K,3) normals and K offsets")
+        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(off))):
+            raise ValidationError("halfspace normals and offsets must be finite")
         norms = np.linalg.norm(n, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValidationError("halfspace normals must be unit vectors")
@@ -128,19 +131,23 @@ def cone_from_radec(ra_deg: float, dec_deg: float, radius_deg: float) -> Cone:
 
 
 def load_polygon(path) -> ConvexPolygon:
-    """Read a polygon file: one `nx ny nz offset` halfspace per line,
-    `#` comments."""
+    """Read a polygon file: one `nx ny nz offset` halfspace per line, four
+    finite numbers, `#` comments."""
     normals, offsets = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
-            parts = body.split()
-            if len(parts) != 4:
-                raise ValidationError(f"{path}:{lineno}: expected 'nx ny nz offset'")
-            normals.append([float(x) for x in parts[:3]])
-            offsets.append(float(parts[3]))
+            try:
+                values = [float(x) for x in body.split()]
+            except ValueError:
+                values = []
+            if len(values) != 4 or not all(map(math.isfinite, values)):
+                raise ValidationError(f"{path}:{lineno}: expected 'nx ny nz offset', "
+                                      f"four finite numbers, got {body!r}")
+            normals.append(values[:3])
+            offsets.append(values[3])
     return ConvexPolygon(np.asarray(normals), np.asarray(offsets))
 
 
@@ -204,8 +211,10 @@ def cone_ra_window(cone: Cone) -> tuple[float, float] | None:
 def in_ra_window(ra, ra0: float, w: float) -> np.ndarray:
     """RA within w of ra0, circularly. An RA stored outside [0, 360), at
     ra0 + d + 360k with |d| <= w and k != 0, lies at least 360 - w from ra0,
-    so it is kept too."""
-    d = np.abs(ra - ra0)
+    so it is kept too. The difference is made absolute in place: a second
+    temporary as large as a whole zone band costs page faults."""
+    d = np.subtract(ra, ra0)
+    np.abs(d, out=d)
     return (d <= w) | (d >= 360.0 - w)
 
 

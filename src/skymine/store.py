@@ -362,8 +362,9 @@ def _by_ordinal(recs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _map(workers: int, fn, *iterables) -> list:
-    """`fn` over the zipped iterables, in order, on `workers` threads."""
-    if workers == 1:
+    """`fn` over the zipped iterables, in order, on `workers` threads; on
+    the calling thread when `workers` is 1 or less."""
+    if workers <= 1:
         return [fn(*args) for args in zip(*iterables)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *iterables))
@@ -458,7 +459,8 @@ class Predicate:
     'flux>10 and pass_id<=25'; 'and' is matched in any case. 'true' and
     'false' are accepted literals. An integer literal on an integer field
     compares exactly (det_id values above 2^53 included); every other
-    literal compares as float64."""
+    literal compares as float64. A NaN literal is refused; inf is a
+    literal like any other."""
 
     def __init__(self, text: str):
         self.text = text.strip()
@@ -480,9 +482,12 @@ class Predicate:
                     if name not in FIELD_NAMES:
                         raise ValidationError(f"unknown field {name!r} in predicate")
                     try:
-                        self.clauses.append((name, op, _literal(name, value)))
+                        value = _literal(name, value)
                     except ValueError as exc:
                         raise ValidationError(f"bad comparison value in {term!r}") from exc
+                    if value != value:  # NaN: every comparison but != is false
+                        raise ValidationError(f"NaN comparison value in {term!r}")
+                    self.clauses.append((name, op, value))
                     break
             else:
                 raise ValidationError(f"cannot parse predicate term {term!r}")
@@ -509,37 +514,72 @@ def _zone_rows(info: PartitionInfo, z_lo: int, z_hi: int) -> tuple[int, int]:
     return start, start + sum(info.zone_counts[a:b])
 
 
-def _read_zones(store, info: PartitionInfo, z_lo: int, z_hi: int) -> np.ndarray:
-    """The records of zones z_lo..z_hi, read as one byte range with the
-    record on each side of it. A record of another zone in the range, or one
-    of these zones beside it, means the manifest does not describe the file,
-    which is a StoreIOError naming it."""
-    start, stop = _zone_rows(info, z_lo, z_hi)
-    lo, hi = max(start - 1, 0), min(stop + 1, info.records)
-    recs = np.empty(hi - lo, dtype=DET_DTYPE)
-    _read_into(store, info, recs, start=lo)
-    inside = (recs["zone"] >= z_lo) & (recs["zone"] <= z_hi)
-    band = slice(start - lo, stop - lo)
-    if not inside[band].all() or np.count_nonzero(inside) != stop - start:
+# The most records one region-scan batch reads into one array (16 MiB).
+_BATCH_ROWS = 2 ** 18
+
+
+def _band_batches(partitions, z_lo: int, z_hi: int) -> list:
+    """Each partition's band of zones z_lo..z_hi, [start, stop), and the
+    range [lo, hi) that adds the record on each side of it, as (info, lo,
+    start, stop, hi). They are grouped into batches of consecutive
+    partitions whose ranges total at most _BATCH_ROWS records; a larger range
+    is a batch of its own. A batch holds at most 2^32 / _BATCH_ROWS
+    partitions, so (partition, ordinal, row) fits one uint64 sort key."""
+    batches, rows = [], 0
+    for info in partitions:
+        start, stop = _zone_rows(info, z_lo, z_hi)
+        lo, hi = max(start - 1, 0), min(stop + 1, info.records)
+        if (not batches or rows + hi - lo > _BATCH_ROWS
+                or len(batches[-1]) >= 2 ** 32 // _BATCH_ROWS):
+            batches.append([])
+            rows = 0
+        batches[-1].append((info, lo, start, stop, hi))
+        rows += hi - lo
+    return batches
+
+
+def _scan_bands(store, batch, predicate, region, zone_range, ra_window):
+    """The matching records of a batch's zone bands, partition after
+    partition, each in ordinal order, and how many band records there are.
+
+    Each partition's range is read into its rows of one array, and the rest
+    is done once for the whole array. A record of another zone in a band, or
+    one of its zones beside it, means the manifest does not describe the
+    file, which is a StoreIOError naming it. A cone with an RA window drops
+    the rows outside it before any trigonometry."""
+    ends = np.cumsum([0] + [hi - lo for _, lo, _, _, hi in batch])
+    recs = np.empty(ends[-1], dtype=DET_DTYPE)
+    for (info, lo, _, _, hi), at in zip(batch, ends.tolist()):
+        _read_into(store, info, recs[at:at + hi - lo], start=lo)
+    counts = [(start - lo, stop - start, hi - stop) for _, lo, start, stop, hi in batch]
+    band = np.repeat(np.tile([False, True, False], len(batch)), np.ravel(counts))
+    z_lo, z_hi = zone_range
+    # zone - z_lo wraps below z_lo, so one unsigned test finds the band's zones
+    wrong = (recs["zone"] - np.uint32(z_lo) < z_hi + 1 - z_lo) != band
+    if wrong.any():
+        info = batch[np.searchsorted(ends, wrong.argmax(), side="right") - 1][0]
         raise StoreIOError(f"{Path(store) / info.name}: records outside zones "
                            f"{z_lo}..{z_hi} in their byte range, or records of those zones "
                            f"next to it; the manifest does not match the partition")
-    return recs[band]
-
-
-def _scan_partition(store, info, predicate, region, zoned, zone_range, ra_window):
-    """The partition's matching records in ordinal order, and how many
-    records were read. A region scan of a zoned store reads only the byte
-    range of its zone band, and a cone with an RA window drops the rows
-    outside it before any trigonometry."""
-    if zone_range is None:
-        recs = read_partition(store, info)
-    else:
-        recs = _read_zones(store, info, *zone_range)
-    mask = predicate.mask(recs)
+    mask = band & predicate.mask(recs)
     if ra_window is not None:
         mask &= sphere.in_ra_window(recs["ra"], *ra_window)
     rows = np.flatnonzero(mask)
+    rows = rows[region.contains(sphere.radec_to_unit(recs["ra"][rows], recs["dec"][rows]))]
+    # One sort of (partition << 32 | ordinal) * m + j, j the position among
+    # the m rows, orders them by partition, ordinal and row. The key is below
+    # 2^64: a batch of p partitions has p * m <= 2^32 (see _band_batches).
+    m = np.uint64(len(rows))
+    part = (np.searchsorted(ends, rows, side="right") - 1).astype(np.uint64)
+    key = (part << np.uint64(32) | recs["ordinal"][rows]) * m + np.arange(m, dtype=np.uint64)
+    return _gather(recs, rows[np.sort(key) % max(m, 1)]), int(np.count_nonzero(band))
+
+
+def _scan_partition(store, info, predicate, region, zoned):
+    """The matching records of a whole partition in ordinal order, and how
+    many records were read."""
+    recs = read_partition(store, info)
+    rows = np.flatnonzero(predicate.mask(recs))
     if region is not None:
         rows = rows[region.contains(sphere.radec_to_unit(recs["ra"][rows], recs["dec"][rows]))]
     if zoned:
@@ -554,11 +594,13 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
     zone order of the files.
 
     A region scan of a zoned store reads, from each partition, only the byte
-    range of the zones of `sphere.region_dec_bounds`, and a cone narrow
-    enough to have `sphere.cone_ra_window` tests only the rows in that RA
-    window; an unzoned store is read whole. A constant-true scan with no
-    region reads every partition whole into the result. `ScanStats` counts
-    the records read.
+    range of the zones of `sphere.region_dec_bounds`, a batch of partitions
+    into one array (`_scan_bands`), and a cone narrow enough to have
+    `sphere.cone_ra_window` tests only the rows in that RA window. Any
+    other scan reads each partition whole, and a constant-true scan with no
+    region reads them straight into the result. `workers` threads share the
+    batches or the partitions. `ScanStats` counts the records of the zone
+    bands, or of the partitions read whole.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
@@ -566,24 +608,25 @@ def scan(store, predicate: Predicate | str, region=None, workers: int = 1):
         predicate = Predicate(predicate)
     manifest = read_manifest(store)
     zoned = manifest.zone_height_deg is not None
-    zone_range = ra_window = None
+    t0 = time.perf_counter()
     if region is not None and zoned:
         dec_lo, dec_hi = sphere.region_dec_bounds(region)
         z_lo = int(sphere.zone_of(dec_lo, manifest.zone_height_deg))
         z_hi = int(sphere.zone_of(dec_hi, manifest.zone_height_deg))
         zone_range = (z_lo, z_hi if dec_lo <= dec_hi else z_lo - 1)  # empty: no zone
-        if isinstance(region, sphere.Cone):
-            ra_window = sphere.cone_ra_window(region)
-    t0 = time.perf_counter()
-    if region is None and predicate.constant is True:
-        matched = _read_partitions(store, manifest.partitions, workers, zoned=zoned)
-        scanned = len(matched)
+        ra_window = sphere.cone_ra_window(region) if isinstance(region, sphere.Cone) else None
+        batches = _band_batches(manifest.partitions, *zone_range)
+        parts = _map(min(workers, len(batches)),
+                     lambda batch: _scan_bands(store, batch, predicate, region, zone_range,
+                                               ra_window), batches)
+    elif region is None and predicate.constant is True:
+        whole = _read_partitions(store, manifest.partitions, workers, zoned=zoned)
+        parts = [(whole, len(whole))]
     else:
-        parts = _map(workers, lambda info: _scan_partition(store, info, predicate, region, zoned,
-                                                           zone_range, ra_window),
+        parts = _map(workers, lambda info: _scan_partition(store, info, predicate, region, zoned),
                      manifest.partitions)
-        matched = join_records([p for p, _ in parts])
-        scanned = sum(n for _, n in parts)
+    matched = parts[0][0] if len(parts) == 1 else join_records([p for p, _ in parts])
+    scanned = sum(n for _, n in parts)
     wall = time.perf_counter() - t0
     stats = ScanStats(
         bytes_read=scanned * RECORD_SIZE,

@@ -317,6 +317,36 @@ class TestQueries:
                          "--where", "nonsense>1")
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("halfspace", ["nan 0 1 0.5", "0 0 1 nan", "0 0 nan 0.5",
+                                           "0 0 1 -inf", "0 0 1 half"])
+    def test_non_finite_polygon_value_is_validation_error(self, capsys, survey_store, tmp_path,
+                                                          halfspace):
+        """NaN failed no range check, so such a polygon matched no row and
+        exited 0."""
+        poly = tmp_path / "bad.poly"
+        poly.write_text(f"# a comment\n0 0 1 0\n{halfspace}\n")
+        code, out, err = run(capsys, "query", "--store", str(survey_store),
+                             "--polygon", str(poly))
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"bad.poly:3: expected 'nx ny nz offset', four finite numbers, got {halfspace!r}" in err
+
+    @pytest.mark.parametrize("where", ["flux>nan", "flux!=nan", "pass_id<=3 and flux<NaN",
+                                       "det_id==-nan"])
+    def test_nan_literal_is_validation_error(self, capsys, survey_store, where):
+        """flux>nan matched no row and flux!=nan every row."""
+        code, out, err = run(capsys, "query", "--store", str(survey_store), "--where", where)
+        assert code == EXIT_VALIDATION and out == ""
+        term = where.split(" and ")[-1]
+        assert f"NaN comparison value in {term!r}" in err
+
+    def test_infinite_literals_are_accepted(self, capsys, survey_store):
+        recs = store.read_all(survey_store)
+        for where, want in [("flux<inf", len(recs)), ("flux>inf", 0), ("flux>-inf", len(recs))]:
+            code, out, err = run(capsys, "query", "--store", str(survey_store), "--where", where)
+            assert code == EXIT_OK
+            assert len(out.splitlines()) == 1 + want
+            assert f"matched={want} " in err
+
     def test_neighbors_runs(self, capsys, survey_store):
         code, out, err = run(capsys, "neighbors", "--store", str(survey_store),
                              "--theta", "3600s")

@@ -108,6 +108,13 @@ class TestRegions:
         with pytest.raises(ValidationError):
             sphere.ConvexPolygon(np.array([[0.0, 0.0, 1.0]]), np.array([1.5]))
 
+    @pytest.mark.parametrize("normal, offset", [([np.nan, 0.0, 1.0], 0.5),
+                                                ([0.0, 0.0, 1.0], np.nan),
+                                                ([0.0, np.inf, 1.0], 0.5)])
+    def test_polygon_with_non_finite_values_refused(self, normal, offset):
+        with pytest.raises(ValidationError, match="must be finite"):
+            sphere.ConvexPolygon(np.array([normal]), np.array([offset]))
+
     def test_whole_sphere_cone(self):
         unit = random_catalog(1, 500)
         cone = sphere.Cone(np.array([0.0, 0.0, 1.0]), np.pi)

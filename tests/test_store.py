@@ -4,6 +4,7 @@ import shutil
 import tempfile
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -585,7 +586,8 @@ class TestScanProperty:
     `ordinal` zeroed the bytes a store in ingest order gives, while reading
     only the zone band's records."""
 
-    @given(n=st.integers(0, 300), seed=st.integers(0, 2 ** 31), parts=st.sampled_from([1, 4, 16]),
+    @given(n=st.integers(0, 300), seed=st.integers(0, 2 ** 31),
+           parts=st.sampled_from([1, 4, 16, 64]),
            workers=st.sampled_from([1, 2]),
            heights=st.sampled_from([(), (1.0,), (0.01,), (1.0, 0.01), (0.01, 2.5)]),
            region=scan_regions(), where=st.sampled_from(["true", "flux>500"]),
@@ -602,6 +604,95 @@ class TestScanProperty:
             assert stats.records_scanned == band_records(tmp, region)
         out["ordinal"] = 0
         assert out.tobytes() == parent_layout_scan(recs, parts, heights, where, region).tobytes()
+
+    @given(n=st.integers(0, 300), seed=st.integers(0, 2 ** 31),
+           parts=st.sampled_from([1, 4, 16, 64]), workers=st.sampled_from([1, 2]),
+           heights=st.sampled_from([(1.0,), (0.01,), (0.01, 2.5)]),
+           region=scan_regions().filter(lambda r: r is not None),
+           where=st.sampled_from(["true", "flux>500"]), cap=st.sampled_from([1, 7, 64]))
+    @settings(deadline=None)
+    def test_batch_splits_change_nothing(self, n, seed, parts, workers, heights, region, where,
+                                         cap):
+        """A region scan split into batches of at most `cap` records (a
+        larger band alone) returns the bytes and counts of one batch."""
+        recs = survey_near(region, n, seed, wrap=False)
+        with tempfile.TemporaryDirectory() as tmp:
+            store.ingest_detections(recs, parts, tmp)
+            for height in heights:
+                store.build_indexes(tmp, height)
+            want, want_stats = store.scan(tmp, where, region=region, workers=workers)
+            with mock.patch.object(store, "_BATCH_ROWS", cap):
+                out, stats = store.scan(tmp, where, region=region, workers=workers)
+        assert out.tobytes() == want.tobytes()
+        assert ((stats.bytes_read, stats.records_scanned, stats.records_matched, stats.workers)
+                == (want_stats.bytes_read, want_stats.records_scanned,
+                    want_stats.records_matched, want_stats.workers))
+
+
+class TestBandBatches:
+    """A region scan of a zoned store reads its bands in batches of
+    consecutive partitions, one array each."""
+
+    WHOLE_SKY = sphere.cone_from_radec(0.0, 0.0, 180.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_many_batches_equal_one(self, indexed_store, workers):
+        one, one_stats = store.scan(indexed_store, "true", region=self.WHOLE_SKY)
+        manifest = store.read_manifest(indexed_store)
+        with mock.patch.object(store, "_BATCH_ROWS", 7):
+            assert len(store._band_batches(manifest.partitions, 0, 179)) > 1
+            out, stats = store.scan(indexed_store, "true", region=self.WHOLE_SKY, workers=workers)
+        assert out.tobytes() == one.tobytes() == store.read_all(indexed_store).tobytes()
+        assert stats.records_scanned == one_stats.records_scanned == len(one)
+
+    def test_batches_are_runs_of_partitions_within_the_cap(self, small_store):
+        partitions = store.read_manifest(small_store[0]).partitions
+        with mock.patch.object(store, "_BATCH_ROWS", partitions[0].records + partitions[1].records):
+            batches = store._band_batches(partitions, 0, 179)
+        assert [[info.name for info, *_ in b] for b in batches] == [
+            ["part-0000.det", "part-0001.det"], ["part-0002.det", "part-0003.det"]]
+        with mock.patch.object(store, "_BATCH_ROWS", 1):
+            batches = store._band_batches(partitions, 0, 179)
+        assert [len(b) for b in batches] == [1, 1, 1, 1]
+
+    def test_one_batch_starts_no_pool(self, small_store, monkeypatch):
+        path, _ = small_store
+        cone = SCAN_REGIONS["cone"]
+        want, _ = store.scan(path, "flux>300", region=cone)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+        monkeypatch.setattr(store, "ThreadPoolExecutor", no_pool)
+        out, stats = store.scan(path, "flux>300", region=cone, workers=2)
+        assert out.tobytes() == want.tobytes() and stats.workers == 2
+        # several batches do go to the pool
+        monkeypatch.setattr(store, "_BATCH_ROWS", 1)
+        with pytest.raises(AssertionError, match="thread pool"):
+            store.scan(path, "flux>300", region=cone, workers=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zone_counts_that_disagree_inside_a_batch_exit_3(self, capsys, small_store, workers):
+        """Counts of partition 2 that still sum to its records but put the
+        band's byte range one record early, in the middle of one batch."""
+        path, _ = small_store
+        TestDamagedManifest.damage(path, lambda d: d["partitions"][2].update(
+            zone_counts=[d["partitions"][2]["zone_counts"][0] - 1,
+                         *d["partitions"][2]["zone_counts"][1:-1],
+                         d["partitions"][2]["zone_counts"][-1] + 1]))
+        assert len(store._band_batches(store.read_manifest(path).partitions, 100, 140)) == 1
+        code = cli.run(["query", "--store", str(path), "--cone", "100d,30d,20d",
+                        "--workers", str(workers)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_IO and out == ""
+        assert "part-0002.det: records outside zones" in err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_truncated_partition_inside_a_batch_fails(self, small_store, workers):
+        path, _ = small_store
+        target = path / "part-0003.det"
+        target.write_bytes(target.read_bytes()[:-64])
+        with pytest.raises(StoreIOError, match="part-0003.det: expected 125 records"):
+            store.scan(path, "true", region=SCAN_REGIONS["cone"], workers=workers)
 
 
 class TestMaster:
